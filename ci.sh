@@ -63,9 +63,9 @@ FRAPPE_JOBS=8 FRAPPE_SHARD_GROUPS=4 cargo test -q -p frappe-lifecycle --test sha
 
 echo "==> scoring suite with the detected engine and with FRAPPE_SIMD=0"
 # The SIMD engine swap must be invisible: the svm suite (packed kernels,
-# RFF, scalar/AVX2 bit-identity properties) and the serve parity suite
-# run once with runtime ISA detection live and once pinned to the
-# portable scalar fallback. Identical results are the contract.
+# scalar/AVX2 bit-identity properties) and the serve parity suite run
+# once with runtime ISA detection live and once pinned to the portable
+# scalar fallback. Identical results are the contract.
 cargo test -q -p svm
 FRAPPE_SIMD=0 cargo test -q -p svm
 FRAPPE_SIMD=0 cargo test -q -p frappe-serve
@@ -106,11 +106,18 @@ cargo run --release -p frappe-bench --bin repro -- --small --edge-bench-out BENC
 echo "==> shard bench, quick mode (group scaling + zero-stale swap leg, BENCH_shard.json)"
 cargo run --release -p frappe-bench --bin repro -- --small --shard-bench-out BENCH_shard.json
 
-echo "==> scoring bench, quick mode (scalar/SIMD/RFF kernels, BENCH_scoring.json)"
+echo "==> scoring bench, quick mode (scalar/SIMD kernels, BENCH_scoring.json)"
 cargo run --release -p frappe-bench --bin repro -- --small --scoring-bench-out BENCH_scoring.json
 
 echo "==> gauntlet bench, quick mode (adversarial scenarios, BENCH_gauntlet.json)"
 cargo run --release -p frappe-bench --bin repro -- --small --gauntlet-bench-out BENCH_gauntlet.json
+
+echo "==> benchmark crate (its own workspace: build + harness tests)"
+# benchmark/ is not a member of the root workspace, yet it calls
+# workspace APIs (frappe::scoring::describe, Server::bind, ...); build it
+# here so an API change that breaks it fails CI.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test --release --offline --manifest-path benchmark/Cargo.toml --test harness
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings

@@ -54,19 +54,15 @@ fn bench_prediction(c: &mut Criterion) {
 
 /// Kernel-scoring throughput across the evaluation engines: the portable
 /// 4-lane scalar fallback, the best engine the CPU offers (AVX2+FMA where
-/// detected — the label on the console says which you got), and the O(D)
-/// random-Fourier approximation, at the acceptance batch trio {1, 64,
-/// 4096}. `repro --scoring-bench-out` produces the same comparison as
+/// detected — the label on the console says which you got), at the
+/// acceptance batch trio {1, 64, 4096}. `repro --scoring-bench-out` produces the same comparison as
 /// machine-readable JSON; this group is the statistical view.
 fn bench_kernel_scoring(c: &mut Criterion) {
-    use svm::rff::{RffModel, DEFAULT_FEATURES};
     use svm::simd::{Dispatch, MathMode};
 
     let data = synth(800, 47);
     let model = train(&data, &SvmParams::paper_defaults(7));
-    let rff = RffModel::from_model(&model, DEFAULT_FEATURES, 0xF4A9_9E0F).expect("RBF model");
     model.warm();
-    rff.warm();
     let queries = synth(4096, 48);
     let queries = queries.features();
     println!(
@@ -96,9 +92,6 @@ fn bench_kernel_scoring(c: &mut Criterion) {
                     .map(|q| model.decision_value_with(d, q))
                     .sum::<f64>()
             });
-        });
-        group.bench_with_input(BenchmarkId::new("rff", batch), &slice, |b, qs| {
-            b.iter(|| qs.iter().map(|q| rff.decision_value(q)).sum::<f64>());
         });
     }
     group.finish();

@@ -9,16 +9,12 @@
 //! cargo run --release -p frappe-bench --bin loadgen -- \
 //!     [--shards N] [--workers N] [--query-threads N] [--queries N] [--paper-scale] \
 //!     [--linear] [--profile] [--metrics-out PATH] [--trace-out PATH] \
-//!     [--swap-every N] [--shard-groups K] [--connect ADDR|self] [--rate N] [--seed N] \
-//!     [--scoring-backend exact|simd|rff]
+//!     [--swap-every N] [--shard-groups K] [--connect ADDR|self] [--rate N] [--seed N]
 //! ```
 //!
-//! `--scoring-backend` selects the process-wide verdict engine (see
-//! `frappe::scoring`): `exact` forces the portable scalar reference,
-//! `simd` forces the best engine the CPU offers, and `rff` routes RBF
-//! verdicts through the O(D) random-Fourier approximation (the model
-//! trains with one attached). The banner discloses what actually
-//! dispatched.
+//! Verdicts are exact kernel sums on the engine CPU detection picks;
+//! `FRAPPE_SIMD=0` pins the portable scalar engine. The banner discloses
+//! what actually dispatched (see `frappe::scoring`).
 //!
 //! `--shard-groups K` deploys the serving layer as K shared-nothing
 //! shard groups behind a hashing `ShardRouter` instead of one
@@ -138,16 +134,6 @@ fn parse_options() -> Options {
                     std::process::exit(2);
                 }));
             }
-            "--scoring-backend" => {
-                let value = args.next().unwrap_or_default();
-                match frappe::scoring::ScoringBackend::parse(&value) {
-                    Some(b) => frappe::scoring::set_backend(b),
-                    None => {
-                        eprintln!("--scoring-backend expects exact|simd|rff, got {value:?}");
-                        std::process::exit(2);
-                    }
-                }
-            }
             "--paper-scale" => opts.paper_scale = true,
             "--linear" => opts.linear = true,
             "--profile" => opts.profile = true,
@@ -169,8 +155,7 @@ fn parse_options() -> Options {
                     "usage: loadgen [--shards N] [--workers N] [--query-threads N] \
                      [--queries N] [--paper-scale] [--linear] [--profile] \
                      [--metrics-out PATH] [--trace-out PATH] [--swap-every N] \
-                     [--shard-groups K] [--connect ADDR|self] [--rate N] [--seed N] \
-                     [--scoring-backend exact|simd|rff]"
+                     [--shard-groups K] [--connect ADDR|self] [--rate N] [--seed N]"
                 );
                 std::process::exit(2);
             }

@@ -13,11 +13,9 @@
 //! repro --shard-bench-out FILE
 //!                             # time shard-group scaling at K in {1,2,4,8}
 //! repro --scoring-bench-out FILE
-//!                             # time scalar/SIMD/RFF kernel scoring, write JSON
+//!                             # time scalar/SIMD kernel scoring, write JSON
 //! repro --gauntlet-bench-out FILE
 //!                             # time the adversarial gauntlet scenarios, write JSON
-//! repro --scoring-backend exact|simd|rff
-//!                             # pick the process-wide verdict engine
 //! ```
 
 use std::fmt::Write as _;
@@ -85,16 +83,6 @@ fn main() {
                     std::process::exit(2);
                 }
             },
-            "--scoring-backend" => {
-                let value = args_iter.next().unwrap_or_default();
-                match frappe::scoring::ScoringBackend::parse(&value) {
-                    Some(b) => frappe::scoring::set_backend(b),
-                    None => {
-                        eprintln!("--scoring-backend expects exact|simd|rff, got {value:?}");
-                        std::process::exit(2);
-                    }
-                }
-            }
             "--profile" => {
                 profile = true;
                 frappe_obs::set_spans_enabled(true);
@@ -221,7 +209,7 @@ fn main() {
     // standalone-and-exit-early contract as the other benches.
     if let Some(path) = &scoring_bench_out {
         eprintln!(
-            "timing scalar vs SIMD vs RFF kernel scoring ({} mode)...",
+            "timing scalar vs SIMD kernel scoring ({} mode)...",
             if small { "quick" } else { "full" }
         );
         let report = frappe_bench::scoringbench::run(small);
@@ -264,8 +252,7 @@ fn main() {
             "usage: repro [--small] [--profile] [--seed N] [--bench-out FILE] \
              [--lifecycle-bench-out FILE] [--edge-bench-out FILE] \
              [--shard-bench-out FILE] [--scoring-bench-out FILE] \
-             [--gauntlet-bench-out FILE] \
-             [--scoring-backend exact|simd|rff] <experiment ...|all|list>"
+             [--gauntlet-bench-out FILE] <experiment ...|all|list>"
         );
         eprintln!(
             "experiments: {}",

@@ -1,9 +1,9 @@
-//! Batch-scoring kernel throughput: legacy scalar vs packed engines vs
-//! the random-Fourier approximation.
+//! Batch-scoring kernel throughput: legacy scalar loop vs the packed
+//! engines.
 //!
 //! Like [`crate::trainbench`], this module produces one machine-readable
 //! [`ScoringBenchReport`] that `repro --scoring-bench-out` serializes to
-//! `BENCH_scoring.json`. Four evaluation paths score the same query
+//! `BENCH_scoring.json`. Three evaluation paths score the same query
 //! stream against the same trained RBF model at batch sizes 1, 64, and
 //! 4096:
 //!
@@ -16,8 +16,6 @@
 //! * **simd** — the same packed model on the best engine the CPU offers
 //!   (AVX2+FMA where detected; identical to fallback otherwise, and
 //!   `detected_isa` in the report says which you got).
-//! * **rff** — the O(D·d) random-Fourier approximation, with its verdict
-//!   agreement against the exact model recorded alongside the timing.
 //!
 //! The report also carries the fallback-vs-SIMD bit-identity verdict over
 //! the whole query stream — the property that makes the deterministic
@@ -28,14 +26,13 @@ use std::time::Instant;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use svm::rff::{RffModel, DEFAULT_FEATURES};
 use svm::simd::{self, Dispatch, MathMode};
 use svm::{train, Dataset, Kernel, SvmModel, SvmParams};
 
 /// One (path, batch size) timing cell.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ScoringBenchPoint {
-    /// Evaluation path: `scalar-legacy`, `fallback`, `simd`, or `rff`.
+    /// Evaluation path: `scalar-legacy`, `fallback`, or `simd`.
     pub path: String,
     /// Engine label actually dispatching (e.g. `avx2+fma/deterministic`).
     pub engine: String,
@@ -64,10 +61,6 @@ pub struct ScoringBenchReport {
     pub support_vectors: usize,
     /// Feature dimension of the benchmarked model.
     pub dim: usize,
-    /// Fourier features in the approximation (`D`).
-    pub rff_features: usize,
-    /// Fraction of queries where the rff verdict matches the exact one.
-    pub rff_agreement: f64,
     /// `scalar-legacy` ns/query ÷ `simd` ns/query at the largest batch —
     /// the acceptance criterion's headline number.
     pub simd_vs_legacy_speedup: f64,
@@ -170,22 +163,12 @@ pub fn run(quick: bool) -> ScoringBenchReport {
     let data = synth_overlapping(train_n, dim, 42);
     let params = SvmParams::with_kernel(Kernel::rbf_default_gamma(dim));
     let model = train(&data, &params);
-    let rff = RffModel::from_model(&model, DEFAULT_FEATURES, 0xF4A9_9E0F)
-        .expect("benchmark model is RBF");
     model.warm();
-    rff.warm();
 
-    // Query pool disjoint from the training draw, drawn at the class
-    // centres with the training noise band but without the overlap
-    // offset shrink — production-shaped traffic where most apps are
-    // decisively benign or decisively malicious. The timing is
-    // distribution-independent (every path does the same work per
-    // query); the agreement rate is measured on this pool, which is the
-    // regime the ≥ 99.5% promotion floor is defined over. On the
-    // deliberately ambiguous training distribution itself agreement
-    // drops (≈ 94% here) — verdicts near the boundary flip under the
-    // O(1/√D) approximation error, which is exactly why the exact model
-    // stays attached as the shadow reference.
+    // Query pool disjoint from the training draw: production-shaped
+    // traffic where most apps are decisively benign or decisively
+    // malicious. The timing is distribution-independent (every path does
+    // the same work per query).
     let pool = crate::trainbench::synth_dataset(4096, 7701);
     let queries: Vec<Vec<f64>> = pool.features().to_vec();
 
@@ -196,7 +179,6 @@ pub fn run(quick: bool) -> ScoringBenchReport {
         model.decision_value_with(fallback, q).to_bits()
             == model.decision_value_with(best, q).to_bits()
     });
-    let rff_agreement = rff.verdict_agreement(&model, &queries);
 
     let mut points = Vec::new();
     let mut cell = |path: &str, engine: String, batch: usize, ns: f64| {
@@ -234,11 +216,6 @@ pub fn run(quick: bool) -> ScoringBenchReport {
         if batch == batches[batches.len() - 1] {
             simd_at_max = ns;
         }
-
-        let ns = time_path(&queries, batch, reps, |q| {
-            std::hint::black_box(rff.decision_value_with(best, q));
-        });
-        cell("rff", best.describe().to_string(), batch, ns);
     }
 
     ScoringBenchReport {
@@ -248,8 +225,6 @@ pub fn run(quick: bool) -> ScoringBenchReport {
         quick,
         support_vectors: model.support_vector_count(),
         dim,
-        rff_features: DEFAULT_FEATURES,
-        rff_agreement,
         simd_vs_legacy_speedup: legacy_at_max / simd_at_max.max(1e-9),
         fallback_bit_identical,
         points,
@@ -261,8 +236,7 @@ impl ScoringBenchReport {
     pub fn render(&self) -> String {
         let mut out = format!(
             "scoring bench ({} mode, isa {}, {} f64 lanes, {} threads available)\n\
-             model: {} support vectors x {} features; rff D={} \
-             (verdict agreement {:.4})\n\
+             model: {} support vectors x {} features\n\
              simd vs legacy at batch 4096: {:.2}x; \
              fallback/simd bit-identical: {}\n",
             if self.quick { "quick" } else { "full" },
@@ -271,8 +245,6 @@ impl ScoringBenchReport {
             self.threads_available,
             self.support_vectors,
             self.dim,
-            self.rff_features,
-            self.rff_agreement,
             self.simd_vs_legacy_speedup,
             self.fallback_bit_identical,
         );
@@ -297,12 +269,7 @@ mod tests {
         assert!(report.detected_isa == "avx2+fma" || report.detected_isa == "scalar-only");
         assert_eq!(report.lane_width, svm::simd::LANES);
         assert!(report.fallback_bit_identical);
-        assert!(
-            report.rff_agreement >= 0.995,
-            "rff agreement {}",
-            report.rff_agreement
-        );
-        assert_eq!(report.points.len(), 12);
+        assert_eq!(report.points.len(), 9);
         assert!(report.points.iter().all(|p| p.ns_per_query > 0.0));
         let json = serde_json::to_string_pretty(&report).unwrap();
         let back: ScoringBenchReport = serde_json::from_str(&json).unwrap();

@@ -13,12 +13,9 @@ use std::sync::{Arc, PoisonError, RwLock};
 use frappe_obs::{AuditRecord, AuditSource, FeatureContribution};
 use osn_types::ids::AppId;
 use serde::{Deserialize, Serialize};
-use svm::{
-    cross_validate, train, CrossValReport, Dataset, RffError, RffModel, Scaler, SvmModel, SvmParams,
-};
+use svm::{cross_validate, train, CrossValReport, Dataset, Scaler, SvmModel, SvmParams};
 
 use crate::features::vectorize::{AppFeatures, FeatureSet, Imputation};
-use crate::scoring;
 
 /// A trained FRAppE model (any of the paper's variants, per its
 /// [`FeatureSet`]).
@@ -32,11 +29,6 @@ pub struct FrappeModel {
     imputation: Imputation,
     scaler: Scaler,
     model: SvmModel,
-    /// Optional random-Fourier approximation of `model` (RBF only).
-    /// Verdicts route through it when the process-wide backend is
-    /// [`scoring::ScoringBackend::Rff`]; the exact model always stays the
-    /// shadow reference.
-    rff: Option<RffModel>,
 }
 
 /// Builds the numeric dataset for a feature set (+1 = malicious).
@@ -72,19 +64,11 @@ impl FrappeModel {
         let scaler = Scaler::fit(&raw);
         let scaled = scaler.transform_dataset(&raw);
         let model = train(&scaled, &params);
-        // Under the rff backend every freshly trained RBF model carries its
-        // approximation from birth (fixed seed: retrains stay reproducible).
-        let rff = if scoring::rff_routing() {
-            RffModel::from_model(&model, scoring::RFF_FEATURES, scoring::RFF_SEED).ok()
-        } else {
-            None
-        };
         FrappeModel {
             set,
             imputation,
             scaler,
             model,
-            rff,
         }
     }
 
@@ -95,18 +79,11 @@ impl FrappeModel {
 
     /// Raw SVM decision value (positive ⇒ malicious); useful for ranking.
     ///
-    /// Evaluated by the packed SIMD engine; under the
-    /// [`scoring::ScoringBackend::Rff`] backend, models with an attached
-    /// approximation score through it instead (O(D·d) per verdict).
+    /// Evaluated by the packed SIMD engine.
     pub fn decision_value(&self, features: &AppFeatures) -> f64 {
         let x = self
             .scaler
             .transform(&self.imputation.encode(self.set, features));
-        if scoring::rff_routing() {
-            if let Some(rff) = &self.rff {
-                return rff.decision_value(&x);
-            }
-        }
         self.model.decision_value(&x)
     }
 
@@ -196,7 +173,6 @@ impl FrappeModel {
             imputation,
             scaler,
             model,
-            rff: None,
         }
     }
 
@@ -215,51 +191,10 @@ impl FrappeModel {
         &self.model
     }
 
-    /// The attached random-Fourier approximation, if any.
-    pub fn rff(&self) -> Option<&RffModel> {
-        self.rff.as_ref()
-    }
-
-    /// Attaches a random-Fourier approximation after validating it against
-    /// the exact model (same `gamma` bits, same feature dimension) — the
-    /// checkpoint-restore counterpart of the auto-attach in
-    /// [`FrappeModel::train`].
-    pub fn attach_rff(&mut self, rff: RffModel) -> Result<(), RffError> {
-        let svm::Kernel::Rbf { gamma } = self.model.kernel() else {
-            return Err(RffError::NotRbf);
-        };
-        if rff.gamma().to_bits() != gamma.to_bits() {
-            return Err(RffError::Shape(format!(
-                "rff gamma {} vs model gamma {gamma}",
-                rff.gamma()
-            )));
-        }
-        let dim = self.model.support_vectors().first().map_or(0, Vec::len);
-        if rff.dim() != dim {
-            return Err(RffError::Shape(format!(
-                "rff dimension {} vs model dimension {dim}",
-                rff.dim()
-            )));
-        }
-        self.rff = Some(rff);
-        Ok(())
-    }
-
-    /// Draws and attaches a fresh approximation of the exact model.
-    pub fn build_rff(&mut self, features: usize, seed: u64) -> Result<(), RffError> {
-        let rff = RffModel::from_model(&self.model, features, seed)?;
-        self.rff = Some(rff);
-        Ok(())
-    }
-
-    /// Builds the packed scoring representations eagerly (and the RFF
-    /// projection, if attached) so the first verdict after an install or a
-    /// hot swap doesn't pay the flatten.
+    /// Builds the packed scoring representation eagerly so the first
+    /// verdict after an install or a hot swap doesn't pay the flatten.
     pub fn warm(&self) {
         self.model.warm();
-        if let Some(rff) = &self.rff {
-            rff.warm();
-        }
     }
 }
 

@@ -1,107 +1,22 @@
-//! Process-wide scoring-backend selection.
+//! The scoring engine label shown in banners and bench headers.
 //!
-//! The serving stack exposes one knob — `--scoring-backend exact|simd|rff`
-//! on `loadgen` and `repro` — that picks how every verdict in the process
-//! is evaluated:
-//!
-//! * **exact** — exact kernel sums on the portable scalar reference engine
-//!   (the pre-SIMD behaviour, useful as a parity baseline).
-//! * **simd** — exact kernel sums on the fastest engine the CPU offers
-//!   (AVX2+FMA where available; silently the scalar engine otherwise, with
-//!   the detected ISA disclosed by benches).
-//! * **rff** — random-Fourier approximate scoring for RBF models that
-//!   carry an attached [`svm::RffModel`]; models trained while this
-//!   backend is selected attach one automatically ([`RFF_FEATURES`]
-//!   features from [`RFF_SEED`]). The exact model always rides along as
-//!   the shadow reference.
-//!
-//! When nothing is selected the process behaves like **simd** minus the
-//! explicit force: the `FRAPPE_SIMD` environment variable and CPU
-//! detection decide (see [`svm::simd::active`]).
+//! Every verdict is an exact kernel sum on the packed engine. Which
+//! instruction set evaluates it is fixed once per process by CPU detection
+//! plus the `FRAPPE_SIMD` environment variable (see
+//! [`svm::simd::active`]); nothing changes it at runtime.
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
-use svm::simd::{self, Dispatch, MathMode};
-
-/// Fixed seed for auto-attached random-Fourier projections: scoring is a
-/// deployment property, so every retrain in a process draws the same map
-/// and verdicts stay reproducible run to run.
-pub const RFF_SEED: u64 = 0xF4A9_9E0F;
-
-/// Fourier feature count for auto-attached projections.
-pub const RFF_FEATURES: usize = svm::rff::DEFAULT_FEATURES;
-
-/// The selectable verdict-evaluation strategies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScoringBackend {
-    /// Exact kernel sums, scalar reference engine.
-    Exact,
-    /// Exact kernel sums, best available SIMD engine.
-    Simd,
-    /// Random-Fourier approximation (exact model kept as shadow).
-    Rff,
-}
-
-impl ScoringBackend {
-    /// Parses a `--scoring-backend` value.
-    pub fn parse(s: &str) -> Option<ScoringBackend> {
-        match s {
-            "exact" => Some(ScoringBackend::Exact),
-            "simd" => Some(ScoringBackend::Simd),
-            "rff" => Some(ScoringBackend::Rff),
-            _ => None,
-        }
-    }
-}
-
-// 0 = unset (auto), otherwise discriminant + 1.
-static BACKEND: AtomicU8 = AtomicU8::new(0);
-
-/// Selects the process-wide backend and installs the matching SIMD engine
-/// force ([`svm::simd::force`]).
-pub fn set_backend(b: ScoringBackend) {
-    match b {
-        ScoringBackend::Exact => simd::force(Some(Dispatch::scalar_deterministic())),
-        ScoringBackend::Simd => simd::force(Some(Dispatch::best(MathMode::Deterministic))),
-        ScoringBackend::Rff => simd::force(None),
-    }
-    BACKEND.store(b as u8 + 1, Ordering::Relaxed);
-}
-
-/// The selected backend, or `None` when running on the auto default.
-pub fn backend() -> Option<ScoringBackend> {
-    match BACKEND.load(Ordering::Relaxed) {
-        1 => Some(ScoringBackend::Exact),
-        2 => Some(ScoringBackend::Simd),
-        3 => Some(ScoringBackend::Rff),
-        _ => None,
-    }
-}
-
-/// Whether verdicts should route through an attached RFF approximation.
-pub fn rff_routing() -> bool {
-    backend() == Some(ScoringBackend::Rff)
-}
-
-/// Banner label: backend plus the engine actually dispatching, e.g.
-/// `exact+avx2/deterministic` or `rff+scalar-4lane/deterministic`.
+/// Banner label: `exact+` plus the engine actually dispatching, e.g.
+/// `exact+avx2/deterministic` or `exact+scalar-4lane/deterministic`.
 pub fn describe() -> String {
-    let engine = simd::active().describe();
-    match backend() {
-        Some(ScoringBackend::Rff) => format!("rff+{engine}"),
-        _ => format!("exact+{engine}"),
-    }
+    format!("exact+{}", svm::simd::active().describe())
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
     #[test]
-    fn parse_accepts_the_three_backends() {
-        assert_eq!(ScoringBackend::parse("exact"), Some(ScoringBackend::Exact));
-        assert_eq!(ScoringBackend::parse("simd"), Some(ScoringBackend::Simd));
-        assert_eq!(ScoringBackend::parse("rff"), Some(ScoringBackend::Rff));
-        assert_eq!(ScoringBackend::parse("fast"), None);
+    fn describe_names_the_exact_engine() {
+        let label = super::describe();
+        let engine = label.strip_prefix("exact+").expect("always exact");
+        assert_eq!(engine, svm::simd::active().describe());
     }
 }

@@ -3,9 +3,7 @@
 //! A checkpoint is a canonical, line-oriented text rendering of a
 //! [`FrappeModel`]: feature set, kernel, imputation table, min–max scale
 //! lanes, the SVM decision function (support vectors, signed dual
-//! coefficients, bias), and — when the model carries one — its
-//! random-Fourier approximation (seed, projection matrix, phases, folded
-//! weights; see [`svm::rff`]). Two properties are load-bearing and tested:
+//! coefficients, bias). Three properties are load-bearing and tested:
 //!
 //! * **Byte determinism** — every `f64` is written as the 16-hex-digit
 //!   form of [`f64::to_bits`], never as a decimal rendering, so
@@ -19,6 +17,12 @@
 //!   weight order, so loading a model against a reordered or re-membered
 //!   catalog would silently mis-wire every weight; instead the load fails
 //!   with [`CheckpointError::SchemaMismatch`].
+//! * **Typed refusal of hostile input** — a checkpoint file is a trust
+//!   boundary. Truncated, malformed or inconsistent text (counts that do
+//!   not match the lines present, lane counts that differ from the feature
+//!   set, a legacy `rff` section) fails with [`CheckpointError::Parse`];
+//!   the parser never panics and never allocates from a count it has not
+//!   yet seen lines for.
 //!
 //! Saves are atomic: the text is written to a sibling temp file and
 //! renamed over the target, so a crashed save never leaves a torn
@@ -29,7 +33,7 @@ use std::fs;
 use std::path::Path;
 
 use frappe::{catalog, FeatureId, FeatureSet, FrappeModel, Imputation};
-use svm::{Kernel, RffModel, Scaler, SvmModel};
+use svm::{Kernel, Scaler, SvmModel};
 
 /// Format tag on the first line; bump on any incompatible layout change.
 const MAGIC: &str = "frappe-checkpoint v1";
@@ -240,29 +244,6 @@ pub fn write_model(model: &FrappeModel) -> String {
         out.push('\n');
     }
 
-    // Optional random-Fourier approximation: one header line, then one
-    // row per Fourier feature (`weight phase proj…`), all as bit patterns
-    // so the projection round-trips byte-for-byte.
-    if let Some(rff) = model.rff() {
-        out.push_str(&format!(
-            "rff {} {} {} {} {}\n",
-            rff.features(),
-            rff.dim(),
-            rff.seed(),
-            hex_of(rff.gamma()),
-            hex_of(rff.rho())
-        ));
-        for (i, (weight, phase)) in rff.weights().iter().zip(rff.phases()).enumerate() {
-            out.push_str(&hex_of(*weight));
-            out.push(' ');
-            out.push_str(&hex_of(*phase));
-            for x in &rff.projection()[i * rff.dim()..(i + 1) * rff.dim()] {
-                out.push(' ');
-                out.push_str(&hex_of(*x));
-            }
-            out.push('\n');
-        }
-    }
     out.push_str("end\n");
     out
 }
@@ -358,8 +339,10 @@ pub fn parse_model(text: &str) -> Result<FrappeModel, CheckpointError> {
             what: "imputation line takes exactly one count".to_string(),
         });
     };
+    // Counts come from the file, so vectors grow as lines arrive instead of
+    // being sized up front: a forged count fails at the first missing line.
     let count = usize_of(count, line, "imputation count")?;
-    let mut imputation: Vec<(FeatureId, f64)> = Vec::with_capacity(count);
+    let mut imputation: Vec<(FeatureId, f64)> = Vec::new();
     for _ in 0..count {
         let (text, line) = lines.next("an imputation entry")?;
         let mut tokens = text.split_whitespace();
@@ -384,8 +367,9 @@ pub fn parse_model(text: &str) -> Result<FrappeModel, CheckpointError> {
         });
     };
     let dim = usize_of(dim, line, "scaler lane count")?;
-    let mut mins = Vec::with_capacity(dim);
-    let mut maxs = Vec::with_capacity(dim);
+    expect_dim(dim, set, line, "scaler lane count")?;
+    let mut mins = Vec::new();
+    let mut maxs = Vec::new();
     for _ in 0..dim {
         let (text, line) = lines.next("a scale lane")?;
         let mut tokens = text.split_whitespace();
@@ -408,9 +392,10 @@ pub fn parse_model(text: &str) -> Result<FrappeModel, CheckpointError> {
     };
     let n_sv = usize_of(n_sv, line, "support-vector count")?;
     let sv_dim = usize_of(sv_dim, line, "support-vector dimension")?;
+    expect_dim(sv_dim, set, line, "support-vector dimension")?;
     let rho = f64_of(rho, line)?;
-    let mut support_vectors = Vec::with_capacity(n_sv);
-    let mut dual_coefs = Vec::with_capacity(n_sv);
+    let mut support_vectors = Vec::new();
+    let mut dual_coefs = Vec::new();
     for _ in 0..n_sv {
         let (text, line) = lines.next("a support vector")?;
         let tokens: Vec<&str> = text.split_whitespace().collect();
@@ -431,96 +416,48 @@ pub fn parse_model(text: &str) -> Result<FrappeModel, CheckpointError> {
         support_vectors.push(sv);
     }
 
-    // Either the `end` marker, or an optional `rff` section followed by it.
-    let (text, line) = lines.next("the `rff` section or the end marker")?;
-    let tokens: Vec<&str> = text.split_whitespace().collect();
-    let rff = match tokens.first() {
-        Some(&"end") => None,
-        Some(&"rff") => Some(rff_section(&tokens[1..], line, &mut lines)?),
-        _ => {
-            return Err(CheckpointError::Parse {
-                line,
-                what: format!("expected an `rff` section or the `end` marker, got {text:?}"),
-            })
-        }
-    };
-    if rff.is_some() {
-        let (end, line) = lines.next("the end marker")?;
-        if end != "end" {
-            return Err(CheckpointError::Parse {
-                line,
-                what: format!("expected the `end` marker, got {end:?}"),
-            });
-        }
+    let (end, line) = lines.next("the end marker")?;
+    if end.split_whitespace().next() == Some("rff") {
+        return Err(CheckpointError::Parse {
+            line,
+            what: "the `rff` (random-Fourier approximation) section is no longer supported; \
+                   delete it, from this line up to the `end` marker, to load the exact model"
+                .to_string(),
+        });
+    }
+    if end != "end" {
+        return Err(CheckpointError::Parse {
+            line,
+            what: format!("expected the `end` marker, got {end:?}"),
+        });
     }
 
-    let mut model = FrappeModel::from_parts(
+    Ok(FrappeModel::from_parts(
         set,
         Imputation::from_values(imputation),
         Scaler::from_bounds(mins, maxs),
         SvmModel::new(kernel, support_vectors, dual_coefs, rho),
-    );
-    if let Some((rff, rff_line)) = rff {
-        model.attach_rff(rff).map_err(|e| CheckpointError::Parse {
-            line: rff_line,
-            what: format!("rff section does not match the model: {e}"),
-        })?;
-    }
-    Ok(model)
+    ))
 }
 
-/// Parses the body of an optional `rff` section: `args` are the tokens
-/// after the `rff` keyword on the header line at `line`.
-fn rff_section(
-    args: &[&str],
+/// Refuses a lane count that differs from the feature set's dimension: such
+/// a model would load, then panic on its first verdict.
+fn expect_dim(
+    found: usize,
+    set: FeatureSet,
     line: usize,
-    lines: &mut Lines<'_>,
-) -> Result<(RffModel, usize), CheckpointError> {
-    let [features, dim, seed, gamma, rho] = *args else {
-        return Err(CheckpointError::Parse {
-            line,
-            what: "rff line takes `<features> <dim> <seed> <gamma-bits> <rho-bits>`".to_string(),
-        });
-    };
-    let features = usize_of(features, line, "rff feature count")?;
-    let dim = usize_of(dim, line, "rff input dimension")?;
-    let seed = seed.parse::<u64>().map_err(|_| CheckpointError::Parse {
-        line,
-        what: format!("invalid rff seed {seed:?}"),
-    })?;
-    let gamma = f64_of(gamma, line)?;
-    let rho = f64_of(rho, line)?;
-
-    let mut projection = Vec::with_capacity(features * dim);
-    let mut phases = Vec::with_capacity(features);
-    let mut weights = Vec::with_capacity(features);
-    for _ in 0..features {
-        let (text, row_line) = lines.next("a Fourier feature row")?;
-        let tokens: Vec<&str> = text.split_whitespace().collect();
-        if tokens.len() != dim + 2 {
-            return Err(CheckpointError::Parse {
-                line: row_line,
-                what: format!(
-                    "expected weight + phase + {dim} projection entries, got {} tokens",
-                    tokens.len()
-                ),
-            });
-        }
-        weights.push(f64_of(tokens[0], row_line)?);
-        phases.push(f64_of(tokens[1], row_line)?);
-        for t in &tokens[2..] {
-            projection.push(f64_of(t, row_line)?);
-        }
+    what: &str,
+) -> Result<(), CheckpointError> {
+    if found == set.dim() {
+        return Ok(());
     }
-
-    let rff =
-        RffModel::from_parts(gamma, seed, dim, projection, phases, weights, rho).map_err(|e| {
-            CheckpointError::Parse {
-                line,
-                what: format!("invalid rff section: {e}"),
-            }
-        })?;
-    Ok((rff, line))
+    Err(CheckpointError::Parse {
+        line,
+        what: format!(
+            "{what} {found} does not match the feature set's {}",
+            set.dim()
+        ),
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -658,5 +595,126 @@ mod tests {
             parse_model(&bad_kernel),
             Err(CheckpointError::Parse { line: 4, .. })
         ));
+    }
+
+    /// `text` with the line starting `prefix` replaced by `line`.
+    fn with_line(text: &str, prefix: &str, line: &str) -> String {
+        let mut hit = false;
+        let out: String = text
+            .lines()
+            .map(|l| {
+                if !hit && l.starts_with(prefix) {
+                    hit = true;
+                    format!("{line}\n")
+                } else {
+                    format!("{l}\n")
+                }
+            })
+            .collect();
+        assert!(hit, "no line starts with {prefix:?}");
+        out
+    }
+
+    fn parse_error_line(text: &str) -> usize {
+        match parse_model(text) {
+            Err(CheckpointError::Parse { line, .. }) => line,
+            other => panic!("expected Parse, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn forged_counts_fail_without_allocating_for_them() {
+        let text = write_model(&tiny_model(FeatureSet::Full));
+        let imp = text
+            .lines()
+            .position(|l| l.starts_with("imputation "))
+            .unwrap()
+            + 1;
+        for count in ["1000000000000000000", "1099511627776"] {
+            // The imputation entries run out long before the count does.
+            let forged = with_line(&text, "imputation ", &format!("imputation {count}"));
+            assert!(parse_error_line(&forged) > imp);
+
+            let forged = with_line(&text, "svm ", &{
+                let header = text.lines().find(|l| l.starts_with("svm ")).unwrap();
+                let rest: Vec<&str> = header.split_whitespace().skip(2).collect();
+                format!("svm {count} {}", rest.join(" "))
+            });
+            // Support vectors run out: the `end` line is not a vector.
+            let end = text.lines().count();
+            assert_eq!(parse_error_line(&forged), end);
+        }
+        // A scaler lane count from the file must match the feature set
+        // before any lane is read.
+        let scaler = text.lines().position(|l| l.starts_with("scaler ")).unwrap() + 1;
+        let forged = with_line(&text, "scaler ", "scaler 1000000000000000000");
+        assert_eq!(parse_error_line(&forged), scaler);
+    }
+
+    #[test]
+    fn lane_counts_that_differ_from_the_feature_set_are_refused_at_load() {
+        let text = write_model(&tiny_model(FeatureSet::Full));
+        let dim = FeatureSet::Full.dim();
+
+        // One scale lane too few: refused on the `scaler` line instead of
+        // panicking with a dimension mismatch on the first verdict.
+        let scaler = text.lines().position(|l| l.starts_with("scaler ")).unwrap();
+        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+        lines[scaler] = format!("scaler {}", dim - 1);
+        lines.remove(scaler + 1);
+        let short = lines.join("\n") + "\n";
+        assert_eq!(parse_error_line(&short), scaler + 1);
+
+        // Support vectors one component short, self-consistently so: the
+        // header and every row agree with each other but not with the set.
+        let svm = text.lines().position(|l| l.starts_with("svm ")).unwrap();
+        let lines: Vec<String> = text
+            .lines()
+            .enumerate()
+            .map(|(i, l)| {
+                let tokens: Vec<&str> = l.split_whitespace().collect();
+                if i == svm {
+                    format!("svm {} {} {}", tokens[1], dim - 1, tokens[3])
+                } else if i > svm && l != "end" {
+                    tokens[..tokens.len() - 1].join(" ")
+                } else {
+                    l.to_string()
+                }
+            })
+            .collect();
+        let narrow = lines.join("\n") + "\n";
+        assert_eq!(parse_error_line(&narrow), svm + 1);
+
+        // A dimension that would overflow the row-width arithmetic.
+        let huge = with_line(&text, "svm ", &{
+            let t: Vec<&str> = lines[svm].split_whitespace().collect();
+            format!("svm {} {} {}", t[1], usize::MAX, t[3])
+        });
+        assert_eq!(parse_error_line(&huge), svm + 1);
+    }
+
+    #[test]
+    fn truncation_and_bit_flips_never_panic() {
+        let model = tiny_model(FeatureSet::Full);
+        let text = write_model(&model);
+        for cut in 0..text.len() {
+            let result = parse_model(&text[..cut]);
+            // Only dropping the final newline leaves a whole checkpoint.
+            assert_eq!(result.is_ok(), cut == text.len() - 1, "cut at byte {cut}");
+        }
+        let probe = row(true, 0);
+        let mut bytes = text.clone().into_bytes();
+        for i in 0..bytes.len() {
+            for bit in [0x01, 0x08, 0x20] {
+                bytes[i] ^= bit;
+                if let Ok(flipped) = std::str::from_utf8(&bytes) {
+                    if let Ok(m) = parse_model(flipped) {
+                        // Whatever loads must also score.
+                        m.decision_value(&probe);
+                    }
+                }
+                bytes[i] ^= bit;
+            }
+        }
     }
 }

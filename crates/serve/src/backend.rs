@@ -1,4 +1,4 @@
-//! The scoring-backend abstraction over "one service" vs "K groups".
+//! The [`ScoringBackend`] abstraction over "one service" vs "K groups".
 //!
 //! Everything upstream of the serving layer — the network edge
 //! (`frappe-net`) and the lifecycle manager (`frappe-lifecycle`) — used

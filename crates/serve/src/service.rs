@@ -273,8 +273,7 @@ impl ScoreEngine {
         };
         self.metrics.lanes_unobserved(&features);
         // Scores on the packed SIMD engine (warmed at install/swap time);
-        // backend selection — exact / simd / rff — is process-wide, see
-        // `frappe::scoring`.
+        // the engine is fixed per process, see `frappe::scoring`.
         let decision_value = vm.model().decision_value(&features);
         if let (Some(ctx), Some(span)) = (trace, eval_span) {
             ctx.handle.end_span(span);

@@ -19,8 +19,6 @@
 //! * [`packed`] — the model flattened into contiguous lane-transposed
 //!   arrays; all scoring runs here, including a fused single-dot-product
 //!   path for linear kernels.
-//! * [`rff`] — a seeded, checkpointable random-Fourier approximation of
-//!   the RBF decision function: O(D·d) per verdict instead of O(n_sv·d).
 //! * [`scale`] — per-feature min–max scaling to `[-1, 1]` (what `svm-scale`
 //!   does; essential for RBF kernels over mixed-unit features).
 //! * [`dataset`] — labelled datasets, class-ratio subsampling (the paper's
@@ -63,7 +61,6 @@ pub mod kernel;
 pub mod metrics;
 pub mod model;
 pub mod packed;
-pub mod rff;
 pub mod scale;
 pub mod simd;
 pub mod smo;
@@ -75,7 +72,6 @@ pub use kernel::Kernel;
 pub use metrics::ConfusionMatrix;
 pub use model::SvmModel;
 pub use packed::PackedModel;
-pub use rff::{RffError, RffModel};
 pub use scale::Scaler;
 pub use simd::{Dispatch, Engine, MathMode};
 pub use smo::{train, CacheStats, SvmParams};

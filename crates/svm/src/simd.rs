@@ -1,10 +1,10 @@
 //! Runtime-dispatched SIMD math primitives for batch scoring.
 //!
-//! Everything the packed scoring engine ([`crate::packed`]) and the
-//! random-Fourier approximation ([`crate::rff`]) compute bottoms out in the
-//! handful of primitives defined here: dot products, squared distances, a
-//! vectorizable exponential, and three block kernels over the lane-transposed
-//! support-vector layout. Each primitive exists in two engines:
+//! Everything the packed scoring engine ([`crate::packed`]) computes bottoms
+//! out in the handful of primitives defined here: dot products, squared
+//! distances, a vectorizable exponential, and two block kernels over the
+//! lane-transposed support-vector layout. Each primitive exists in two
+//! engines:
 //!
 //! * **AVX2** (`x86_64` only, behind runtime ISA detection): explicit
 //!   `core::arch` intrinsics, four `f64` lanes per register, with
@@ -28,18 +28,15 @@
 //! exponential dominates the per-query cost and no amount of distance
 //! vectorization reaches the throughput target.
 //!
-//! Engine selection: [`active`] consults, in order, a process-wide override
-//! installed by [`force`] (used by the `--scoring-backend` flags), the
+//! Engine selection: [`active`] is fixed once per process from the
 //! `FRAPPE_SIMD` environment variable (`0`/`off`/`scalar` forces the
-//! fallback; `fast`/`fma`/`fused` opts into fused mode), and finally
+//! fallback; `fast`/`fma`/`fused` opts into fused mode) and otherwise
 //! auto-detection (AVX2+FMA if the CPU has it, deterministic mode).
 //! Code that must compare engines side by side — tests, benches — passes an
-//! explicit [`Dispatch`] to the `*_with` variants instead of mutating the
-//! global.
+//! explicit [`Dispatch`] to the `*_with` variants.
 
 #![allow(unsafe_code)]
 
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 /// Number of `f64` lanes per SIMD register (AVX2: 256 bits / 64 bits).
@@ -50,7 +47,8 @@ pub const LANES: usize = 4;
 pub enum Engine {
     /// Portable unrolled scalar code mirroring the AVX2 lane structure.
     Scalar,
-    /// AVX2 + FMA intrinsics (`x86_64` with runtime detection).
+    /// AVX2 + FMA intrinsics (`x86_64` with runtime detection). On a CPU
+    /// without them the entry points run the scalar engine instead.
     Avx2,
 }
 
@@ -128,70 +126,20 @@ pub fn detected_isa() -> &'static str {
     }
 }
 
-// Process-wide override: 0 = none, otherwise `encode(dispatch) + 1`.
-static FORCED: AtomicU8 = AtomicU8::new(0);
-static ENV_DEFAULT: OnceLock<Dispatch> = OnceLock::new();
-
-fn encode(d: Dispatch) -> u8 {
-    let e = match d.engine {
-        Engine::Scalar => 0,
-        Engine::Avx2 => 1,
-    };
-    let m = match d.mode {
-        MathMode::Deterministic => 0,
-        MathMode::Fused => 1,
-    };
-    1 + e * 2 + m
-}
-
-fn decode(v: u8) -> Option<Dispatch> {
-    if v == 0 {
-        return None;
-    }
-    let v = v - 1;
-    Some(Dispatch {
-        engine: if v / 2 == 0 {
-            Engine::Scalar
-        } else {
-            Engine::Avx2
-        },
-        mode: if v.is_multiple_of(2) {
-            MathMode::Deterministic
-        } else {
-            MathMode::Fused
-        },
-    })
-}
-
-/// Installs (or with `None`, clears) a process-wide engine override.
-///
-/// Forcing [`Engine::Avx2`] on a CPU without AVX2 silently degrades to the
-/// scalar engine — callers that care (the bench harness) disclose the
-/// detected ISA alongside their numbers.
-pub fn force(d: Option<Dispatch>) {
-    let v = match d {
-        None => 0,
-        Some(mut d) => {
-            if d.engine == Engine::Avx2 && !avx2_available() {
-                d.engine = Engine::Scalar;
-            }
-            encode(d)
-        }
-    };
-    FORCED.store(v, Ordering::Relaxed);
-}
-
-/// The dispatch every non-`_with` entry point uses: the [`force`] override
-/// if set, else the `FRAPPE_SIMD`-derived default.
+/// The dispatch every non-`_with` entry point uses, read once per process
+/// from `FRAPPE_SIMD` and the CPU.
 pub fn active() -> Dispatch {
-    if let Some(d) = decode(FORCED.load(Ordering::Relaxed)) {
-        return d;
-    }
-    *ENV_DEFAULT.get_or_init(|| match std::env::var("FRAPPE_SIMD").ok().as_deref() {
+    static ACTIVE: OnceLock<Dispatch> = OnceLock::new();
+    *ACTIVE.get_or_init(|| dispatch_for(std::env::var("FRAPPE_SIMD").ok().as_deref()))
+}
+
+/// The dispatch a `FRAPPE_SIMD` setting selects on this CPU.
+fn dispatch_for(setting: Option<&str>) -> Dispatch {
+    match setting {
         Some("0") | Some("off") | Some("scalar") => Dispatch::scalar_deterministic(),
         Some("fast") | Some("fma") | Some("fused") => Dispatch::best(MathMode::Fused),
         _ => Dispatch::best(MathMode::Deterministic),
-    })
+    }
 }
 
 /// Packs `rows` (each of length `dim`) into the lane-transposed block
@@ -419,35 +367,6 @@ fn dots_into_scalar(mode: MathMode, packed: &[f64], dim: usize, x: &[f64], out: 
         }
         out[b * LANES..(b + 1) * LANES].copy_from_slice(&acc);
     }
-}
-
-fn rff_sum_scalar(
-    mode: MathMode,
-    packed: &[f64],
-    dim: usize,
-    phases: &[f64],
-    weights: &[f64],
-    x: &[f64],
-) -> f64 {
-    let blocks = weights.len() / LANES;
-    let mut sum = [0.0f64; LANES];
-    for b in 0..blocks {
-        let base = b * dim * LANES;
-        let mut acc = [0.0f64; LANES];
-        for (j, &xj) in x.iter().enumerate() {
-            let svs = &packed[base + j * LANES..base + (j + 1) * LANES];
-            for (a, &s) in acc.iter_mut().zip(svs) {
-                *a = muladd(mode, xj, s, *a);
-            }
-        }
-        let ph = &phases[b * LANES..(b + 1) * LANES];
-        let ws = &weights[b * LANES..(b + 1) * LANES];
-        for (l, (acc_l, &w)) in sum.iter_mut().zip(ws).enumerate() {
-            let c = (acc[l] + ph[l]).cos();
-            *acc_l = muladd(mode, w, c, *acc_l);
-        }
-    }
-    reduce_lanes(sum)
 }
 
 // ---------------------------------------------------------------------------
@@ -695,52 +614,6 @@ mod avx2 {
             unsafe { _mm256_storeu_pd(out.as_mut_ptr().add(b * LANES), acc) };
         }
     }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub fn rff_sum(
-        mode: MathMode,
-        packed: &[f64],
-        dim: usize,
-        phases: &[f64],
-        weights: &[f64],
-        x: &[f64],
-    ) -> f64 {
-        let blocks = weights.len() / LANES;
-        let mut sum = _mm256_setzero_pd();
-        for b in 0..blocks {
-            let base = b * dim * LANES;
-            let mut acc = _mm256_setzero_pd();
-            for j in 0..dim {
-                // SAFETY: callers assert the packed/x dimensions.
-                let (xj, s) = unsafe {
-                    (
-                        _mm256_set1_pd(*x.get_unchecked(j)),
-                        _mm256_loadu_pd(packed.as_ptr().add(base + j * LANES)),
-                    )
-                };
-                acc = step_mul(mode, acc, xj, s);
-            }
-            // SAFETY: `phases.len() == weights.len() == blocks * LANES`.
-            let z = unsafe { _mm256_add_pd(acc, _mm256_loadu_pd(phases.as_ptr().add(b * LANES))) };
-            // cos has no vector form here; evaluate the same libm call per
-            // lane that the scalar engine makes, on bit-identical inputs.
-            let mut zs = [0.0f64; LANES];
-            // SAFETY: `zs` is a LANES-sized stack array.
-            unsafe { _mm256_storeu_pd(zs.as_mut_ptr(), z) };
-            for v in &mut zs {
-                *v = v.cos();
-            }
-            // SAFETY: reload of the stack array.
-            let (c, w) = unsafe {
-                (
-                    _mm256_loadu_pd(zs.as_ptr()),
-                    _mm256_loadu_pd(weights.as_ptr().add(b * LANES)),
-                )
-            };
-            sum = step_mul(mode, sum, w, c);
-        }
-        hsum(sum)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -755,13 +628,10 @@ mod avx2 {
 pub fn dot_with(d: Dispatch, x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "dot: length mismatch");
     match d.engine {
-        Engine::Scalar => dot_scalar(d.mode, x, y),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: Engine::Avx2 is only constructed after runtime detection
-        // (`force` sanitizes, `Dispatch::best` checks).
-        Engine::Avx2 => unsafe { avx2::dot(d.mode, x, y) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Engine::Avx2 => dot_scalar(d.mode, x, y),
+        // SAFETY: the guard confirms AVX2+FMA on the running CPU.
+        Engine::Avx2 if avx2_available() => unsafe { avx2::dot(d.mode, x, y) },
+        _ => dot_scalar(d.mode, x, y),
     }
 }
 
@@ -777,12 +647,10 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
 pub fn squared_distance_with(d: Dispatch, x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "squared_distance: length mismatch");
     match d.engine {
-        Engine::Scalar => squared_distance_scalar(d.mode, x, y),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: Engine::Avx2 implies runtime detection succeeded.
-        Engine::Avx2 => unsafe { avx2::squared_distance(d.mode, x, y) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Engine::Avx2 => squared_distance_scalar(d.mode, x, y),
+        // SAFETY: the guard confirms AVX2+FMA on the running CPU.
+        Engine::Avx2 if avx2_available() => unsafe { avx2::squared_distance(d.mode, x, y) },
+        _ => squared_distance_scalar(d.mode, x, y),
     }
 }
 
@@ -809,13 +677,13 @@ pub fn rbf_sum_with(
     assert_eq!(packed.len(), coefs.len() * dim, "rbf_sum: packed size");
     assert_eq!(x.len(), dim, "rbf_sum: query dimension");
     match d.engine {
-        Engine::Scalar => rbf_sum_scalar(d.mode, packed, dim, coefs, gamma, x),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: Engine::Avx2 implies runtime detection succeeded, and
-        // the asserts above establish the pointer bounds.
-        Engine::Avx2 => unsafe { avx2::rbf_sum(d.mode, packed, dim, coefs, gamma, x) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Engine::Avx2 => rbf_sum_scalar(d.mode, packed, dim, coefs, gamma, x),
+        // SAFETY: the guard confirms AVX2+FMA on the running CPU, and the
+        // asserts above establish the pointer bounds.
+        Engine::Avx2 if avx2_available() => unsafe {
+            avx2::rbf_sum(d.mode, packed, dim, coefs, gamma, x)
+        },
+        _ => rbf_sum_scalar(d.mode, packed, dim, coefs, gamma, x),
     }
 }
 
@@ -830,42 +698,11 @@ pub fn dots_into_with(d: Dispatch, packed: &[f64], dim: usize, x: &[f64], out: &
     assert_eq!(packed.len(), out.len() * dim, "dots_into: packed size");
     assert_eq!(x.len(), dim, "dots_into: query dimension");
     match d.engine {
-        Engine::Scalar => dots_into_scalar(d.mode, packed, dim, x, out),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: Engine::Avx2 implies runtime detection succeeded, and
-        // the asserts above establish the pointer bounds.
-        Engine::Avx2 => unsafe { avx2::dots_into(d.mode, packed, dim, x, out) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Engine::Avx2 => dots_into_scalar(d.mode, packed, dim, x, out),
-    }
-}
-
-/// Random-Fourier score over a [`pack_lanes`] projection matrix:
-/// `Σᵢ weightᵢ · cos(ωᵢᵀx + phaseᵢ)`.
-///
-/// # Panics
-/// Panics unless `weights.len() == phases.len()`, a multiple of [`LANES`],
-/// with `packed.len() == weights.len() * dim` and `x.len() == dim`.
-pub fn rff_sum_with(
-    d: Dispatch,
-    packed: &[f64],
-    dim: usize,
-    phases: &[f64],
-    weights: &[f64],
-    x: &[f64],
-) -> f64 {
-    assert_eq!(weights.len(), phases.len(), "rff_sum: weights vs phases");
-    assert_eq!(weights.len() % LANES, 0, "rff_sum: unpadded features");
-    assert_eq!(packed.len(), weights.len() * dim, "rff_sum: packed size");
-    assert_eq!(x.len(), dim, "rff_sum: query dimension");
-    match d.engine {
-        Engine::Scalar => rff_sum_scalar(d.mode, packed, dim, phases, weights, x),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Engine::Avx2 implies runtime detection succeeded, and
-        // the asserts above establish the pointer bounds.
-        Engine::Avx2 => unsafe { avx2::rff_sum(d.mode, packed, dim, phases, weights, x) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Engine::Avx2 => rff_sum_scalar(d.mode, packed, dim, phases, weights, x),
+        // SAFETY: the guard confirms AVX2+FMA on the running CPU, and the
+        // asserts above establish the pointer bounds.
+        Engine::Avx2 if avx2_available() => unsafe { avx2::dots_into(d.mode, packed, dim, x, out) },
+        _ => dots_into_scalar(d.mode, packed, dim, x, out),
     }
 }
 
@@ -942,6 +779,20 @@ mod tests {
     }
 
     #[test]
+    fn env_spellings_select_the_documented_dispatch() {
+        for off in ["0", "off", "scalar"] {
+            assert_eq!(dispatch_for(Some(off)), DET);
+        }
+        for fused in ["fast", "fma", "fused"] {
+            assert_eq!(dispatch_for(Some(fused)), Dispatch::best(MathMode::Fused));
+        }
+        let auto = Dispatch::best(MathMode::Deterministic);
+        assert_eq!(dispatch_for(None), auto);
+        assert_eq!(dispatch_for(Some("1")), auto);
+        assert_eq!(active(), active(), "fixed for the process lifetime");
+    }
+
+    #[test]
     fn pack_lanes_layout() {
         let rows = [vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]];
         let packed = pack_lanes(&rows, 2);
@@ -951,13 +802,5 @@ mod tests {
             vec![1.0, 3.0, 5.0, 0.0, 2.0, 4.0, 6.0, 0.0],
             "feature-major, lane-minor"
         );
-    }
-
-    #[test]
-    fn env_force_round_trip() {
-        force(Some(DET));
-        assert_eq!(active(), DET);
-        force(None);
-        let _ = active(); // back to env default, whatever it is
     }
 }

@@ -12,7 +12,8 @@
 //! * the drift detector fires on the drifting-campaign scenario and
 //!   stays quiet on a stationary re-draw of the training world;
 //! * checkpoints of real trained models round-trip byte-identically on a
-//!   fresh temp dir, with bit-equal decisions;
+//!   fresh temp dir, with bit-equal decisions, and truncated or legacy
+//!   `rff`-carrying checkpoints are refused with a typed error;
 //! * retraining is bit-identical across `frappe-jobs` pool sizes.
 
 use std::collections::HashSet;
@@ -310,6 +311,57 @@ fn checkpoints_roundtrip_byte_identically_on_a_fresh_temp_dir() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Checkpoints written before the random-Fourier scorer was removed may
+/// carry an `rff` section after the support vectors. Loading one is a
+/// typed refusal that names the section's line — never a silent skip.
+#[test]
+fn legacy_rff_checkpoint_sections_are_refused_with_a_parse_error() {
+    let world = run_scenario(&ScenarioConfig::small());
+    let known = known_names(&world);
+    let (samples, labels) = labelled_rows(&world, &known);
+    let model = FrappeModel::train(&samples, &labels, frappe::FeatureSet::Full, None);
+    let text = write_model(&model);
+    let body = text
+        .strip_suffix("end\n")
+        .expect("checkpoints end with the marker");
+
+    // A minimal legacy section: header plus one Fourier feature row.
+    let dim = frappe::FeatureSet::Full.dim();
+    let one = format!("{:016x}", 1.0f64.to_bits());
+    let row = vec![one.as_str(); dim + 2].join(" ");
+    let legacy = format!("{body}rff 1 {dim} 4104822287 {one} {one}\n{row}\nend\n");
+    let rff_line = body.lines().count() + 1;
+    match parse_model(&legacy) {
+        Err(CheckpointError::Parse { line, what }) => {
+            assert_eq!(line, rff_line, "names the `rff` line");
+            assert!(what.contains("no longer supported"), "{what}");
+        }
+        other => panic!("expected a Parse error, got {other:?}"),
+    }
+}
+
+/// A checkpoint cut short at any line boundary is a typed error, never a
+/// partial load: every section's count is checked against the lines that
+/// actually follow it.
+#[test]
+fn real_checkpoints_truncated_at_any_line_boundary_fail_to_load() {
+    let world = run_scenario(&ScenarioConfig::small());
+    let known = known_names(&world);
+    let (samples, labels) = labelled_rows(&world, &known);
+    let model = FrappeModel::train(&samples, &labels, frappe::FeatureSet::Full, None);
+    let text = write_model(&model);
+    let lines: Vec<&str> = text.lines().collect();
+    for keep in 0..lines.len() {
+        let truncated: String = lines[..keep].iter().map(|l| format!("{l}\n")).collect();
+        assert!(
+            parse_model(&truncated).is_err(),
+            "loaded a checkpoint cut after {keep} of {} lines",
+            lines.len()
+        );
+    }
+    assert!(parse_model(&text).is_ok());
+}
+
 #[test]
 fn lifecycle_transitions_flag_in_flight_traces_and_drift_alarms_carry_exemplars() {
     use frappe_obs::{TraceCollector, TraceConfig, TraceFlag};
@@ -406,103 +458,6 @@ fn lifecycle_transitions_flag_in_flight_traces_and_drift_alarms_carry_exemplars(
             .get(),
         1
     );
-}
-
-#[test]
-fn rff_checkpoints_roundtrip_byte_identically_including_the_projection() {
-    let world = run_scenario(&ScenarioConfig::small());
-    let known = known_names(&world);
-    let (samples, labels) = labelled_rows(&world, &known);
-    let mut model = FrappeModel::train(&samples, &labels, frappe::FeatureSet::Full, None);
-    model
-        .build_rff(frappe::scoring::RFF_FEATURES, frappe::scoring::RFF_SEED)
-        .expect("paper-default models are RBF");
-
-    let dir = std::env::temp_dir().join(format!("frappe-lifecycle-rff-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("model.ckpt");
-    save_model(&path, &model).unwrap();
-    let reloaded = load_model(&path).unwrap();
-
-    // save → load → save is byte-identical with the rff section in the
-    // file — the projection matrix, phases, and folded weights all
-    // round-trip through their 16-hex bit patterns.
-    let text = std::fs::read_to_string(&path).unwrap();
-    assert!(
-        text.contains("\nrff "),
-        "checkpoint carries the rff section"
-    );
-    assert_eq!(write_model(&reloaded), text);
-    assert_eq!(write_model(&model), text);
-    let (a, b) = (model.rff().unwrap(), reloaded.rff().unwrap());
-    assert_eq!(a, b, "projection matrix survives bit-for-bit");
-
-    // Approximate decisions are bit-equal across the round-trip too.
-    for row in &samples {
-        let x = model
-            .scaler()
-            .transform(&model.imputation().encode(model.feature_set(), row));
-        assert_eq!(
-            a.decision_value(&x).to_bits(),
-            b.decision_value(&x).to_bits()
-        );
-    }
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn rff_candidate_passes_the_gate_against_the_exact_shadow_reference() {
-    let world = run_scenario(&ScenarioConfig::small());
-    let known = known_names(&world);
-    let (samples, labels) = labelled_rows(&world, &known);
-    let exact = FrappeModel::train(&samples, &labels, frappe::FeatureSet::Full, None);
-    let mut candidate = exact.clone();
-    candidate
-        .build_rff(frappe::scoring::RFF_FEATURES, frappe::scoring::RFF_SEED)
-        .expect("paper-default models are RBF");
-    let rff = candidate.rff().unwrap();
-
-    // Held-out validation: the approximation must agree with the exact
-    // decision function on ≥ 99.5% of verdicts before it may serve.
-    let xs: Vec<Vec<f64>> = samples
-        .iter()
-        .map(|row| {
-            exact
-                .scaler()
-                .transform(&exact.imputation().encode(exact.feature_set(), row))
-        })
-        .collect();
-    let agreement = rff.verdict_agreement(exact.svm_model(), &xs);
-    assert!(
-        agreement >= 0.995,
-        "rff agreement {agreement} below the 99.5% promotion floor"
-    );
-
-    // The same comparison through the promotion machinery: the exact
-    // model is the incumbent/shadow reference, the rff approximation is
-    // the candidate, and the default gate must clear it.
-    let mut shadow = frappe_lifecycle::ShadowState::new(2);
-    for (x, &label) in xs.iter().zip(&labels) {
-        let incumbent = exact.svm_model().decision_value(x) >= 0.0;
-        let approx = rff.predict(x) >= 0.0;
-        shadow.record(incumbent, approx, Some(label));
-    }
-    let report = shadow.report();
-    assert!(report.scored >= 200, "small world still clears min_scored");
-    let decision = PromotionGate::default().evaluate(&report);
-    assert!(
-        decision.promote,
-        "gate held the rff candidate: {:?}",
-        decision.holds
-    );
-
-    // An rff-carrying model promotes through the registry like any other,
-    // and the approximation is still attached on the active handle.
-    let registry = ModelRegistry::new(exact, ModelSource::default());
-    let v = registry.register(Arc::new(candidate), ModelSource::default());
-    registry.promote(v).expect("registered candidate promotes");
-    let active = registry.handle().current();
-    assert!(active.model().rff().is_some(), "rff rides the promotion");
 }
 
 #[test]

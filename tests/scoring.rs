@@ -9,19 +9,14 @@
 //! * In **fused** math mode the engines stay within 1 ULP of each other
 //!   (both use exactly-rounded FMA in the same lane structure, so in
 //!   practice they also match bit-for-bit; the contract is ≤ 1 ULP).
-//! * The random-Fourier approximation is a pure function of its seed:
-//!   concurrent construction from any number of threads yields the same
-//!   projection bits, and its verdicts agree with the exact model on
-//!   ≥ 99.5% of held-out draws.
 //!
 //! On a machine without AVX2 both dispatches resolve to the scalar
 //! engine and the cross-engine assertions hold trivially — the suite
-//! still exercises the lane-mirrored scalar path and the RFF properties.
+//! still exercises the lane-mirrored scalar path.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use svm::rff::{RffModel, DEFAULT_FEATURES};
 use svm::simd::{self, Dispatch, MathMode};
 use svm::{train, Dataset, Kernel, PackedModel, SvmParams};
 
@@ -178,47 +173,6 @@ fn fused_linear_decision_is_one_dot_product() {
     }
     // And `linear_weights` (what `explain` reads) is the same vector.
     assert_eq!(model.linear_weights().as_deref(), Some(w));
-}
-
-/// RFF construction is a pure function of (model, features, seed):
-/// concurrent builds from many threads produce the same projection bits
-/// as a serial build, and both engines score it bit-identically.
-#[test]
-fn rff_construction_is_deterministic_across_threads() {
-    let data = synth(160, 7, 45);
-    let model = train(&data, &SvmParams::paper_defaults(7));
-    let serial = RffModel::from_model(&model, 128, 0xF4A9_9E0F).expect("RBF model");
-
-    let concurrent: Vec<RffModel> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..8)
-            .map(|_| scope.spawn(|| RffModel::from_model(&model, 128, 0xF4A9_9E0F).unwrap()))
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    for built in &concurrent {
-        assert_eq!(built, &serial, "projection bits differ across threads");
-    }
-
-    for q in synth(64, 7, 9).features() {
-        let a = serial.decision_value_with(Dispatch::scalar_deterministic(), q);
-        let b = serial.decision_value_with(Dispatch::best(MathMode::Deterministic), q);
-        assert_eq!(a.to_bits(), b.to_bits());
-    }
-}
-
-/// The acceptance floor: the approximation agrees with the exact model
-/// on at least 99.5% of held-out verdicts.
-#[test]
-fn rff_verdicts_agree_with_exact_on_held_out_data() {
-    let data = synth(400, 7, 46);
-    let model = train(&data, &SvmParams::paper_defaults(7));
-    let rff = RffModel::from_model(&model, DEFAULT_FEATURES, 0xF4A9_9E0F).expect("RBF model");
-    let held_out = synth(2000, 7, 4747);
-    let agreement = rff.verdict_agreement(&model, held_out.features());
-    assert!(
-        agreement >= 0.995,
-        "agreement {agreement} below the 99.5% floor"
-    );
 }
 
 /// Shape errors fail loudly in every build profile: a query of the wrong

@@ -19,17 +19,12 @@ echo "==> cargo test -q -p frappe-serve --test catalog_parity (shard sweep 1/4/1
 # so a catalog/serve drift fails fast with its own banner.
 cargo test -q -p frappe-serve --test catalog_parity
 
-echo "==> cargo build -p frappe-obs --no-default-features (instrumentation off)"
-cargo build -p frappe-obs --no-default-features
-
-echo "==> trace suite (both obs feature configs)"
-# Request tracing, tail sampling, and SLO windows must behave the same
-# with span instrumentation compiled in and out — the trace collector is
-# independent of the span profiler.
+echo "==> trace suite (request tracing, tail sampling, SLO windows)"
+# The trace collector is independent of the span profiler; run its and
+# the SLO windows' tests under their own banner so a regression there
+# fails fast.
 cargo test -q -p frappe-obs trace
 cargo test -q -p frappe-obs slo
-cargo test -q -p frappe-obs --no-default-features trace
-cargo test -q -p frappe-obs --no-default-features slo
 
 echo "==> determinism suite under FRAPPE_JOBS=1 and FRAPPE_JOBS=8"
 # The frappe-jobs contract: bit-identical results at any thread count.
@@ -38,14 +33,13 @@ echo "==> determinism suite under FRAPPE_JOBS=1 and FRAPPE_JOBS=8"
 FRAPPE_JOBS=1 cargo test -q -p frappe --test determinism
 FRAPPE_JOBS=8 cargo test -q -p frappe --test determinism
 
-echo "==> lifecycle suite (both obs configs, FRAPPE_JOBS=1 and FRAPPE_JOBS=8)"
+echo "==> lifecycle suite (FRAPPE_JOBS=1 and FRAPPE_JOBS=8)"
 # Shadow-evaluated hot swap, drift detection, and the checkpoint
-# roundtrip on a fresh temp dir — with span instrumentation compiled in
-# and out, and retraining at both pool extremes (the suite's
-# retraining_is_bit_identical_across_pool_sizes covers 1-vs-8 explicitly;
-# the env override makes the default-pool paths match too).
+# roundtrip on a fresh temp dir, with retraining at both pool extremes
+# (the suite's retraining_is_bit_identical_across_pool_sizes covers
+# 1-vs-8 explicitly; the env override makes the default-pool paths match
+# too).
 cargo test -q -p frappe-lifecycle
-cargo test -q -p frappe-lifecycle --no-default-features
 FRAPPE_JOBS=1 cargo test -q -p frappe-lifecycle --test lifecycle
 FRAPPE_JOBS=8 cargo test -q -p frappe-lifecycle --test lifecycle
 
@@ -53,11 +47,9 @@ echo "==> shard-group suite (fenced multi-group swaps, shared known-names flips)
 # The shared-nothing deployment: a fenced promote/rollback must land on
 # every group atomically under load, and a mid-stream known-names flip
 # must reach every group exactly like a single service. Run at the
-# degenerate single-group shape and a genuinely partitioned one, with
-# span instrumentation compiled in and out.
+# degenerate single-group shape and a genuinely partitioned one.
 FRAPPE_SHARD_GROUPS=1 cargo test -q -p frappe-lifecycle --test shard
 FRAPPE_SHARD_GROUPS=4 cargo test -q -p frappe-lifecycle --test shard
-FRAPPE_SHARD_GROUPS=4 cargo test -q -p frappe-lifecycle --no-default-features --test shard
 FRAPPE_JOBS=1 FRAPPE_SHARD_GROUPS=4 cargo test -q -p frappe-lifecycle --test shard
 FRAPPE_JOBS=8 FRAPPE_SHARD_GROUPS=4 cargo test -q -p frappe-lifecycle --test shard
 
@@ -70,21 +62,19 @@ cargo test -q -p svm
 FRAPPE_SIMD=0 cargo test -q -p svm
 FRAPPE_SIMD=0 cargo test -q -p frappe-serve
 
-echo "==> gauntlet suite (adversarial scenarios, both obs configs, FRAPPE_JOBS=1 and FRAPPE_JOBS=8)"
+echo "==> gauntlet suite (adversarial scenarios, FRAPPE_JOBS=1 and FRAPPE_JOBS=8)"
 # The adaptive adversarial engine: all five built-in scenarios must pass
 # their declared then-criteria, and a whole scenario report must be
-# byte-identical at both pool extremes — with span instrumentation
-# compiled in and out (observability stays read-only under adversarial
-# load too).
+# byte-identical at both pool extremes.
 cargo test -q -p frappe-gauntlet
-cargo test -q -p frappe-gauntlet --no-default-features
 FRAPPE_JOBS=1 cargo test -q -p frappe-gauntlet --test gauntlet
 FRAPPE_JOBS=8 cargo test -q -p frappe-gauntlet --test gauntlet
 
 echo "==> network edge suite (epoll reactor, HTTP routes, 429 shed, fenced hot swap)"
 # Real sockets on an ephemeral loopback port: byte-identical verdicts
 # vs in-process classify, the deterministic 429 + Retry-After contract,
-# and a promote/rollback under concurrent socket load fenced by the
+# a read pause that holds while a router's shedding group is full, and
+# a promote/rollback under concurrent socket load fenced by the
 # drain protocol (zero drops, zero stale bodies).
 cargo test -q -p frappe-net --test edge
 
@@ -115,7 +105,8 @@ cargo run --release -p frappe-bench --bin repro -- --small --gauntlet-bench-out 
 echo "==> benchmark crate (its own workspace: build + harness tests)"
 # benchmark/ is not a member of the root workspace, yet it calls
 # workspace APIs (frappe::scoring::describe, Server::bind, ...); build it
-# here so an API change that breaks it fails CI.
+# here so an API change that breaks it fails CI. It passes both an
+# Arc<FrappeService> and an Arc<ShardRouter> to Server::bind.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test --release --offline --manifest-path benchmark/Cargo.toml --test harness
 

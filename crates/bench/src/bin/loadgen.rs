@@ -53,12 +53,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use frappe::{FeatureSet, FrappeModel};
-use frappe_bench::edgebench::{quantile_us, EdgeClient};
+use frappe_bench::edgebench::quantile_us;
 use frappe_bench::lab::{Archive, Lab};
+use frappe_net::client::Client;
 use frappe_net::{NetConfig, Server};
 use frappe_obs::{AuditLog, TraceCollector, TraceConfig};
 use frappe_serve::{
-    serve_events, FrappeService, ScoringBackend, ServeConfig, ServeError, ServeEvent, ShardConfig,
+    serve_events, Deployment, FrappeService, ServeConfig, ServeError, ServeEvent, ShardConfig,
     ShardRouter,
 };
 use rand::rngs::SmallRng;
@@ -174,18 +175,18 @@ fn serve_config(opts: &Options) -> ServeConfig {
     }
 }
 
-/// Builds the serving backend the options ask for: one `FrappeService`,
-/// or K shared-nothing shard groups behind the hashing router. The audit
-/// log is a single-service hook (the backend trait has no audit verb),
-/// so it only attaches to the unsharded shape.
+/// Builds the serving deployment the options ask for: one
+/// `FrappeService`, or K shared-nothing shard groups behind the hashing
+/// router. The audit log is a single-service hook, so it only attaches
+/// to the unsharded shape.
 fn build_backend(
     opts: &Options,
     model: FrappeModel,
     lab: &Lab,
     audit: Option<&Arc<AuditLog>>,
-) -> Arc<dyn ScoringBackend> {
+) -> Deployment {
     match opts.shard_groups {
-        Some(groups) => Arc::new(ShardRouter::new(
+        Some(groups) => Deployment::Router(Arc::new(ShardRouter::new(
             model,
             lab.known_malicious_names(),
             lab.world.shortener.clone(),
@@ -194,7 +195,7 @@ fn build_backend(
                 mailbox_capacity: 4096,
                 group: serve_config(opts),
             },
-        )),
+        ))),
         None => {
             let service = Arc::new(FrappeService::new(
                 model,
@@ -205,17 +206,17 @@ fn build_backend(
             if let Some(audit) = audit {
                 service.set_audit_log(Arc::clone(audit));
             }
-            service
+            Deployment::Service(service)
         }
     }
 }
 
-/// Forwards one event into the backend, honouring the backpressure
+/// Forwards one event into the deployment, honouring the backpressure
 /// contract: a full group mailbox answers `Overloaded` with a retry
 /// hint (a single service never rejects ingest).
-fn ingest_backend(service: &dyn ScoringBackend, event: &ServeEvent) {
+fn ingest_backend(service: &Deployment, event: &ServeEvent) {
     loop {
-        match service.ingest_event(event) {
+        match service.ingest(event) {
             Ok(()) => return,
             Err(ServeError::Overloaded { retry_after_ms }) => {
                 std::thread::sleep(Duration::from_millis(retry_after_ms));
@@ -239,7 +240,7 @@ fn run_connect(opts: &Options, target: &str) {
     // `self` hosts the edge in-process (full stack: model training,
     // service, epoll loop); anything else is dialled as host:port and
     // only needs the event stream.
-    let hosted: Option<(Server, Arc<dyn ScoringBackend>)> = if target == "self" {
+    let hosted: Option<(Server, Deployment)> = if target == "self" {
         let (samples, labels) = lab.labelled_features(
             &lab.bundle.d_sample.malicious,
             &lab.bundle.d_sample.benign,
@@ -251,7 +252,7 @@ fn run_connect(opts: &Options, target: &str) {
             // Before bind, so the edge mints the trace at the socket.
             service.set_trace_collector(TraceCollector::new(TraceConfig::default()));
         }
-        let server = Server::bind_dyn(Arc::clone(&service), "127.0.0.1:0", NetConfig::default())
+        let server = Server::bind(service.clone(), "127.0.0.1:0", NetConfig::default())
             .expect("bind the edge on loopback");
         Some((server, service))
     } else {
@@ -279,7 +280,7 @@ fn run_connect(opts: &Options, target: &str) {
     );
 
     // Ingest over the socket in NDJSON batches.
-    let mut feeder = EdgeClient::connect(addr).expect("connect ingest client");
+    let mut feeder = Client::connect(addr).expect("connect ingest client");
     let t = Instant::now();
     for chunk in events.chunks(400) {
         let body = chunk
@@ -287,8 +288,12 @@ fn run_connect(opts: &Options, target: &str) {
             .map(|e| serde_json::to_string(e).expect("events serialize"))
             .collect::<Vec<_>>()
             .join("\n");
-        let (status, body) = feeder.post("/v1/events", &body).expect("ingest batch");
-        assert_eq!(status, 202, "ingest must be accepted: {body}");
+        let response = feeder.post("/v1/events", &body).expect("ingest batch");
+        assert_eq!(
+            response.status, 202,
+            "ingest must be accepted: {}",
+            response.body
+        );
     }
     let ingest_wall = t.elapsed().as_secs_f64();
     println!(
@@ -316,10 +321,10 @@ fn run_connect(opts: &Options, target: &str) {
     }
     let mut apps: Vec<u64> = Vec::new();
     for app in seen {
-        let (status, _) = feeder
+        let probe = feeder
             .get(&format!("/v1/classify/{app}"))
             .expect("probe classify");
-        if status == 200 {
+        if probe.status == 200 {
             apps.push(app);
         }
     }
@@ -347,7 +352,7 @@ fn run_connect(opts: &Options, target: &str) {
             let seed = opts.seed;
             handles.push(scope.spawn(move || {
                 let mut rng = SmallRng::seed_from_u64(seed ^ (tid as u64).wrapping_mul(0x9e37));
-                let mut client = EdgeClient::connect(addr).expect("connect query client");
+                let mut client = Client::connect(addr).expect("connect query client");
                 let start = Instant::now();
                 let mut due_s = 0.0f64;
                 let mut lat = Vec::with_capacity(per_conn);
@@ -362,10 +367,10 @@ fn run_connect(opts: &Options, target: &str) {
                     }
                     let app = apps[(tid + i * threads) % apps.len()];
                     let t = Instant::now();
-                    let (status, _) = client
+                    let response = client
                         .get(&format!("/v1/classify/{app}"))
                         .expect("classify over the socket");
-                    match status {
+                    match response.status {
                         200 => lat.push(t.elapsed().as_micros() as u64),
                         429 => shed += 1,
                         other => panic!("unexpected classify status {other}"),
@@ -406,11 +411,14 @@ fn run_connect(opts: &Options, target: &str) {
                 .map(|tc| tc.export_jsonl())
                 .unwrap_or_default(),
             None => {
-                let mut client = EdgeClient::connect(addr).expect("connect trace reader");
+                let mut client = Client::connect(addr).expect("connect trace reader");
                 match client.get("/v1/traces") {
-                    Ok((200, body)) => body,
-                    Ok((status, _)) => {
-                        eprintln!("edge answered {status} for /v1/traces (tracing disabled?)");
+                    Ok(response) if response.status == 200 => response.body,
+                    Ok(response) => {
+                        eprintln!(
+                            "edge answered {} for /v1/traces (tracing disabled?)",
+                            response.status
+                        );
                         String::new()
                     }
                     Err(e) => {
@@ -431,7 +439,7 @@ fn run_connect(opts: &Options, target: &str) {
 
     if let Some((_, service)) = &hosted {
         // The self-hosted edge registers its net_* metrics on the
-        // backend's base registry, so they ride along in the merged
+        // deployment's base registry, so they ride along in the merged
         // whole-deployment exposition.
         println!(
             "\nprometheus:\n{}",
@@ -504,21 +512,21 @@ fn main() {
     // (flushing the group mailboxes when sharded), then keep the ingest
     // thread replaying for the whole measurement
     for event in &events {
-        ingest_backend(service.as_ref(), event);
+        ingest_backend(&service, event);
     }
-    service.flush_ingest();
+    service.flush();
     let apps = Arc::new(service.tracked_apps());
 
     let stop = Arc::new(AtomicBool::new(false));
     let ingester = {
-        let service = Arc::clone(&service);
+        let service = service.clone();
         let events = events.clone();
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
             let mut replayed = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 for event in &events {
-                    ingest_backend(service.as_ref(), event);
+                    ingest_backend(&service, event);
                     replayed += 1;
                 }
             }
@@ -533,7 +541,7 @@ fn main() {
     let start = Instant::now();
     std::thread::scope(|scope| {
         for _ in 0..opts.query_threads {
-            let service = Arc::clone(&service);
+            let service = service.clone();
             let apps = Arc::clone(&apps);
             let issued = Arc::clone(&issued);
             let flagged = Arc::clone(&flagged);

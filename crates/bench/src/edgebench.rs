@@ -20,13 +20,13 @@
 //! loopback — `threads_available` is recorded alongside, and a 1-core
 //! box serializes the client threads against the event loop.
 
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use frappe::{FeatureSet, FrappeModel};
+use frappe_net::client::Client;
 use frappe_net::{NetConfig, Server};
 use frappe_obs::{TraceCollector, TraceConfig};
 use frappe_serve::{serve_events, FrappeService, ServeConfig};
@@ -34,89 +34,6 @@ use serde::{Deserialize, Serialize};
 use synth_workload::ScenarioConfig;
 
 use crate::lab::{Archive, Lab};
-
-/// A minimal blocking HTTP/1.1 client over one keep-alive connection —
-/// just enough protocol for the edge's routes (status + content-length
-/// framed bodies). Shared by this benchmark and `loadgen --connect`.
-pub struct EdgeClient {
-    stream: TcpStream,
-    buf: Vec<u8>,
-}
-
-impl EdgeClient {
-    /// Connects to the edge with a generous read timeout (drains can
-    /// legitimately hold a response back for a moment).
-    pub fn connect(addr: SocketAddr) -> io::Result<EdgeClient> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-        let _ = stream.set_nodelay(true);
-        Ok(EdgeClient {
-            stream,
-            buf: Vec::new(),
-        })
-    }
-
-    /// One `GET`, returning `(status, body)`.
-    pub fn get(&mut self, path: &str) -> io::Result<(u16, String)> {
-        self.request("GET", path, "")
-    }
-
-    /// One `POST` with an opaque body, returning `(status, body)`.
-    pub fn post(&mut self, path: &str, body: &str) -> io::Result<(u16, String)> {
-        self.request("POST", path, body)
-    }
-
-    fn request(&mut self, method: &str, path: &str, body: &str) -> io::Result<(u16, String)> {
-        let head = format!(
-            "{method} {path} HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
-            body.len()
-        );
-        self.stream.write_all(head.as_bytes())?;
-        self.stream.write_all(body.as_bytes())?;
-        self.read_response()
-    }
-
-    fn read_response(&mut self) -> io::Result<(u16, String)> {
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            if let Some(head_len) = self
-                .buf
-                .windows(4)
-                .position(|w| w == b"\r\n\r\n")
-                .map(|i| i + 4)
-            {
-                let head = String::from_utf8_lossy(&self.buf[..head_len - 4]).into_owned();
-                let mut lines = head.split("\r\n");
-                let status: u16 = lines
-                    .next()
-                    .and_then(|l| l.split(' ').nth(1))
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad status line"))?;
-                let content_length: usize = lines
-                    .filter_map(|l| l.split_once(':'))
-                    .find(|(n, _)| n.eq_ignore_ascii_case("content-length"))
-                    .and_then(|(_, v)| v.trim().parse().ok())
-                    .unwrap_or(0);
-                while self.buf.len() < head_len + content_length {
-                    let n = self.stream.read(&mut chunk)?;
-                    if n == 0 {
-                        return Err(io::ErrorKind::UnexpectedEof.into());
-                    }
-                    self.buf.extend_from_slice(&chunk[..n]);
-                }
-                let body = String::from_utf8_lossy(&self.buf[head_len..head_len + content_length])
-                    .into_owned();
-                self.buf.drain(..head_len + content_length);
-                return Ok((status, body));
-            }
-            let n = self.stream.read(&mut chunk)?;
-            if n == 0 {
-                return Err(io::ErrorKind::UnexpectedEof.into());
-            }
-            self.buf.extend_from_slice(&chunk[..n]);
-        }
-    }
-}
 
 /// `p`-th quantile of an already-sorted latency vector, in microseconds.
 pub fn quantile_us(sorted: &[u64], p: f64) -> f64 {
@@ -248,17 +165,17 @@ fn classify_phase(
         let mut handles = Vec::new();
         for c in 0..connections {
             handles.push(scope.spawn(move || {
-                let mut client = EdgeClient::connect(addr).expect("connect query client");
+                let mut client = Client::connect(addr).expect("connect query client");
                 let mut lat = Vec::with_capacity(requests_per_conn);
                 let mut shed = 0usize;
                 for i in 0..requests_per_conn {
                     let app = apps[(c + i * connections) % apps.len()];
                     let t = Instant::now();
-                    let (status, _) = client
+                    let response = client
                         .get(&format!("/v1/classify/{app}"))
                         .expect("classify over the socket");
                     let us = t.elapsed().as_micros() as u64;
-                    match status {
+                    match response.status {
                         200 => lat.push(us),
                         429 => shed += 1,
                         other => panic!("unexpected classify status {other}"),
@@ -324,14 +241,18 @@ pub fn run(quick: bool) -> EdgeBenchReport {
         .iter()
         .map(|e| serde_json::to_string(e).expect("events serialize"))
         .collect();
-    let mut feeder = EdgeClient::connect(addr).expect("connect ingest client");
+    let mut feeder = Client::connect(addr).expect("connect ingest client");
     let t = Instant::now();
     let mut batches = 0usize;
     for chunk in lines.chunks(400) {
-        let (status, body) = feeder
+        let response = feeder
             .post("/v1/events", &chunk.join("\n"))
             .expect("ingest batch");
-        assert_eq!(status, 202, "ingest must be accepted: {body}");
+        assert_eq!(
+            response.status, 202,
+            "ingest must be accepted: {}",
+            response.body
+        );
         batches += 1;
     }
     let wall = t.elapsed().as_secs_f64();
@@ -367,17 +288,20 @@ pub fn run(quick: bool) -> EdgeBenchReport {
     )
     .expect("bind the traced edge");
     let traced_addr = traced_server.local_addr();
-    let mut feeder = EdgeClient::connect(traced_addr).expect("connect traced ingest client");
+    let mut feeder = Client::connect(traced_addr).expect("connect traced ingest client");
     for chunk in lines.chunks(400) {
-        let (status, _) = feeder
+        let response = feeder
             .post("/v1/events", &chunk.join("\n"))
             .expect("traced ingest batch");
-        assert_eq!(status, 202);
+        assert_eq!(response.status, 202);
     }
     let traced_classify = classify_phase(traced_addr, &apps, connections, requests_per_conn);
-    let mut prober = EdgeClient::connect(traced_addr).expect("connect trace reader");
-    let (status, traces_body) = prober.get("/v1/traces").expect("fetch kept traces");
-    assert_eq!(status, 200, "the traced edge serves its trace export");
+    let mut prober = Client::connect(traced_addr).expect("connect trace reader");
+    let traces = prober.get("/v1/traces").expect("fetch kept traces");
+    assert_eq!(
+        traces.status, 200,
+        "the traced edge serves its trace export"
+    );
     let trace = TraceOverheadBench {
         head_every: TraceConfig::default().head_every,
         untraced_p50_us: classify.p50_us,
@@ -385,7 +309,7 @@ pub fn run(quick: bool) -> EdgeBenchReport {
         traced_p50_us: traced_classify.p50_us,
         traced_p99_us: traced_classify.p99_us,
         p99_overhead_ratio: traced_classify.p99_us / classify.p99_us.max(1.0),
-        kept_traces: traces_body.lines().filter(|l| !l.is_empty()).count(),
+        kept_traces: traces.body.lines().filter(|l| !l.is_empty()).count(),
     };
     drop(prober);
     drop(traced_server);
@@ -409,16 +333,16 @@ pub fn run(quick: bool) -> EdgeBenchReport {
     )
     .expect("bind the shed edge");
     let shed_addr = shed_server.local_addr();
-    let mut parked = EdgeClient::connect(shed_addr).expect("park the only slot");
-    let (status, _) = parked.get("/healthz").expect("parked probe");
-    assert_eq!(status, 200, "the parked connection holds a live slot");
+    let mut parked = Client::connect(shed_addr).expect("park the only slot");
+    let probe = parked.get("/healthz").expect("parked probe");
+    assert_eq!(probe.status, 200, "the parked connection holds a live slot");
     let t = Instant::now();
     let mut rejected = 0usize;
     for _ in 0..shed_attempts {
-        let mut client = EdgeClient::connect(shed_addr).expect("connect past the gate");
+        let mut client = Client::connect(shed_addr).expect("connect past the gate");
         match client.read_response() {
-            Ok((503, _)) => rejected += 1,
-            Ok((status, _)) => panic!("gate answered {status}, expected 503"),
+            Ok(response) if response.status == 503 => rejected += 1,
+            Ok(response) => panic!("gate answered {}, expected 503", response.status),
             // the gate may close before the canned bytes are observed
             Err(_) => {}
         }
@@ -444,13 +368,14 @@ pub fn run(quick: bool) -> EdgeBenchReport {
         let count = Arc::clone(&background_requests);
         let apps = &apps;
         scope.spawn(move || {
-            let mut client = EdgeClient::connect(addr).expect("connect background client");
+            let mut client = Client::connect(addr).expect("connect background client");
             let mut i = 0usize;
             while !stop_bg.load(Ordering::Relaxed) {
                 let app = apps[i % apps.len()];
-                let (status, _) = client
+                let status = client
                     .get(&format!("/v1/classify/{app}"))
-                    .expect("background classify");
+                    .expect("background classify")
+                    .status;
                 assert!(status == 200 || status == 429, "background got {status}");
                 count.fetch_add(1, Ordering::Relaxed);
                 i += 1;

@@ -211,29 +211,6 @@ impl DriftDetector {
         }
     }
 
-    /// Drains `other`'s live window into this detector's window,
-    /// bin-wise, leaving `other`'s window empty and both baselines
-    /// untouched.
-    ///
-    /// Every detector lays its histograms out identically (one lane per
-    /// catalog feature, static bin edges per [`FeatureId`]), so windows
-    /// observed on different shard groups merge by pure count addition —
-    /// this is how a sharded deployment keeps one drift verdict: each
-    /// group's queries feed a private window lane, and the lanes are
-    /// absorbed into the baseline-holding detector at report time.
-    pub fn absorb_window(&mut self, other: &mut DriftDetector) {
-        debug_assert_eq!(self.window.len(), other.window.len());
-        for (mine, theirs) in self.window.iter_mut().zip(other.window.iter_mut()) {
-            debug_assert_eq!(mine.id, theirs.id, "catalog lane order must match");
-            debug_assert_eq!(mine.counts.len(), theirs.counts.len());
-            for (a, b) in mine.counts.iter_mut().zip(&theirs.counts) {
-                *a += b;
-            }
-            mine.total += theirs.total;
-            theirs.reset();
-        }
-    }
-
     /// Live-window sample count.
     pub fn window_samples(&self) -> u64 {
         self.window.first().map_or(0, |h| h.total)
@@ -267,11 +244,6 @@ impl DriftDetector {
             window_samples,
             drifted,
         }
-    }
-
-    /// The configured thresholds.
-    pub fn config(&self) -> DriftConfig {
-        self.config
     }
 }
 

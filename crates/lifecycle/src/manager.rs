@@ -1,5 +1,5 @@
 //! The lifecycle manager: one façade wiring registry, shadow, drift, and
-//! a running scoring backend ([`ScoringBackend`]) together.
+//! a running serving [`Deployment`] together.
 //!
 //! The manager owns the deployment loop the rest of the crate only
 //! provides parts for:
@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use frappe::FrappeModel;
 use frappe_obs::{Counter, Gauge, LifecycleEvent};
-use frappe_serve::{ScoringBackend, ServeError, Verdict};
+use frappe_serve::{Deployment, ServeError, Verdict};
 use osn_types::ids::AppId;
 use parking_lot::Mutex;
 
@@ -85,28 +85,23 @@ struct LifecycleMetrics {
 }
 
 /// Wires a [`ModelRegistry`] and a [`DriftDetector`] to a running
-/// scoring backend — a single [`frappe_serve::FrappeService`] or a
+/// [`Deployment`] — a single [`frappe_serve::FrappeService`] or a
 /// [`frappe_serve::ShardRouter`] over K shard groups; see the module
-/// docs for the loop it runs.
-///
-/// Drift windows are **replicated per group**: every query's feature row
-/// lands in the window lane of the group that owns the app, and the
-/// lanes are absorbed into one baseline-holding detector at
-/// [`check_drift`](Self::check_drift) time, so a sharded deployment
-/// still produces exactly one PSI verdict.
+/// docs for the loop it runs. Either shape feeds one drift window, so a
+/// sharded deployment produces exactly one PSI verdict.
 pub struct LifecycleManager {
-    service: Arc<dyn ScoringBackend>,
+    service: Deployment,
     registry: ModelRegistry,
     gate: PromotionGate,
     shadow: Mutex<Option<ShadowSlot>>,
     drift: Mutex<DriftDetector>,
-    drift_lanes: Vec<Mutex<DriftDetector>>,
     fence: Mutex<Option<Arc<dyn SwapFence>>>,
     metrics: LifecycleMetrics,
 }
 
 impl LifecycleManager {
-    /// Wires the pieces together around any [`ScoringBackend`].
+    /// Wires the pieces together around an `Arc<FrappeService>`, an
+    /// `Arc<ShardRouter>`, or a [`Deployment`].
     ///
     /// # Panics
     /// Panics unless `service` scores through the registry's own handle
@@ -114,22 +109,17 @@ impl LifecycleManager {
     /// — or, for a router, a [`frappe_serve::ControlPlane`] wrapping —
     /// [`ModelRegistry::handle`]); with separate handles, "promote"
     /// would silently swap a model nobody serves.
-    pub fn new<B: ScoringBackend + 'static>(
-        service: Arc<B>,
+    pub fn new(
+        service: impl Into<Deployment>,
         registry: ModelRegistry,
         gate: PromotionGate,
         drift: DriftDetector,
     ) -> Self {
-        let service: Arc<dyn ScoringBackend> = service;
+        let service = service.into();
         assert!(
             service.model_handle().ptr_eq(&registry.handle()),
             "the service must score through the registry's SharedModel handle"
         );
-        // One window-only detector per shard group: queries for a group's
-        // apps never contend on another group's drift lock.
-        let drift_lanes = (0..service.group_count())
-            .map(|_| Mutex::new(DriftDetector::new(drift.config())))
-            .collect();
         let obs = service.obs_registry();
         let metrics = LifecycleMetrics {
             shadow_scored: obs.counter("lifecycle_shadow_scored"),
@@ -154,7 +144,6 @@ impl LifecycleManager {
             gate,
             shadow: Mutex::new(None),
             drift: Mutex::new(drift),
-            drift_lanes,
             fence: Mutex::new(None),
             metrics,
         }
@@ -193,11 +182,6 @@ impl LifecycleManager {
         }
     }
 
-    /// The wrapped scoring backend.
-    pub fn service(&self) -> &Arc<dyn ScoringBackend> {
-        &self.service
-    }
-
     /// The registry (lineage queries, persistence).
     pub fn registry(&self) -> &ModelRegistry {
         &self.registry
@@ -219,10 +203,7 @@ impl LifecycleManager {
     ) -> Result<Verdict, ServeError> {
         let verdict = self.service.classify(app)?;
         if let Some(features) = self.service.features(app) {
-            // Observe into the owning group's window lane — sharded
-            // deployments never serialize drift bookkeeping globally.
-            let lane = self.service.group_of(app) % self.drift_lanes.len();
-            self.drift_lanes[lane].lock().observe(&features);
+            self.drift.lock().observe(&features);
             let mut slot = self.shadow.lock();
             if let Some(slot) = slot.as_mut() {
                 let shadow_verdict = slot.model.predict(&features);
@@ -319,13 +300,9 @@ impl LifecycleManager {
     }
 
     /// Re-freezes the drift baseline (call when a model trained on fresh
-    /// rows takes over) and clears the live window — including every
-    /// group's not-yet-absorbed lane.
+    /// rows takes over) and clears the live window.
     pub fn refit_drift_baseline(&self, rows: &[frappe::AppFeatures]) {
         self.drift.lock().fit_baseline(rows);
-        for lane in &self.drift_lanes {
-            lane.lock().reset_window();
-        }
     }
 
     /// Computes the drift report over the live window, publishes the
@@ -333,16 +310,7 @@ impl LifecycleManager {
     /// trigger when any lane is over threshold. The caller decides what a
     /// trigger means — typically: retrain and [`Self::begin_shadow`].
     pub fn check_drift(&self) -> DriftReport {
-        let report = {
-            let mut main = self.drift.lock();
-            // Drain every group's window lane into the baseline-holding
-            // detector: one PSI verdict over the whole deployment's
-            // traffic, whatever the group count.
-            for lane in &self.drift_lanes {
-                main.absorb_window(&mut lane.lock());
-            }
-            main.report()
-        };
+        let report = self.drift.lock().report();
         self.metrics
             .max_psi_milli
             .set((report.max_psi() * 1000.0).round().min(i64::MAX as f64) as i64);

@@ -23,7 +23,10 @@
 //!   never parks on a verdict), 429-triggered read pauses with
 //!   hysteresis, and a drain protocol whose [`server::EdgeHandle`]
 //!   implements [`frappe_lifecycle::SwapFence`] so model hot-swaps run
-//!   with zero responses in flight.
+//!   with zero responses in flight. It serves a
+//!   [`frappe_serve::Deployment`]: one service or a shard-group router.
+//! * [`client`] — the blocking keep-alive client that tests, benches and
+//!   `loadgen --connect` use to talk to the edge.
 //!
 //! Wire contract: verdicts are [`frappe_serve::Verdict`] JSON; every
 //! error is the [`frappe_serve::ErrorEnvelope`], whose exact bytes are
@@ -50,6 +53,7 @@
 #[allow(unsafe_code)]
 pub mod sys;
 
+pub mod client;
 mod conn;
 pub mod http;
 pub mod reactor;

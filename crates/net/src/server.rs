@@ -1,8 +1,7 @@
 //! The server: one event-loop thread driving listener + connections over
-//! the [`crate::reactor`], routing HTTP requests into any
-//! [`ScoringBackend`] — a single [`frappe_serve::FrappeService`] or a
-//! [`frappe_serve::ShardRouter`] over K shard groups (the edge code is
-//! identical either way; only construction differs).
+//! the [`crate::reactor`], routing HTTP requests into a [`Deployment`] —
+//! a single [`frappe_serve::FrappeService`] or a
+//! [`frappe_serve::ShardRouter`] over K shard groups.
 //!
 //! ## Routes
 //!
@@ -26,8 +25,9 @@
 //! 2. **Read pause** — a connection whose classify is rejected with
 //!    [`ServeError::Overloaded`] got its `429` *and* stops being read:
 //!    its buffered pipeline waits and TCP pushes back on the client.
-//!    Reads resume once the scorer queue falls to half capacity
-//!    (hysteresis, so the edge does not flap).
+//!    Reads resume once every scorer queue has fallen to half its
+//!    capacity — on a router, each group's own queue (hysteresis, so the
+//!    edge does not flap).
 //! 3. **Pipelining guard** — at most
 //!    [`NetConfig::max_requests_per_wake`] buffered requests are served
 //!    per connection per wake-up, so one pipelining client cannot starve
@@ -60,9 +60,7 @@ use frappe_obs::{
     TraceFlag, TraceHandle, WallClock,
 };
 use frappe_serve::metrics::LATENCY_BOUNDS_MICROS;
-use frappe_serve::{
-    ErrorEnvelope, PendingVerdict, ScoringBackend, ServeError, ServeEvent, Verdict,
-};
+use frappe_serve::{Deployment, ErrorEnvelope, PendingVerdict, ServeError, ServeEvent, Verdict};
 use osn_types::ids::AppId;
 
 use crate::conn::{Conn, IoStep, PendingWrite, Phase};
@@ -276,26 +274,15 @@ pub struct Server {
 
 impl Server {
     /// Binds `addr` (use port 0 for an ephemeral port), registers the
-    /// edge's `net_*` metrics on the backend's base obs registry, and
-    /// spawns the event-loop thread. Accepts any [`ScoringBackend`] —
-    /// `Arc<FrappeService>` and `Arc<ShardRouter>` both work unchanged.
-    pub fn bind<A: ToSocketAddrs, B: ScoringBackend + 'static>(
-        service: Arc<B>,
+    /// edge's `net_*` metrics on the deployment's base obs registry, and
+    /// spawns the event-loop thread. Takes an `Arc<FrappeService>`, an
+    /// `Arc<ShardRouter>`, or a [`Deployment`].
+    pub fn bind<A: ToSocketAddrs>(
+        service: impl Into<Deployment>,
         addr: A,
         config: NetConfig,
     ) -> io::Result<Server> {
-        Self::bind_dyn(service, addr, config)
-    }
-
-    /// [`bind`](Self::bind) for an already-erased backend handle —
-    /// callers that pick the deployment shape at runtime hold an
-    /// `Arc<dyn ScoringBackend>`, which the generic signature cannot
-    /// accept (`B` must be sized).
-    pub fn bind_dyn<A: ToSocketAddrs>(
-        service: Arc<dyn ScoringBackend>,
-        addr: A,
-        config: NetConfig,
-    ) -> io::Result<Server> {
+        let service = service.into();
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
@@ -336,10 +323,8 @@ impl Server {
             slo_clock,
         );
 
-        let queue_capacity = service.queue_capacity();
-        let retry_after_ms = service.retry_after_ms();
         let event_loop = EventLoop {
-            overload_response: accept_gate_response(retry_after_ms),
+            overload_response: accept_gate_response(service.retry_after_ms()),
             limits: Limits {
                 max_head_bytes: config.max_head_bytes,
                 max_body_bytes: config.max_body_bytes,
@@ -349,7 +334,6 @@ impl Server {
             reactor,
             shared: Arc::clone(&shared),
             config,
-            queue_capacity,
             conns: Vec::new(),
             free: Vec::new(),
             active: 0,
@@ -443,13 +427,12 @@ enum Routed {
 }
 
 struct EventLoop {
-    service: Arc<dyn ScoringBackend>,
+    service: Deployment,
     listener: TcpListener,
     reactor: Reactor,
     shared: Arc<Shared>,
     config: NetConfig,
     limits: Limits,
-    queue_capacity: usize,
     /// Slab of connections; reactor token = index + 1.
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
@@ -521,14 +504,14 @@ impl EventLoop {
         self.metrics.active.set(0);
     }
 
-    /// Hysteresis: 429-paused connections resume once the scorer queue
-    /// has fallen to half capacity, not the instant one slot frees — so
-    /// the edge does not flap between pause and reject.
+    /// Hysteresis: 429-paused connections resume once every scorer queue
+    /// has fallen to half its capacity, not the instant one slot frees —
+    /// so the edge does not flap between pause and reject.
     fn maybe_resume_paused(&mut self) {
         if !self.paused_any {
             return;
         }
-        if self.service.queue_depth() * 2 <= self.queue_capacity {
+        if self.service.queues_at_most_half_full() {
             for conn in self.conns.iter_mut().flatten() {
                 conn.paused = false;
             }
@@ -746,9 +729,9 @@ impl EventLoop {
         match (request.method, request.path.as_str()) {
             (Method::Get, "/healthz") => done(Response::json(200, &br#"{"status":"ok"}"#[..])),
             (Method::Get, "/metrics") => {
-                // Publish edge-side state into the backend's *base*
+                // Publish edge-side state into the deployment's *base*
                 // registry first; `exposition()` then snapshots it and —
-                // for a sharded backend — merges every group's registry
+                // for a router — merges every group's registry
                 // in per-group lanes without double-counting shared
                 // families. One scrape, whole deployment.
                 let registry = self.service.obs_registry();
@@ -813,10 +796,10 @@ impl EventLoop {
 
     /// `POST /v1/events`: NDJSON. Parsing is all-or-nothing — every line
     /// must parse before any event is forwarded, so a *malformed* batch
-    /// moves no feature. Forwarding can still shed on a sharded backend
-    /// (a full group mailbox answers 429 with `Retry-After`); events
-    /// before the shed point are applied, and the envelope tells the
-    /// client to retry the remainder.
+    /// moves no feature. Forwarding can still shed on a router (a full
+    /// group mailbox answers 429 with `Retry-After`). Events before the
+    /// shed point stay applied, and the 429 envelope carries no count of
+    /// them: the client cannot tell from the answer which events landed.
     fn ingest_events(&self, body: &[u8]) -> Response {
         let Ok(text) = std::str::from_utf8(body) else {
             return Response::json(400, &br#"{"error":"body is not UTF-8"}"#[..]);
@@ -840,7 +823,7 @@ impl EventLoop {
             }
         }
         for event in &events {
-            if let Err(err) = self.service.ingest_event(event) {
+            if let Err(err) = self.service.ingest(event) {
                 if matches!(err, ServeError::Overloaded { .. }) {
                     self.metrics.shed(self.service.group_of(event.app()));
                 }

@@ -10,10 +10,9 @@
 //!   takes a short lock once, recording is lock-free and allocation-free.
 //!   Snapshots export as Prometheus text or JSONL.
 //! * [`mod@span`] — RAII scoped timers with `outer/inner` path nesting,
-//!   aggregated into a bounded per-stage profile table. Gated twice: the
-//!   `instrument` cargo feature compiles spans out entirely, and a
-//!   runtime toggle (env var [`ENV_TOGGLE`], or [`set_spans_enabled`])
-//!   reduces a disabled span to one relaxed atomic load.
+//!   aggregated into a bounded per-stage profile table. A runtime toggle
+//!   (env var [`ENV_TOGGLE`], or [`set_spans_enabled`]) reduces a
+//!   disabled span to one relaxed atomic load.
 //! * [`audit`] — structured verdict records carrying per-feature
 //!   contributions (`weight × value`) that sum, with the bias, back to
 //!   the decision value. Linear kernels only; producers skip records for

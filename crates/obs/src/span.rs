@@ -6,25 +6,19 @@
 //! Aggregation keeps only count/total/min/max per path, so memory stays
 //! bounded no matter how hot the instrumented loop is.
 //!
-//! Two switches keep the overhead honest:
-//!
-//! * the `instrument` cargo feature (default on) — with it disabled every
-//!   span compiles to an inert zero-sized guard;
-//! * a runtime toggle, initialised from the [`ENV_TOGGLE`] environment
-//!   variable and overridable with [`set_spans_enabled`] — while off, a
-//!   span creation is a single relaxed atomic load.
+//! One runtime toggle keeps the overhead honest: it is initialised from
+//! the [`ENV_TOGGLE`] environment variable and overridable with
+//! [`set_spans_enabled`], and while it is off a span creation is a single
+//! relaxed atomic load.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
+use std::time::Instant;
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-
-#[cfg(feature = "instrument")]
-use std::cell::RefCell;
-#[cfg(feature = "instrument")]
-use std::time::Instant;
 
 /// Environment variable consulted (once, lazily) for the runtime toggle.
 /// Set it to `1`, `true`, or `on` to enable span recording.
@@ -36,12 +30,8 @@ const STATE_ON: u8 = 2;
 
 static SPAN_STATE: AtomicU8 = AtomicU8::new(STATE_UNSET);
 
-/// Whether spans currently record. Compiled out (always `false`) without
-/// the `instrument` feature.
+/// Whether spans currently record.
 pub fn spans_enabled() -> bool {
-    if !cfg!(feature = "instrument") {
-        return false;
-    }
     match SPAN_STATE.load(Ordering::Relaxed) {
         STATE_ON => true,
         STATE_OFF => false,
@@ -60,7 +50,6 @@ pub fn set_spans_enabled(on: bool) {
     SPAN_STATE.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed);
 }
 
-#[cfg(feature = "instrument")]
 thread_local! {
     /// Segments of the currently open spans on this thread, outermost first.
     static SPAN_PATH: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
@@ -105,30 +94,20 @@ impl Profiler {
     /// Open a span against this profiler. Records on drop if spans are
     /// enabled; otherwise the guard is inert.
     pub fn span<'p>(&'p self, name: &'static str) -> Span<'p> {
-        #[cfg(feature = "instrument")]
-        {
-            if spans_enabled() {
-                let path = SPAN_PATH.with(|stack| {
-                    let mut stack = stack.borrow_mut();
-                    stack.push(name);
-                    stack.join("/")
-                });
-                return Span {
-                    active: Some(ActiveSpan {
-                        profiler: self,
-                        path,
-                        start: Instant::now(),
-                    }),
-                };
-            }
-            Span { active: None }
+        if !spans_enabled() {
+            return Span { active: None };
         }
-        #[cfg(not(feature = "instrument"))]
-        {
-            let _ = name;
-            Span {
-                _profiler: std::marker::PhantomData,
-            }
+        let path = SPAN_PATH.with(|stack| {
+            let mut stack = stack.borrow_mut();
+            stack.push(name);
+            stack.join("/")
+        });
+        Span {
+            active: Some(ActiveSpan {
+                profiler: self,
+                path,
+                start: Instant::now(),
+            }),
         }
     }
 
@@ -184,7 +163,6 @@ pub fn span(name: &'static str) -> Span<'static> {
     Profiler::global().span(name)
 }
 
-#[cfg(feature = "instrument")]
 struct ActiveSpan<'p> {
     profiler: &'p Profiler,
     path: String,
@@ -194,15 +172,11 @@ struct ActiveSpan<'p> {
 /// RAII timing guard returned by [`span`] / [`Profiler::span`].
 #[must_use = "a span records on drop; binding to _ drops it immediately"]
 pub struct Span<'p> {
-    #[cfg(feature = "instrument")]
     active: Option<ActiveSpan<'p>>,
-    #[cfg(not(feature = "instrument"))]
-    _profiler: std::marker::PhantomData<&'p Profiler>,
 }
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        #[cfg(feature = "instrument")]
         if let Some(active) = self.active.take() {
             let elapsed_ns = active.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
             active.profiler.record(&active.path, elapsed_ns);
@@ -319,10 +293,8 @@ mod tests {
 
     /// The runtime toggle is process-global; tests that flip it must not
     /// overlap.
-    #[cfg(feature = "instrument")]
     static TOGGLE_GUARD: Mutex<()> = Mutex::new(());
 
-    #[cfg(feature = "instrument")]
     #[test]
     fn nested_spans_build_slash_paths() {
         let _guard = TOGGLE_GUARD.lock();
@@ -345,7 +317,6 @@ mod tests {
         set_spans_enabled(false);
     }
 
-    #[cfg(feature = "instrument")]
     #[test]
     fn disabled_spans_record_nothing() {
         let _guard = TOGGLE_GUARD.lock();

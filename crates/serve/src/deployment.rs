@@ -1,0 +1,204 @@
+//! [`Deployment`]: the one handle the network edge (`frappe-net`) and the
+//! lifecycle manager (`frappe-lifecycle`) hold onto a running serving
+//! deployment.
+//!
+//! There are exactly two deployment shapes — a single [`FrappeService`]
+//! or a [`ShardRouter`] over K shard groups — so the handle is a closed
+//! enum, not a trait object. Every verb forwards to the shape's inherent
+//! method; where the shapes differ (fallible ingest, the flush barrier,
+//! the merged exposition, the retry hint, the per-group queue check) the
+//! difference lives in that verb's match arms and nowhere else.
+
+use std::sync::Arc;
+
+use frappe::{AppFeatures, FrappeModel, SharedModel, VersionedModel};
+use frappe_obs::{Registry, RegistrySnapshot, SpanId, TraceCollector, TraceHandle};
+use osn_types::ids::AppId;
+
+use crate::event::ServeEvent;
+use crate::metrics::MetricsSnapshot;
+use crate::router::ShardRouter;
+use crate::service::{FrappeService, PendingVerdict, ServeError, Verdict};
+
+/// A running serving deployment: one service, or K shard groups behind
+/// a router. Cloning clones the `Arc`.
+#[derive(Clone)]
+pub enum Deployment {
+    /// A single service instance.
+    Service(Arc<FrappeService>),
+    /// K partition-owning shard groups behind a hashing router.
+    Router(Arc<ShardRouter>),
+}
+
+impl From<Arc<FrappeService>> for Deployment {
+    fn from(service: Arc<FrappeService>) -> Self {
+        Deployment::Service(service)
+    }
+}
+
+impl From<Arc<ShardRouter>> for Deployment {
+    fn from(router: Arc<ShardRouter>) -> Self {
+        Deployment::Router(router)
+    }
+}
+
+impl Deployment {
+    /// Applies one event. A service applies it synchronously and never
+    /// fails; a router forwards it into the owner group's bounded mailbox
+    /// and sheds with [`ServeError::Overloaded`] when that mailbox is full.
+    pub fn ingest(&self, event: &ServeEvent) -> Result<(), ServeError> {
+        match self {
+            Deployment::Service(s) => {
+                s.ingest(event);
+                Ok(())
+            }
+            Deployment::Router(r) => r.ingest(event),
+        }
+    }
+
+    /// Returns once every event accepted before this call is visible to
+    /// classify. A service's ingest is synchronous, so only a router
+    /// waits.
+    pub fn flush(&self) {
+        if let Deployment::Router(r) = self {
+            r.flush();
+        }
+    }
+
+    /// Classifies one app, blocking until a scorer answers.
+    pub fn classify(&self, app: AppId) -> Result<Verdict, ServeError> {
+        match self {
+            Deployment::Service(s) => s.classify(app),
+            Deployment::Router(r) => r.classify(app),
+        }
+    }
+
+    /// Submits a classification without waiting, threading an optional
+    /// edge-minted trace through to the scorer's spans.
+    pub fn classify_traced(
+        &self,
+        app: AppId,
+        edge_trace: Option<(TraceHandle, Option<SpanId>)>,
+    ) -> Result<PendingVerdict, ServeError> {
+        match self {
+            Deployment::Service(s) => s.classify_traced(app, edge_trace),
+            Deployment::Router(r) => r.classify_traced(app, edge_trace),
+        }
+    }
+
+    /// Current feature row for one app.
+    pub fn features(&self, app: AppId) -> Option<AppFeatures> {
+        match self {
+            Deployment::Service(s) => s.features(app),
+            Deployment::Router(r) => r.features(app),
+        }
+    }
+
+    /// Hot-swaps the scoring model deployment-wide, returning the
+    /// displaced model. On a router the epoch pointer is shared, so the
+    /// swap is atomic across all groups.
+    pub fn swap_model(&self, model: Arc<FrappeModel>, version: u64) -> Arc<VersionedModel> {
+        match self {
+            Deployment::Service(s) => s.swap_model(model, version),
+            Deployment::Router(r) => r.swap_model(model, version),
+        }
+    }
+
+    /// The shared model handle the deployment scores through.
+    pub fn model_handle(&self) -> SharedModel {
+        match self {
+            Deployment::Service(s) => s.model_handle(),
+            Deployment::Router(r) => r.model_handle(),
+        }
+    }
+
+    /// Whether every scoring queue is at most half full — the edge's
+    /// read-resume test. On a router each group is checked against its
+    /// own capacity: a shed comes from one group's full queue, which a
+    /// sum over groups would hide.
+    pub fn queues_at_most_half_full(&self) -> bool {
+        let half = |s: &FrappeService| s.queue_depth() * 2 <= s.config().queue_capacity;
+        match self {
+            Deployment::Service(s) => half(s),
+            Deployment::Router(r) => r.group_services().all(|s| half(s)),
+        }
+    }
+
+    /// Retry hint handed to rejected callers, in milliseconds.
+    pub fn retry_after_ms(&self) -> u64 {
+        match self {
+            Deployment::Service(s) => s.config().retry_after_ms,
+            Deployment::Router(r) => r.config().group.retry_after_ms,
+        }
+    }
+
+    /// Point-in-time metrics for the whole deployment.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        match self {
+            Deployment::Service(s) => s.metrics(),
+            Deployment::Router(r) => r.metrics(),
+        }
+    }
+
+    /// The base registry: where transport and lifecycle layers register
+    /// their own instruments so one scrape shows the whole process.
+    pub fn obs_registry(&self) -> &Arc<Registry> {
+        match self {
+            Deployment::Service(s) => s.obs_registry(),
+            Deployment::Router(r) => r.obs_registry(),
+        }
+    }
+
+    /// The deployment's full scrape: a service's registry (with its
+    /// queue-depth gauge refreshed), or a router's base registry plus
+    /// every group's families merged in per-group lanes.
+    pub fn exposition(&self) -> RegistrySnapshot {
+        match self {
+            Deployment::Service(s) => {
+                let _ = s.metrics(); // refresh the queue-depth gauge
+                s.obs_registry().snapshot()
+            }
+            Deployment::Router(r) => r.exposition(),
+        }
+    }
+
+    /// Attaches a trace collector (in-process classifies mint traces).
+    pub fn set_trace_collector(&self, collector: TraceCollector) {
+        match self {
+            Deployment::Service(s) => s.set_trace_collector(collector),
+            Deployment::Router(r) => r.set_trace_collector(collector),
+        }
+    }
+
+    /// The attached trace collector, if any (clones share state).
+    pub fn trace_collector(&self) -> Option<TraceCollector> {
+        match self {
+            Deployment::Service(s) => s.trace_collector(),
+            Deployment::Router(r) => r.trace_collector(),
+        }
+    }
+
+    /// Apps the deployment has evidence for, sorted.
+    pub fn tracked_apps(&self) -> Vec<AppId> {
+        match self {
+            Deployment::Service(s) => s.tracked_apps(),
+            Deployment::Router(r) => r.tracked_apps(),
+        }
+    }
+
+    /// Number of shard groups (1 for a single service).
+    pub fn group_count(&self) -> usize {
+        match self {
+            Deployment::Service(_) => 1,
+            Deployment::Router(r) => r.group_count(),
+        }
+    }
+
+    /// The group that owns `app` (always 0 for a single service).
+    pub fn group_of(&self, app: AppId) -> usize {
+        match self {
+            Deployment::Service(_) => 0,
+            Deployment::Router(r) => r.group_of(app),
+        }
+    }
+}

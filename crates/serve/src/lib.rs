@@ -50,17 +50,18 @@
 //! cache, scorer lane, registry) fed through a bounded per-group
 //! mailbox — while [`control::ControlPlane`] keeps the mutable control
 //! state (model epoch pointer, known-names generation) shared by
-//! construction, so hot swaps stay globally atomic. The
-//! [`backend::ScoringBackend`] trait lets the network edge and the
-//! lifecycle layer run unchanged against either shape.
+//! construction, so hot swaps stay globally atomic. The network edge and
+//! the lifecycle layer hold either shape through one closed handle,
+//! [`Deployment`], whose match arms are the only place the two shapes
+//! differ.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backend;
 pub mod bridge;
 pub mod cache;
 pub mod control;
+pub mod deployment;
 pub mod event;
 pub(crate) mod group;
 pub mod metrics;
@@ -69,10 +70,10 @@ pub mod router;
 pub mod service;
 pub mod store;
 
-pub use backend::ScoringBackend;
 pub use bridge::{serve_events, service_from_world};
 pub use cache::CacheLookup;
 pub use control::{ControlPlane, ControlStamp};
+pub use deployment::Deployment;
 pub use event::ServeEvent;
 pub use metrics::{LatencySnapshot, MetricsSnapshot};
 pub use router::{ShardConfig, ShardRouter};

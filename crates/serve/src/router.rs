@@ -516,9 +516,9 @@ impl ShardRouter {
         self.trace.read().clone()
     }
 
-    #[cfg(test)]
-    pub(crate) fn group_service_for_test(&self, g: usize) -> &Arc<FrappeService> {
-        self.groups[g].service()
+    /// Every group's service, in group order.
+    pub(crate) fn group_services(&self) -> impl Iterator<Item = &Arc<FrappeService>> {
+        self.groups.iter().map(ShardGroup::service)
     }
 }
 

@@ -12,8 +12,6 @@
 //!   every response body is one of the known-good per-version strings —
 //!   nothing stale, nothing garbled.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -24,8 +22,9 @@ use frappe_lifecycle::{
     DriftConfig, DriftDetector, LifecycleManager, ModelRegistry, ModelSource, PromotionGate,
     PromotionOutcome,
 };
+use frappe_net::client::Client;
 use frappe_net::{NetConfig, Server};
-use frappe_serve::{FrappeService, ServeConfig, ServeEvent};
+use frappe_serve::{FrappeService, ServeConfig, ServeEvent, ShardConfig, ShardRouter};
 use osn_types::ids::AppId;
 use url_services::shortener::Shortener;
 
@@ -83,130 +82,38 @@ fn service_with(config: ServeConfig) -> FrappeService {
     )
 }
 
-/// Feeds one app's evidence; `shady` picks the malicious prototype and
+/// One app's evidence; `shady` picks the malicious prototype and
 /// `posts` varies the evidence volume so apps get distinct verdicts.
-fn feed_app(service: &FrappeService, app: AppId, shady: bool, posts: usize) {
+fn app_events(app: AppId, shady: bool, posts: usize) -> Vec<ServeEvent> {
     let name = if shady {
         "Profile Viewer".to_string()
     } else {
         format!("wholesome game {}", app.raw())
     };
-    service.ingest(&ServeEvent::Registered { app, name });
     let (benign, malicious) = prototypes();
     let features = if shady {
         malicious.on_demand
     } else {
         benign.on_demand
     };
-    service.ingest(&ServeEvent::OnDemand { app, features });
+    let mut events = vec![
+        ServeEvent::Registered { app, name },
+        ServeEvent::OnDemand { app, features },
+    ];
     for i in 0..posts {
         let link = if shady {
             Some(osn_types::url::Url::parse("http://scam.example/x").unwrap())
         } else {
             (i % 2 == 0).then(|| osn_types::url::Url::parse("http://fine.example/y").unwrap())
         };
-        service.ingest(&ServeEvent::Post { app, link });
+        events.push(ServeEvent::Post { app, link });
     }
+    events
 }
 
-// ----------------------------------------------------- tiny blocking client
-
-struct Client {
-    stream: TcpStream,
-    buf: Vec<u8>,
-}
-
-struct HttpResponse {
-    status: u16,
-    headers: Vec<(String, String)>,
-    body: Vec<u8>,
-}
-
-impl HttpResponse {
-    fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
-    }
-
-    fn body_str(&self) -> &str {
-        std::str::from_utf8(&self.body).expect("response bodies are UTF-8")
-    }
-}
-
-impl Client {
-    fn connect(addr: SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect to the edge");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        let _ = stream.set_nodelay(true);
-        Client {
-            stream,
-            buf: Vec::new(),
-        }
-    }
-
-    fn send(&mut self, method: &str, path: &str, body: &str) {
-        let request = format!(
-            "{method} {path} HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}",
-            body.len()
-        );
-        self.stream
-            .write_all(request.as_bytes())
-            .expect("write request");
-    }
-
-    fn read_response(&mut self) -> HttpResponse {
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            if let Some(head_len) = self
-                .buf
-                .windows(4)
-                .position(|w| w == b"\r\n\r\n")
-                .map(|i| i + 4)
-            {
-                let head = String::from_utf8(self.buf[..head_len - 4].to_vec()).unwrap();
-                let mut lines = head.split("\r\n");
-                let status_line = lines.next().unwrap();
-                let status: u16 = status_line
-                    .split(' ')
-                    .nth(1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| panic!("bad status line: {status_line}"));
-                let headers: Vec<(String, String)> = lines
-                    .filter_map(|l| l.split_once(':'))
-                    .map(|(n, v)| (n.trim().to_string(), v.trim().to_string()))
-                    .collect();
-                let content_length: usize = headers
-                    .iter()
-                    .find(|(n, _)| n.eq_ignore_ascii_case("content-length"))
-                    .map(|(_, v)| v.parse().expect("numeric content-length"))
-                    .unwrap_or(0);
-                if self.buf.len() >= head_len + content_length {
-                    let body = self.buf[head_len..head_len + content_length].to_vec();
-                    self.buf.drain(..head_len + content_length);
-                    return HttpResponse {
-                        status,
-                        headers,
-                        body,
-                    };
-                }
-            }
-            let n = self.stream.read(&mut chunk).expect("read response");
-            assert!(n > 0, "server closed mid-response");
-            self.buf.extend_from_slice(&chunk[..n]);
-        }
-    }
-
-    fn request(&mut self, method: &str, path: &str, body: &str) -> HttpResponse {
-        self.send(method, path, body);
-        self.read_response()
-    }
-
-    fn get(&mut self, path: &str) -> HttpResponse {
-        self.request("GET", path, "")
+fn feed_app(service: &FrappeService, app: AppId, shady: bool, posts: usize) {
+    for event in app_events(app, shady, posts) {
+        service.ingest(&event);
     }
 }
 
@@ -216,11 +123,11 @@ impl Client {
 fn every_route_answers_and_http_ingest_feeds_http_classify() {
     let service = Arc::new(service_with(ServeConfig::default()));
     let server = Server::bind(Arc::clone(&service), "127.0.0.1:0", NetConfig::default()).unwrap();
-    let mut client = Client::connect(server.local_addr());
+    let mut client = Client::connect(server.local_addr()).unwrap();
 
-    let health = client.get("/healthz");
+    let health = client.get("/healthz").unwrap();
     assert_eq!(health.status, 200);
-    assert_eq!(health.body_str(), r#"{"status":"ok"}"#);
+    assert_eq!(health.body, r#"{"status":"ok"}"#);
 
     // ingest over HTTP: NDJSON of the real ServeEvent wire format
     let app = AppId(42);
@@ -242,57 +149,60 @@ fn every_route_answers_and_http_ingest_feeds_http_classify() {
         .iter()
         .map(|e| serde_json::to_string(e).unwrap() + "\n")
         .collect();
-    let ingested = client.request("POST", "/v1/events", &ndjson);
+    let ingested = client.request("POST", "/v1/events", &ndjson).unwrap();
     assert_eq!(ingested.status, 202);
-    assert_eq!(ingested.body_str(), r#"{"ingested":3}"#);
+    assert_eq!(ingested.body, r#"{"ingested":3}"#);
 
     // the events just ingested answer a classify on the same connection
-    let verdict = client.get("/v1/classify/app:42");
+    let verdict = client.get("/v1/classify/app:42").unwrap();
     assert_eq!(verdict.status, 200);
     let in_process = service.classify(app).unwrap();
     assert_eq!(
-        verdict.body_str(),
+        verdict.body,
         serde_json::to_string(&in_process).unwrap(),
         "HTTP body is byte-identical to the in-process verdict"
     );
 
     // unknown app: 404 with the pinned envelope
-    let unknown = client.get("/v1/classify/999");
+    let unknown = client.get("/v1/classify/999").unwrap();
     assert_eq!(unknown.status, 404);
     assert_eq!(
-        unknown.body_str(),
+        unknown.body,
         r#"{"error":{"UnknownApp":999},"retry_after_ms":null}"#
     );
 
     // bad NDJSON is all-or-nothing: 400, nothing ingested
     let before = service.metrics().events_ingested;
-    let bad = client.request(
-        "POST",
-        "/v1/events",
-        "{\"Registered\":{\"app\":1,\"name\":\"x\"}}\nnot json\n",
-    );
+    let bad = client
+        .request(
+            "POST",
+            "/v1/events",
+            "{\"Registered\":{\"app\":1,\"name\":\"x\"}}\nnot json\n",
+        )
+        .unwrap();
     assert_eq!(bad.status, 400);
-    assert!(bad.body_str().contains("line 2"));
+    assert!(bad.body.contains("line 2"));
     assert_eq!(service.metrics().events_ingested, before, "nothing moved");
 
     // metrics scrape shows serve *and* edge counters in one text
-    let metrics = client.get("/metrics");
+    let metrics = client.get("/metrics").unwrap();
     assert_eq!(metrics.status, 200);
-    assert!(metrics.body_str().contains("serve_events_ingested 3"));
-    assert!(metrics.body_str().contains("net_conns_accepted 1"));
-    assert!(metrics.body_str().contains("net_http_requests"));
+    assert!(metrics.body.contains("serve_events_ingested 3"));
+    assert!(metrics.body.contains("net_conns_accepted 1"));
+    assert!(metrics.body.contains("net_http_requests"));
 
     // routing edges
-    assert_eq!(client.get("/nope").status, 404);
-    assert_eq!(client.request("DELETE", "/healthz", "").status, 405);
-    assert_eq!(client.get("/v1/classify/not-a-number").status, 400);
+    assert_eq!(client.get("/nope").unwrap().status, 404);
+    assert_eq!(
+        client.request("DELETE", "/healthz", "").unwrap().status,
+        405
+    );
+    assert_eq!(client.get("/v1/classify/not-a-number").unwrap().status, 400);
 
     // wrong HTTP version: 505 and the connection closes
-    let mut old = Client::connect(server.local_addr());
-    old.stream
-        .write_all(b"GET /healthz HTTP/1.0\r\n\r\n")
-        .unwrap();
-    let response = old.read_response();
+    let mut old = Client::connect(server.local_addr()).unwrap();
+    old.send_raw(b"GET /healthz HTTP/1.0\r\n\r\n").unwrap();
+    let response = old.read_response().unwrap();
     assert_eq!(response.status, 505);
     assert_eq!(response.header("connection"), Some("close"));
 }
@@ -318,7 +228,7 @@ fn concurrent_socket_verdicts_are_byte_identical_to_in_process() {
         .map(|worker| {
             let (expected, apps) = (Arc::clone(&expected), Arc::clone(&apps));
             std::thread::spawn(move || {
-                let mut client = Client::connect(addr);
+                let mut client = Client::connect(addr).unwrap();
                 for round in 0..20 {
                     for (i, app) in apps.iter().enumerate() {
                         // exercise both accepted id spellings
@@ -327,11 +237,10 @@ fn concurrent_socket_verdicts_are_byte_identical_to_in_process() {
                         } else {
                             format!("/v1/classify/{}", app.raw())
                         };
-                        let response = client.get(&path);
+                        let response = client.get(&path).unwrap();
                         assert_eq!(response.status, 200);
                         assert_eq!(
-                            response.body_str(),
-                            expected[i],
+                            response.body, expected[i],
                             "socket verdict differs from in-process for {app:?}"
                         );
                     }
@@ -359,15 +268,15 @@ fn saturated_scorer_pool_answers_429_with_retry_after() {
     feed_app(&service, AppId(7), true, 2);
     let server = Server::bind(Arc::clone(&service), "127.0.0.1:0", NetConfig::default()).unwrap();
 
-    let mut stuck = Client::connect(server.local_addr());
-    stuck.send("GET", "/v1/classify/7", "");
+    let mut stuck = Client::connect(server.local_addr()).unwrap();
+    stuck.send("GET", "/v1/classify/7", "").unwrap();
     // wait until the first request owns the queue slot
     while service.queue_depth() == 0 {
         std::thread::sleep(Duration::from_millis(1));
     }
 
-    let mut shed = Client::connect(server.local_addr());
-    let response = shed.get("/v1/classify/7");
+    let mut shed = Client::connect(server.local_addr()).unwrap();
+    let response = shed.get("/v1/classify/7").unwrap();
     assert_eq!(response.status, 429);
     assert_eq!(
         response.header("retry-after"),
@@ -375,7 +284,7 @@ fn saturated_scorer_pool_answers_429_with_retry_after() {
         "9ms rounds up to the 1-second header floor"
     );
     assert_eq!(
-        response.body_str(),
+        response.body,
         r#"{"error":{"Overloaded":{"retry_after_ms":9}},"retry_after_ms":9}"#
     );
 
@@ -386,6 +295,57 @@ fn saturated_scorer_pool_answers_429_with_retry_after() {
         "the shed connection is read-paused: {snapshot}"
     );
     assert_eq!(service.metrics().rejected, 1);
+}
+
+#[test]
+fn router_read_pause_holds_while_the_shedding_group_is_full() {
+    // Two groups of stalled pools, one queue slot each. A 429 comes from
+    // one group's full queue; summed over groups that queue is only half
+    // full, yet the shed connection must stay paused until *its* group
+    // drains — which here is never.
+    let router = Arc::new(ShardRouter::new(
+        tiny_model(),
+        KnownMaliciousNames::from_names(["profile viewer"]),
+        Shortener::bitly(),
+        ShardConfig {
+            groups: 2,
+            mailbox_capacity: 64,
+            group: ServeConfig {
+                shards: 1,
+                workers: 0,
+                queue_capacity: 1,
+                batch_size: 1,
+                retry_after_ms: 9,
+            },
+        },
+    ));
+    for event in app_events(AppId(7), true, 2) {
+        router.ingest(&event).unwrap();
+    }
+    router.flush();
+    let server = Server::bind(Arc::clone(&router), "127.0.0.1:0", NetConfig::default()).unwrap();
+
+    let mut stuck = Client::connect(server.local_addr()).unwrap();
+    stuck.send("GET", "/v1/classify/7", "").unwrap();
+    while router.queue_depth() == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    // Three pipelined classifies into the full group: the first is shed,
+    // the other two must wait behind the read pause.
+    let mut shed = Client::connect(server.local_addr()).unwrap();
+    for _ in 0..3 {
+        shed.send("GET", "/v1/classify/7", "").unwrap();
+    }
+    assert_eq!(shed.read_response().unwrap().status, 429);
+    std::thread::sleep(Duration::from_millis(50));
+
+    let scrape = router.exposition().to_prometheus_text();
+    assert!(scrape.contains("net_http_429 1\n"), "{scrape}");
+    assert!(
+        scrape.contains("net_read_stalls 1\n"),
+        "the shed connection stays read-paused: {scrape}"
+    );
 }
 
 #[test]
@@ -441,13 +401,13 @@ fn fenced_hot_swap_under_load_drops_and_stales_nothing() {
         .map(|_| {
             let (progress, apps) = (Arc::clone(&progress), Arc::clone(&apps));
             std::thread::spawn(move || {
-                let mut client = Client::connect(addr);
+                let mut client = Client::connect(addr).unwrap();
                 let mut bodies = Vec::with_capacity(REQUESTS);
                 for i in 0..REQUESTS {
                     let app = apps[i % apps.len()];
-                    let response = client.get(&format!("/v1/classify/{}", app.raw()));
-                    assert_eq!(response.status, 200, "{}", response.body_str());
-                    bodies.push((i % apps.len(), response.body_str().to_string()));
+                    let response = client.get(&format!("/v1/classify/{}", app.raw())).unwrap();
+                    assert_eq!(response.status, 200, "{}", response.body);
+                    bodies.push((i % apps.len(), response.body));
                     progress.fetch_add(1, Ordering::Relaxed);
                 }
                 bodies
@@ -486,10 +446,10 @@ fn fenced_hot_swap_under_load_drops_and_stales_nothing() {
     }
 
     // every verdict after the dust settles matches in-process exactly
-    let mut client = Client::connect(addr);
+    let mut client = Client::connect(addr).unwrap();
     for (i, &app) in apps.iter().enumerate() {
-        let response = client.get(&format!("/v1/classify/{}", app.raw()));
-        assert_eq!(response.body_str(), v1[i], "post-rollback parity");
+        let response = client.get(&format!("/v1/classify/{}", app.raw())).unwrap();
+        assert_eq!(response.body, v1[i], "post-rollback parity");
     }
 
     let snapshot = service.obs_registry().snapshot().to_prometheus_text();

@@ -14,8 +14,6 @@
 //!   on (keep-everything sampling) and off — observation never perturbs
 //!   the result.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -26,6 +24,7 @@ use frappe_lifecycle::{
     DriftConfig, DriftDetector, LifecycleManager, ModelRegistry, ModelSource, PromotionGate,
     PromotionOutcome,
 };
+use frappe_net::client::Client;
 use frappe_net::{NetConfig, Server};
 use frappe_obs::{CompletedTrace, TraceCollector, TraceConfig, TraceFlag};
 use frappe_serve::{FrappeService, ServeConfig, ServeEvent, ShardConfig, ShardRouter};
@@ -111,75 +110,10 @@ fn tail_only_collector() -> TraceCollector {
     })
 }
 
-// ----------------------------------------------------- tiny blocking client
-
-struct Client {
-    stream: TcpStream,
-    buf: Vec<u8>,
-}
-
-impl Client {
-    fn connect(addr: SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect to the edge");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        let _ = stream.set_nodelay(true);
-        Client {
-            stream,
-            buf: Vec::new(),
-        }
-    }
-
-    fn send(&mut self, method: &str, path: &str, body: &str) {
-        let request = format!(
-            "{method} {path} HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}",
-            body.len()
-        );
-        self.stream
-            .write_all(request.as_bytes())
-            .expect("write request");
-    }
-
-    fn read_response(&mut self) -> (u16, String) {
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            if let Some(head_len) = self
-                .buf
-                .windows(4)
-                .position(|w| w == b"\r\n\r\n")
-                .map(|i| i + 4)
-            {
-                let head = String::from_utf8(self.buf[..head_len - 4].to_vec()).unwrap();
-                let mut lines = head.split("\r\n");
-                let status: u16 = lines
-                    .next()
-                    .and_then(|l| l.split(' ').nth(1))
-                    .and_then(|s| s.parse().ok())
-                    .expect("status line");
-                let content_length: usize = lines
-                    .filter_map(|l| l.split_once(':'))
-                    .find(|(n, _)| n.eq_ignore_ascii_case("content-length"))
-                    .map(|(_, v)| v.trim().parse().expect("numeric content-length"))
-                    .unwrap_or(0);
-                if self.buf.len() >= head_len + content_length {
-                    let body =
-                        String::from_utf8(self.buf[head_len..head_len + content_length].to_vec())
-                            .unwrap();
-                    self.buf.drain(..head_len + content_length);
-                    return (status, body);
-                }
-            }
-            let n = self.stream.read(&mut chunk).expect("read response");
-            assert!(n > 0, "server closed mid-response");
-            self.buf.extend_from_slice(&chunk[..n]);
-        }
-    }
-
-    fn get(&mut self, path: &str) -> (u16, String) {
-        self.send("GET", path, "");
-        self.read_response()
-    }
+/// `GET path` over `client`, as `(status, body)`.
+fn get(client: &mut Client, path: &str) -> (u16, String) {
+    let response = client.get(path).expect("GET over the socket");
+    (response.status, response.body)
 }
 
 /// The causal skeleton every finished edge trace must have when the
@@ -224,14 +158,14 @@ fn shed_429_is_always_tail_sampled_from_accept_to_response_write() {
     service.set_trace_collector(collector.clone());
     let server = Server::bind(Arc::clone(&service), "127.0.0.1:0", NetConfig::default()).unwrap();
 
-    let mut stuck = Client::connect(server.local_addr());
-    stuck.send("GET", "/v1/classify/7", "");
+    let mut stuck = Client::connect(server.local_addr()).unwrap();
+    stuck.send("GET", "/v1/classify/7", "").unwrap();
     while service.queue_depth() == 0 {
         std::thread::sleep(Duration::from_millis(1));
     }
 
-    let mut shed = Client::connect(server.local_addr());
-    let (status, _) = shed.get("/v1/classify/7");
+    let mut shed = Client::connect(server.local_addr()).unwrap();
+    let (status, _) = get(&mut shed, "/v1/classify/7");
     assert_eq!(status, 429);
 
     // With head sampling off, only the tail keeps a trace — and the shed
@@ -265,8 +199,8 @@ fn shed_429_is_always_tail_sampled_from_accept_to_response_write() {
     // Check this FIRST: exemplars are latest-writer-wins per bucket, so
     // any traced request we make below could land in the shed's bucket
     // and replace its id.
-    let mut reader = Client::connect(server.local_addr());
-    let (status, metrics) = reader.get("/metrics");
+    let mut reader = Client::connect(server.local_addr()).unwrap();
+    let (status, metrics) = get(&mut reader, "/metrics");
     assert_eq!(status, 200);
     assert!(
         metrics.contains(&format!("trace_id=\"{:016x}\"", trace.id)),
@@ -274,11 +208,11 @@ fn shed_429_is_always_tail_sampled_from_accept_to_response_write() {
     );
 
     // The export routes serve the same story over the socket.
-    let (status, jsonl) = reader.get("/v1/traces");
+    let (status, jsonl) = get(&mut reader, "/v1/traces");
     assert_eq!(status, 200);
     assert!(jsonl.contains("shed_429"), "{jsonl}");
     assert!(jsonl.contains("\"outcome\":\"429\""), "{jsonl}");
-    let (status, chrome) = reader.get("/v1/traces/chrome");
+    let (status, chrome) = get(&mut reader, "/v1/traces/chrome");
     assert_eq!(status, 200);
     assert!(chrome.trim_start().starts_with('['), "{chrome}");
     assert!(chrome.contains("edge/write"), "{chrome}");
@@ -326,9 +260,9 @@ fn requests_in_flight_across_a_fenced_promote_are_tail_sampled() {
             std::thread::spawn(move || {
                 let mut i = tid;
                 while !stop.load(Ordering::Relaxed) {
-                    let mut client = Client::connect(addr);
+                    let mut client = Client::connect(addr).unwrap();
                     let app = apps[i % apps.len()];
-                    let (status, _) = client.get(&format!("/v1/classify/{}", app.raw()));
+                    let (status, _) = get(&mut client, &format!("/v1/classify/{}", app.raw()));
                     assert!(status == 200 || status == 429, "got {status}");
                     i += 1;
                 }
@@ -409,13 +343,13 @@ fn tracing_on_and_off_serve_bit_identical_verdict_bytes() {
     let (service_on, server_on, apps) = build(true);
     let (service_off, server_off, _) = build(false);
 
-    let mut on = Client::connect(server_on.local_addr());
-    let mut off = Client::connect(server_off.local_addr());
+    let mut on = Client::connect(server_on.local_addr()).unwrap();
+    let mut off = Client::connect(server_off.local_addr()).unwrap();
     for round in 0..3 {
         for &app in &apps {
             let path = format!("/v1/classify/{}", app.raw());
-            let (status_on, body_on) = on.get(&path);
-            let (status_off, body_off) = off.get(&path);
+            let (status_on, body_on) = get(&mut on, &path);
+            let (status_off, body_off) = get(&mut off, &path);
             assert_eq!(status_on, 200);
             assert_eq!(status_off, 200);
             assert_eq!(
@@ -433,13 +367,13 @@ fn tracing_on_and_off_serve_bit_identical_verdict_bytes() {
     }
 
     // The traced edge kept every request; the untraced one answers 404.
-    let (status, jsonl) = on.get("/v1/traces");
+    let (status, jsonl) = get(&mut on, "/v1/traces");
     assert_eq!(status, 200);
     assert!(
         jsonl.lines().filter(|l| !l.is_empty()).count() >= 3 * apps.len(),
         "head_every=1 keeps every finished classify"
     );
-    let (status, body) = off.get("/v1/traces");
+    let (status, body) = get(&mut off, "/v1/traces");
     assert_eq!(status, 404);
     assert_eq!(body, r#"{"error":"tracing disabled"}"#);
 }
@@ -534,9 +468,9 @@ fn forwarded_requests_keep_the_edge_trace_across_a_multi_group_promote() {
             std::thread::spawn(move || {
                 let mut i = tid;
                 while !stop.load(Ordering::Relaxed) {
-                    let mut client = Client::connect(addr);
+                    let mut client = Client::connect(addr).unwrap();
                     let app = apps[i % apps.len()];
-                    let (status, _) = client.get(&format!("/v1/classify/{}", app.raw()));
+                    let (status, _) = get(&mut client, &format!("/v1/classify/{}", app.raw()));
                     assert!(status == 200 || status == 429, "got {status}");
                     i += 1;
                 }

@@ -20,9 +20,10 @@ echo "==> cargo test -q -p frappe-serve --test catalog_parity (shard sweep 1/4/1
 cargo test -q -p frappe-serve --test catalog_parity
 
 echo "==> trace suite (request tracing, tail sampling, SLO windows)"
-# The trace collector is independent of the span profiler; run its and
-# the SLO windows' tests under their own banner so a regression there
-# fails fast.
+# Request spans are `frappe_obs::Span` guards that feed both the trace
+# and the profile table; run the trace collector's tests (the guard's
+# trace side included) and the SLO windows' tests under their own banner
+# so a regression there fails fast.
 cargo test -q -p frappe-obs trace
 cargo test -q -p frappe-obs slo
 
@@ -84,23 +85,29 @@ echo "==> end-to-end trace suite (socket accept to verdict, shed/swap tail sampl
 # response write; tracing on vs off leaves verdict bytes bit-identical.
 cargo test -q -p frappe-net --test trace
 
-echo "==> training bench, quick mode (serial vs parallel, BENCH_training.json)"
-cargo run --release -p frappe-bench --bin repro -- --small --bench-out BENCH_training.json
+# The quick benches below must run and succeed, but their numbers are
+# quick-mode throwaways: they land in target/ci-bench/, never over the
+# committed BENCH_*.json records (BENCH_scoring.json is a full-mode run).
+CI_BENCH=target/ci-bench
+mkdir -p "$CI_BENCH"
 
-echo "==> lifecycle bench, quick mode (retrain/swap/shadow, BENCH_lifecycle.json)"
-cargo run --release -p frappe-bench --bin repro -- --small --lifecycle-bench-out BENCH_lifecycle.json
+echo "==> training bench, quick mode (serial vs parallel, $CI_BENCH/BENCH_training.json)"
+cargo run --release -p frappe-bench --bin repro -- --small --bench-out "$CI_BENCH/BENCH_training.json"
 
-echo "==> edge bench, quick mode (socket ingest/classify/shed/drain, BENCH_edge.json)"
-cargo run --release -p frappe-bench --bin repro -- --small --edge-bench-out BENCH_edge.json
+echo "==> lifecycle bench, quick mode (retrain/swap/shadow, $CI_BENCH/BENCH_lifecycle.json)"
+cargo run --release -p frappe-bench --bin repro -- --small --lifecycle-bench-out "$CI_BENCH/BENCH_lifecycle.json"
 
-echo "==> shard bench, quick mode (group scaling + zero-stale swap leg, BENCH_shard.json)"
-cargo run --release -p frappe-bench --bin repro -- --small --shard-bench-out BENCH_shard.json
+echo "==> edge bench, quick mode (socket ingest/classify/shed/drain, $CI_BENCH/BENCH_edge.json)"
+cargo run --release -p frappe-bench --bin repro -- --small --edge-bench-out "$CI_BENCH/BENCH_edge.json"
 
-echo "==> scoring bench, quick mode (scalar/SIMD kernels, BENCH_scoring.json)"
-cargo run --release -p frappe-bench --bin repro -- --small --scoring-bench-out BENCH_scoring.json
+echo "==> shard bench, quick mode (group scaling + zero-stale swap leg, $CI_BENCH/BENCH_shard.json)"
+cargo run --release -p frappe-bench --bin repro -- --small --shard-bench-out "$CI_BENCH/BENCH_shard.json"
 
-echo "==> gauntlet bench, quick mode (adversarial scenarios, BENCH_gauntlet.json)"
-cargo run --release -p frappe-bench --bin repro -- --small --gauntlet-bench-out BENCH_gauntlet.json
+echo "==> scoring bench, quick mode (scalar/SIMD kernels, $CI_BENCH/BENCH_scoring.json)"
+cargo run --release -p frappe-bench --bin repro -- --small --scoring-bench-out "$CI_BENCH/BENCH_scoring.json"
+
+echo "==> gauntlet bench, quick mode (adversarial scenarios, $CI_BENCH/BENCH_gauntlet.json)"
+cargo run --release -p frappe-bench --bin repro -- --small --gauntlet-bench-out "$CI_BENCH/BENCH_gauntlet.json"
 
 echo "==> benchmark crate (its own workspace: build + harness tests)"
 # benchmark/ is not a member of the root workspace, yet it calls

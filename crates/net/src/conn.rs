@@ -23,7 +23,7 @@ use std::io::{self, Read as _, Write as _};
 use std::net::TcpStream;
 use std::time::Instant;
 
-use frappe_obs::{SpanId, TraceHandle};
+use frappe_obs::{Span, TraceHandle};
 use frappe_serve::PendingVerdict;
 
 use crate::http::{Limits, RequestParser};
@@ -35,27 +35,30 @@ pub(crate) enum Phase {
     /// A classify request is queued on the scorer pool; the loop polls
     /// the handle each tick. `keep_alive` is the parsed request's.
     Scoring {
-        /// The pollable verdict handle.
-        pending: PendingVerdict,
+        /// The pollable verdict handle (boxed: it carries span guards,
+        /// and an idle connection should not pay for them).
+        pending: Box<PendingVerdict>,
         /// Whether to keep the connection after answering.
         keep_alive: bool,
         /// When the request finished parsing (feeds the latency histogram).
         started: Instant,
-        /// The request's trace (handle + root span); handed back to the
-        /// loop with the verdict so the response write is traced too.
-        trace: Option<(TraceHandle, SpanId)>,
+        /// The request's trace (handle + open `edge/request` root guard);
+        /// handed back to the loop with the verdict so the response write
+        /// is traced too.
+        trace: Option<(TraceHandle, Span)>,
     },
 }
 
 /// A response whose bytes are enqueued but not yet flushed, with the
 /// trace waiting on that flush. `target` is the connection's cumulative
 /// enqueued-byte watermark at which this response is fully on the wire —
-/// the trace's `edge/write` span (and the trace itself) finishes when
-/// `flushed_total` reaches it.
+/// the trace finishes when `flushed_total` reaches it, closing the
+/// still-open `edge/request` and `edge/write` spans whose guards ride
+/// here.
 pub(crate) struct PendingWrite {
     pub(crate) handle: TraceHandle,
-    pub(crate) root: SpanId,
-    pub(crate) write_span: SpanId,
+    pub(crate) _root: Span,
+    pub(crate) _write: Span,
     pub(crate) outcome: String,
     pub(crate) target: u64,
 }
@@ -131,8 +134,6 @@ impl Conn {
             .is_some_and(|w| w.target <= self.flushed_total)
         {
             let w = self.write_traces.remove(0);
-            w.handle.end_span(w.write_span);
-            w.handle.end_span(w.root);
             w.handle.finish(&w.outcome);
         }
     }
@@ -142,8 +143,6 @@ impl Conn {
     /// it out.
     pub(crate) fn abort_write_traces(&mut self) {
         for w in self.write_traces.drain(..) {
-            w.handle.end_span(w.write_span);
-            w.handle.end_span(w.root);
             w.handle.finish("aborted");
         }
     }

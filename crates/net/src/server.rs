@@ -56,7 +56,7 @@ use std::time::{Duration, Instant};
 
 use frappe_lifecycle::SwapFence;
 use frappe_obs::{
-    Clock, Counter, Gauge, Histogram, LifecycleEvent, SloConfig, SloWindow, SpanId, TraceCollector,
+    Clock, Counter, Gauge, Histogram, LifecycleEvent, SloConfig, SloWindow, Span, TraceCollector,
     TraceFlag, TraceHandle, WallClock,
 };
 use frappe_serve::metrics::LATENCY_BOUNDS_MICROS;
@@ -670,7 +670,7 @@ impl EventLoop {
                         }
                         Routed::Score(pending) => {
                             conn.phase = Phase::Scoring {
-                                pending,
+                                pending: Box::new(pending),
                                 keep_alive: request.keep_alive,
                                 started,
                                 trace,
@@ -702,7 +702,7 @@ impl EventLoop {
         &self,
         conn: &mut Conn,
         request: &Request,
-    ) -> Option<(TraceHandle, SpanId)> {
+    ) -> Option<(TraceHandle, Span)> {
         let tc = self.trace.as_ref()?;
         let handle = tc.begin("edge");
         if !conn.accept_traced {
@@ -711,7 +711,7 @@ impl EventLoop {
             let elapsed = u64::try_from(conn.accepted_at.elapsed().as_micros()).unwrap_or(u64::MAX);
             handle.span_at("edge/accept", None, now.saturating_sub(elapsed), now);
         }
-        let root = handle.start_span("edge/request", None);
+        let root = frappe_obs::span_in("edge/request", Some((&handle, None)));
         let verb = match request.method {
             Method::Get => "GET",
             Method::Post => "POST",
@@ -721,7 +721,7 @@ impl EventLoop {
         Some((handle, root))
     }
 
-    fn route(&self, request: &Request, trace: Option<&(TraceHandle, SpanId)>) -> Routed {
+    fn route(&self, request: &Request, trace: Option<&(TraceHandle, Span)>) -> Routed {
         let done = |response| Routed::Done {
             response,
             pause_reads: false,
@@ -762,7 +762,7 @@ impl EventLoop {
                     );
                     return done(Response::json(400, body.into_bytes()));
                 };
-                let edge_trace = trace.map(|(handle, root)| (handle.clone(), Some(*root)));
+                let edge_trace = trace.map(|(handle, root)| (handle.clone(), root.id()));
                 match self.service.classify_traced(app, edge_trace) {
                     Ok(pending) => Routed::Score(pending),
                     Err(err) => {
@@ -859,7 +859,7 @@ impl EventLoop {
         mut response: Response,
         keep_alive: bool,
         started: Option<Instant>,
-        trace: Option<(TraceHandle, SpanId)>,
+        trace: Option<(TraceHandle, Span)>,
     ) {
         if !keep_alive {
             response.close = true;
@@ -890,11 +890,11 @@ impl EventLoop {
             }
             // the response is buffered, not yet on the wire: the trace
             // finishes when the flush watermark passes `target`
-            let write_span = handle.start_span("edge/write", Some(root));
+            let write = frappe_obs::span_in("edge/write", Some((&handle, root.id())));
             conn.write_traces.push(PendingWrite {
                 handle,
-                root,
-                write_span,
+                _root: root,
+                _write: write,
                 outcome: status.to_string(),
                 target: conn.enqueued_total,
             });

@@ -3,16 +3,18 @@
 //! The paper is a measurement study: §4–§6 are tables of counts, rates,
 //! and per-feature evidence. This crate gives the reproduction's pipeline
 //! (crawler → pagekeeper → feature extraction → SVM → serve) the same
-//! accounting discipline at runtime, in three layers:
+//! accounting discipline at runtime, in six modules:
 //!
 //! * [`metrics`] + [`registry`] — atomic counters, gauges, and
 //!   fixed-bucket histograms behind named `Arc` handles; registration
 //!   takes a short lock once, recording is lock-free and allocation-free.
 //!   Snapshots export as Prometheus text or JSONL.
-//! * [`mod@span`] — RAII scoped timers with `outer/inner` path nesting,
-//!   aggregated into a bounded per-stage profile table. A runtime toggle
-//!   (env var [`ENV_TOGGLE`], or [`set_spans_enabled`]) reduces a
-//!   disabled span to one relaxed atomic load.
+//! * [`mod@span`] — the one span guard, [`Span`]. Every guard records
+//!   into a bounded per-stage profile table; [`span()`] nests by
+//!   `outer/inner` thread path, and [`span_in`] also opens a child span
+//!   in the request's trace and closes it on drop. A runtime toggle (env
+//!   var [`ENV_TOGGLE`], or [`set_spans_enabled`]) reduces an untraced,
+//!   disabled guard to one relaxed atomic load.
 //! * [`audit`] — structured verdict records carrying per-feature
 //!   contributions (`weight × value`) that sum, with the bias, back to
 //!   the decision value. Linear kernels only; producers skip records for
@@ -25,13 +27,14 @@
 //!   `trace_event` JSON.
 //! * [`slo`] — rolling per-second windows turning request outcomes into
 //!   burn-rate and error-budget-remaining gauges (`slo_*`).
-//! * [`clock`] — the injectable time source everything above stamps
-//!   with, so exports are byte-deterministic under a [`ManualClock`].
+//! * [`clock`] — the injectable time source traces, SLO windows and
+//!   stamped metric exports use, so they are byte-deterministic under a
+//!   [`ManualClock`] (span durations in the profile table are wall time).
 //!
-//! Consumers share the process-wide [`Registry::global`] and
-//! [`Profiler::global`], or create private instances where isolation
-//! matters (each `frappe-serve` service owns its registry so concurrent
-//! services — and tests — never share counters).
+//! Spans record into the process-wide [`Profiler::global`]. Metric
+//! consumers share [`Registry::global`] or create private registries
+//! where isolation matters (each `frappe-serve` service owns its registry
+//! so concurrent services — and tests — never share counters).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,7 +53,8 @@ pub use metrics::{Counter, ExemplarSnapshot, Gauge, Histogram, HistogramSnapshot
 pub use registry::{escape_label_value, MetricSnapshot, MetricValue, Registry, RegistrySnapshot};
 pub use slo::{SloConfig, SloReport, SloWindow};
 pub use span::{
-    set_spans_enabled, span, spans_enabled, ProfileSnapshot, Profiler, Span, StageRow, ENV_TOGGLE,
+    set_spans_enabled, span, span_in, spans_enabled, ProfileSnapshot, Profiler, Span, StageRow,
+    ENV_TOGGLE,
 };
 pub use trace::{
     AlarmRecord, CompletedSpan, CompletedTrace, LifecycleEvent, SpanId, TraceCollector,

@@ -1,15 +1,19 @@
-//! Scoped span timers aggregated into a per-stage profile table.
+//! The one span guard: timers aggregated into a per-stage profile
+//! table, optionally joined to a per-request trace.
 //!
-//! A [`Span`] is an RAII guard: creating it pushes a segment onto a
-//! thread-local path stack and starts a clock, dropping it records the
-//! elapsed time against the full `outer/inner` path in a [`Profiler`].
-//! Aggregation keeps only count/total/min/max per path, so memory stays
-//! bounded no matter how hot the instrumented loop is.
+//! A [`Span`] is an RAII guard. While the runtime toggle is on, dropping
+//! it records its [`Instant`]-measured duration in [`Profiler::global`],
+//! which keeps only count/total/min/max per key, so memory stays bounded no
+//! matter how hot the instrumented loop is. [`span`] nests: it keys its
+//! row by the `outer/inner` path of the spans open on this thread.
+//! [`span_in`] keys by its own name and leaves that path alone, so its
+//! guard may be dropped on any thread; when the request carries a
+//! [`TraceHandle`] it also opens a child span in that trace, closed on
+//! drop.
 //!
-//! One runtime toggle keeps the overhead honest: it is initialised from
-//! the [`ENV_TOGGLE`] environment variable and overridable with
-//! [`set_spans_enabled`], and while it is off a span creation is a single
-//! relaxed atomic load.
+//! The toggle is initialised from the [`ENV_TOGGLE`] environment
+//! variable and overridable with [`set_spans_enabled`]. While it is off
+//! and no trace rides along, creating a span is one relaxed atomic load.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -19,6 +23,8 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+
+use crate::trace::{SpanId, TraceHandle};
 
 /// Environment variable consulted (once, lazily) for the runtime toggle.
 /// Set it to `1`, `true`, or `on` to enable span recording.
@@ -73,7 +79,9 @@ impl StageStats {
     }
 }
 
-/// Thread-safe sink for span timings.
+/// Thread-safe sink for span timings. Spans record into
+/// [`Profiler::global`]; a private instance aggregates direct
+/// [`record`](Self::record) calls.
 #[derive(Default)]
 pub struct Profiler {
     stages: Mutex<BTreeMap<String, StageStats>>,
@@ -85,30 +93,10 @@ impl Profiler {
         Self::default()
     }
 
-    /// The process-wide profiler that [`span`] records into.
+    /// The process-wide profiler every [`Span`] records into.
     pub fn global() -> &'static Profiler {
         static GLOBAL: OnceLock<Profiler> = OnceLock::new();
         GLOBAL.get_or_init(Profiler::new)
-    }
-
-    /// Open a span against this profiler. Records on drop if spans are
-    /// enabled; otherwise the guard is inert.
-    pub fn span<'p>(&'p self, name: &'static str) -> Span<'p> {
-        if !spans_enabled() {
-            return Span { active: None };
-        }
-        let path = SPAN_PATH.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            stack.push(name);
-            stack.join("/")
-        });
-        Span {
-            active: Some(ActiveSpan {
-                profiler: self,
-                path,
-                start: Instant::now(),
-            }),
-        }
     }
 
     /// Record one timing directly (what a [`Span`] does on drop).
@@ -154,35 +142,91 @@ impl Profiler {
     }
 }
 
-/// Open a span against the global profiler.
+/// Open a scoped span, keyed by the `outer/inner` path of the spans open
+/// on this thread. Drop it on the thread that opened it.
 ///
 /// Bind the result to a named variable (`let _span = obs::span(..)`), not
 /// `_`, which would drop it immediately and record a zero-length stage.
 #[must_use = "a span records on drop; binding to _ drops it immediately"]
-pub fn span(name: &'static str) -> Span<'static> {
-    Profiler::global().span(name)
+pub fn span(name: &'static str) -> Span {
+    let timing = spans_enabled().then(|| {
+        let path = SPAN_PATH.with(|stack| {
+            let mut stack = stack.borrow_mut();
+            stack.push(name);
+            stack.join("/")
+        });
+        Timing {
+            key: Key::Path(path),
+            start: Instant::now(),
+        }
+    });
+    Span {
+        timing,
+        trace: None,
+    }
 }
 
-struct ActiveSpan<'p> {
-    profiler: &'p Profiler,
-    path: String,
+/// Open a request span, keyed by `name` alone, so it may be dropped on
+/// any thread. With `Some((handle, parent))` it also opens `name` under
+/// `parent` in that trace.
+#[must_use = "a span records on drop; binding to _ drops it immediately"]
+pub fn span_in(name: &'static str, trace: Option<(&TraceHandle, Option<SpanId>)>) -> Span {
+    Span {
+        timing: spans_enabled().then(|| Timing {
+            key: Key::Name(name),
+            start: Instant::now(),
+        }),
+        trace: trace.map(|(handle, parent)| (handle.clone(), handle.open_span(name, parent))),
+    }
+}
+
+struct Timing {
+    key: Key,
     start: Instant,
 }
 
-/// RAII timing guard returned by [`span`] / [`Profiler::span`].
-#[must_use = "a span records on drop; binding to _ drops it immediately"]
-pub struct Span<'p> {
-    active: Option<ActiveSpan<'p>>,
+/// The profile row a guard records into.
+enum Key {
+    /// A scoped span's joined thread path; popped off the stack on drop.
+    Path(String),
+    /// A request span's own name; the stack is never touched.
+    Name(&'static str),
 }
 
-impl Drop for Span<'_> {
+/// RAII span guard returned by [`span`] and [`span_in`]: records its
+/// duration into [`Profiler::global`] and closes its trace span on drop.
+#[must_use = "a span records on drop; binding to _ drops it immediately"]
+pub struct Span {
+    timing: Option<Timing>,
+    trace: Option<(TraceHandle, SpanId)>,
+}
+
+impl Span {
+    /// This span's id in the trace it joined, for parenting children;
+    /// `None` when no trace rides along.
+    pub fn id(&self) -> Option<SpanId> {
+        self.trace.as_ref().map(|(_, id)| *id)
+    }
+}
+
+impl Drop for Span {
     fn drop(&mut self) {
-        if let Some(active) = self.active.take() {
-            let elapsed_ns = active.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            active.profiler.record(&active.path, elapsed_ns);
-            SPAN_PATH.with(|stack| {
-                stack.borrow_mut().pop();
-            });
+        let timing = self.timing.take().map(|t| (t.start.elapsed(), t));
+        if let Some((handle, id)) = self.trace.take() {
+            handle.close_span(id);
+        }
+        if let Some((elapsed, timing)) = timing {
+            let elapsed_ns = elapsed.as_nanos().min(u64::MAX as u128) as u64;
+            let profiler = Profiler::global();
+            match timing.key {
+                Key::Path(path) => {
+                    profiler.record(&path, elapsed_ns);
+                    SPAN_PATH.with(|stack| {
+                        stack.borrow_mut().pop();
+                    });
+                }
+                Key::Name(name) => profiler.record(name, elapsed_ns),
+            }
         }
     }
 }
@@ -223,11 +267,9 @@ impl ProfileSnapshot {
         if self.stages.is_empty() {
             return "(no spans recorded — set FRAPPE_OBS=1 or pass --profile)\n".to_owned();
         }
-        let header = ["stage", "count", "total", "mean", "min", "max"];
-        let rows: Vec<[String; 6]> = self
-            .stages
-            .iter()
-            .map(|s| {
+        let header = ["stage", "count", "total", "mean", "min", "max"].map(str::to_owned);
+        let rows: Vec<[String; 6]> = std::iter::once(header)
+            .chain(self.stages.iter().map(|s| {
                 [
                     s.path.clone(),
                     s.count.to_string(),
@@ -236,39 +278,18 @@ impl ProfileSnapshot {
                     fmt_ns(s.min_ns),
                     fmt_ns(s.max_ns),
                 ]
-            })
+            }))
             .collect();
-        let mut widths = [0usize; 6];
-        for (i, h) in header.iter().enumerate() {
-            widths[i] = h.len();
-        }
-        for row in &rows {
-            for (i, cell) in row.iter().enumerate() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
+        let widths: [usize; 6] =
+            std::array::from_fn(|i| rows.iter().map(|row| row[i].len()).max().unwrap_or(0));
         let mut out = String::new();
-        let emit = |out: &mut String, cells: [&str; 6], widths: &[usize; 6]| {
+        for row in &rows {
             // first column left-aligned, numbers right-aligned
-            out.push_str(&format!("{:<w$}", cells[0], w = widths[0]));
-            for i in 1..6 {
-                out.push_str(&format!("  {:>w$}", cells[i], w = widths[i]));
+            out.push_str(&format!("{:<w$}", row[0], w = widths[0]));
+            for (cell, w) in row.iter().zip(widths).skip(1) {
+                out.push_str(&format!("  {cell:>w$}"));
             }
             out.push('\n');
-        };
-        emit(
-            &mut out,
-            [
-                header[0], header[1], header[2], header[3], header[4], header[5],
-            ],
-            &widths,
-        );
-        for row in &rows {
-            emit(
-                &mut out,
-                [&row[0], &row[1], &row[2], &row[3], &row[4], &row[5]],
-                &widths,
-            );
         }
         out
     }
@@ -295,22 +316,31 @@ mod tests {
     /// overlap.
     static TOGGLE_GUARD: Mutex<()> = Mutex::new(());
 
+    /// Rows of the process-wide profile whose path starts with `prefix`:
+    /// each test records under names of its own.
+    fn rows(prefix: &str) -> Vec<StageRow> {
+        let stages = Profiler::global().snapshot().stages;
+        stages
+            .into_iter()
+            .filter(|s| s.path.starts_with(prefix))
+            .collect()
+    }
+
     #[test]
     fn nested_spans_build_slash_paths() {
         let _guard = TOGGLE_GUARD.lock();
         set_spans_enabled(true);
-        let p = Profiler::new();
         {
-            let _outer = p.span("outer");
-            let _inner = p.span("inner");
+            let _outer = span("nested");
+            let _inner = span("inner");
         }
         {
-            let _solo = p.span("solo");
+            let _solo = span("nested_solo");
         }
-        let snap = p.snapshot();
-        let paths: Vec<&str> = snap.stages.iter().map(|s| s.path.as_str()).collect();
-        assert_eq!(paths, vec!["outer", "outer/inner", "solo"]);
-        for row in &snap.stages {
+        let rows = rows("nested");
+        let paths: Vec<&str> = rows.iter().map(|s| s.path.as_str()).collect();
+        assert_eq!(paths, vec!["nested", "nested/inner", "nested_solo"]);
+        for row in &rows {
             assert_eq!(row.count, 1);
             assert!(row.min_ns <= row.max_ns);
         }
@@ -318,14 +348,44 @@ mod tests {
     }
 
     #[test]
+    fn traced_guard_keys_by_name_and_leaves_the_path_stack_alone() {
+        let _guard = TOGGLE_GUARD.lock();
+        set_spans_enabled(true);
+        let clock = std::sync::Arc::new(crate::ManualClock::at(0));
+        let tc = crate::TraceCollector::with_clock(crate::TraceConfig::default(), clock.clone());
+        let t = tc.begin("classify");
+        {
+            let _outer = span("traced");
+            let score = span_in("traced_score", Some((&t, None)));
+            let _inner = span("inner"); // nests under `traced` alone
+            clock.advance(9);
+            std::thread::scope(|scope| {
+                scope.spawn(move || drop(score));
+            });
+        }
+        let paths: Vec<String> = rows("traced").into_iter().map(|s| s.path).collect();
+        assert_eq!(paths, vec!["traced", "traced/inner", "traced_score"]);
+        SPAN_PATH.with(|stack| assert!(stack.borrow().is_empty(), "stack unwound"));
+        t.flag(crate::TraceFlag::Slow);
+        t.finish("ok");
+        let score = tc.snapshot()[0].span("traced_score").cloned().unwrap();
+        assert_eq!(
+            (score.start_us, score.end_us),
+            (0, 9),
+            "closed on the other thread"
+        );
+        set_spans_enabled(false);
+    }
+
+    #[test]
     fn disabled_spans_record_nothing() {
         let _guard = TOGGLE_GUARD.lock();
         set_spans_enabled(false);
-        let p = Profiler::new();
         {
-            let _s = p.span("quiet");
+            let _s = span("quiet");
+            let _r = span_in("quiet_request", None);
         }
-        assert!(p.snapshot().is_empty());
+        assert!(rows("quiet").is_empty());
     }
 
     #[test]

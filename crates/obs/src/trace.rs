@@ -433,15 +433,11 @@ impl TraceCollector {
     /// Record an alarm carrying up to `max_exemplars` recently kept
     /// trace ids (newest first) and return it.
     pub fn alarm(&self, name: &str, detail: &str, max_exemplars: usize) -> AlarmRecord {
-        let exemplars: Vec<u64> = {
-            let recent = self.shared.recent_kept.lock();
-            recent.iter().rev().take(max_exemplars).copied().collect()
-        };
         let record = AlarmRecord {
             ts_us: self.shared.clock.now_micros(),
             name: name.to_owned(),
             detail: detail.to_owned(),
-            exemplar_trace_ids: exemplars,
+            exemplar_trace_ids: self.recent_kept_ids(max_exemplars),
         };
         self.shared.alarms.lock().push(record.clone());
         record
@@ -570,9 +566,9 @@ impl TraceHandle {
         self.collector.clock.now_micros()
     }
 
-    /// Open a span starting now. Returns its id for `end_span` and for
-    /// parenting children.
-    pub fn start_span(&self, name: &'static str, parent: Option<SpanId>) -> SpanId {
+    /// Open a span starting now; [`crate::span_in`] is the public way in,
+    /// and its guard closes the span on drop.
+    pub(crate) fn open_span(&self, name: &'static str, parent: Option<SpanId>) -> SpanId {
         let now = self.collector.clock.now_micros();
         self.push_span(name, parent, now, None)
     }
@@ -613,9 +609,10 @@ impl TraceHandle {
         SpanId(id)
     }
 
-    /// Close an open span now. Unknown or already-closed ids are
-    /// ignored.
-    pub fn end_span(&self, span: SpanId) {
+    /// Close an open span now (a [`crate::Span`] guard's drop). Unknown
+    /// or already-closed ids — and every id once the trace has finished —
+    /// are ignored.
+    pub(crate) fn close_span(&self, span: SpanId) {
         let now = self.collector.clock.now_micros();
         let mut body = self.trace.body.lock();
         if let Some(rec) = body.spans.iter_mut().find(|s| s.id == span.0) {
@@ -641,12 +638,8 @@ impl TraceHandle {
         self.trace.flags.fetch_or(flag.bit(), Ordering::Relaxed);
     }
 
-    /// Whether the given flag is already set.
-    pub fn has_flag(&self, flag: TraceFlag) -> bool {
-        self.trace.flags.load(Ordering::Relaxed) & flag.bit() != 0
-    }
-
-    /// Finish the trace: close open spans, apply the latency tail rule,
+    /// Finish the trace: close every still-open span at this timestamp
+    /// (guards dropped later change nothing), apply the latency tail rule,
     /// decide keep-or-drop, and (if kept) publish into the ring.
     /// Idempotent — only the first call wins. Returns whether the trace
     /// was kept.
@@ -732,11 +725,6 @@ impl TraceHandle {
         *s.slots[idx as usize].lock() = Some(completed);
         true
     }
-
-    /// Whether `finish` has already run.
-    pub fn is_finished(&self) -> bool {
-        self.trace.finished.load(Ordering::Acquire)
-    }
 }
 
 /// SplitMix64 finalizer — the head-sampling hash. Deterministic and
@@ -752,6 +740,7 @@ fn splitmix64(mut x: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::clock::ManualClock;
+    use crate::span::span_in;
 
     fn collector(config: TraceConfig) -> (TraceCollector, Arc<ManualClock>) {
         let clock = Arc::new(ManualClock::at(1_000));
@@ -782,12 +771,12 @@ mod tests {
     fn flagged_traces_are_always_kept_with_causal_spans() {
         let (tc, clock) = collector(tail_only());
         let t = tc.begin("edge");
-        let root = t.start_span("edge/request", None);
+        let request = span_in("edge/request", Some((&t, None)));
         clock.advance(10);
-        let score = t.start_span("serve/score", Some(root));
+        let score = span_in("serve/score", Some((&t, request.id())));
         t.event("cache_miss", "gen=1");
         clock.advance(20);
-        t.end_span(score);
+        drop(score);
         t.flag(TraceFlag::Shed429);
         clock.advance(5);
         assert!(t.finish("429"));
@@ -809,6 +798,45 @@ mod tests {
             "open spans close at finish"
         );
         assert_eq!(trace.events[0].name, "cache_miss");
+    }
+
+    #[test]
+    fn finish_closes_every_open_span_at_the_finish_timestamp() {
+        let (tc, clock) = collector(tail_only());
+        let t = tc.begin("edge");
+        let outer = span_in("edge/request", Some((&t, None)));
+        clock.advance(3);
+        let inner = span_in("serve/score", Some((&t, outer.id())));
+        clock.advance(4);
+        t.flag(TraceFlag::Shed429);
+        assert!(t.finish("429"));
+        clock.advance(50); // guards outliving the finish change nothing
+        drop((inner, outer));
+        let ends: Vec<u64> = tc.snapshot()[0].spans.iter().map(|s| s.end_us).collect();
+        assert_eq!(ends, vec![1_007, 1_007]);
+    }
+
+    #[test]
+    fn guard_dropped_on_an_early_return_closes_its_span() {
+        let (tc, clock) = collector(tail_only());
+        let t = tc.begin("edge");
+        let lookup = |found: bool| -> Result<(), ()> {
+            let _eval = span_in("serve/model_eval", Some((&t, None)));
+            clock.advance(5);
+            found.then_some(()).ok_or(())?;
+            clock.advance(100);
+            Ok(())
+        };
+        assert!(lookup(false).is_err());
+        clock.advance(20);
+        t.flag(TraceFlag::Shed429);
+        assert!(t.finish("404"));
+        let eval = tc.snapshot()[0].span("serve/model_eval").cloned().unwrap();
+        assert_eq!(
+            (eval.start_us, eval.end_us),
+            (1_000, 1_005),
+            "closed by the guard"
+        );
     }
 
     #[test]
@@ -921,9 +949,9 @@ mod tests {
     fn jsonl_roundtrips_and_chrome_export_parses() {
         let (tc, clock) = collector(tail_only());
         let t = tc.begin("edge");
-        let root = t.start_span("edge/request", None);
+        let root = span_in("edge/request", Some((&t, None)));
         clock.advance(7);
-        t.end_span(root);
+        drop(root);
         t.flag(TraceFlag::InFlightDrain);
         t.finish("200");
 
@@ -951,7 +979,7 @@ mod tests {
         });
         let t = tc.begin("edge");
         for _ in 0..5 {
-            t.start_span("edge/request", None);
+            let _span = span_in("edge/request", Some((&t, None)));
         }
         t.finish("200");
         let kept = tc.snapshot();

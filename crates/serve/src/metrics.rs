@@ -52,37 +52,6 @@ impl LatencySnapshot {
             count: h.count,
         }
     }
-
-    /// Mean latency in µs (0 if nothing recorded).
-    pub fn mean_micros(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_micros as f64 / self.count as f64
-        }
-    }
-
-    /// Upper bound (µs) of the bucket containing quantile `q` ∈ [0, 1].
-    ///
-    /// A quantile landing in the unbounded overflow bucket reports the
-    /// last *finite* bound — the histogram cannot resolve beyond its top
-    /// edge, so it answers with the tightest bound it can defend rather
-    /// than refusing. `None` only when the histogram is empty.
-    pub fn quantile_bound_micros(&self, q: f64) -> Option<u64> {
-        if self.count == 0 || self.bounds_micros.is_empty() {
-            return None;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                let i = i.min(self.bounds_micros.len() - 1);
-                return Some(self.bounds_micros[i]);
-            }
-        }
-        self.bounds_micros.last().copied()
-    }
 }
 
 /// Live instruments for one service instance, registered under `serve_*`
@@ -314,50 +283,6 @@ mod tests {
         assert_eq!(s.cache_evictions, 4);
         assert_eq!(s.queue_depth, 5);
         assert_eq!(s.latency.count, 1);
-    }
-
-    #[test]
-    fn histogram_buckets_and_quantiles() {
-        let m = Metrics::default();
-        m.query_served(Duration::from_micros(1)); // bucket 0 (≤1)
-        m.query_served(Duration::from_micros(30)); // ≤50
-        m.query_served(Duration::from_micros(30)); // ≤50
-        m.query_served(Duration::from_micros(9_000)); // ≤10_000
-        m.query_served(Duration::from_secs(1)); // overflow
-        let s = m.snapshot(0).latency;
-        assert_eq!(s.count, 5);
-        assert_eq!(s.counts.iter().sum::<u64>(), 5);
-        assert_eq!(*s.counts.last().unwrap(), 1, "1s lands in overflow");
-        assert_eq!(s.quantile_bound_micros(0.5), Some(50));
-        assert_eq!(
-            s.quantile_bound_micros(1.0),
-            Some(10_000),
-            "overflow quantiles clamp to the last finite bound"
-        );
-        assert!(s.mean_micros() > 0.0);
-    }
-
-    #[test]
-    fn overflow_quantile_regression() {
-        // regression: a quantile landing in the +Inf bucket used to come
-        // back as None; it must clamp to the last finite bound instead.
-        let m = Metrics::default();
-        m.query_served(Duration::from_micros(5));
-        m.query_served(Duration::from_secs(2)); // overflow bucket
-        let s = m.snapshot(0).latency;
-        assert_eq!(s.quantile_bound_micros(0.5), Some(5));
-        assert_eq!(
-            s.quantile_bound_micros(0.99),
-            Some(*LATENCY_BOUNDS_MICROS.last().unwrap())
-        );
-        assert_eq!(s.quantile_bound_micros(1.0), Some(10_000));
-    }
-
-    #[test]
-    fn empty_histogram_is_well_defined() {
-        let s = Metrics::default().snapshot(0).latency;
-        assert_eq!(s.mean_micros(), 0.0);
-        assert_eq!(s.quantile_bound_micros(0.5), None);
     }
 
     #[test]

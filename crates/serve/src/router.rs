@@ -59,7 +59,9 @@ use crate::control::{ControlPlane, ControlStamp};
 use crate::event::ServeEvent;
 use crate::group::ShardGroup;
 use crate::metrics::{LatencySnapshot, MetricsSnapshot};
-use crate::service::{FrappeService, PendingVerdict, ServeConfig, ServeError, Verdict};
+use crate::service::{
+    join_or_mint, FrappeService, PendingVerdict, ServeConfig, ServeError, Verdict,
+};
 
 /// Counter families that every group bumps once per *shared* control
 /// mutation: summing them across groups would report one swap K times.
@@ -301,54 +303,29 @@ impl ShardRouter {
         edge_trace: Option<(TraceHandle, Option<SpanId>)>,
     ) -> Result<PendingVerdict, ServeError> {
         let g = self.group_of(app);
-        let (handle, root, owned) = match edge_trace {
-            Some((handle, parent)) => (Some(handle), parent, false),
-            None => match self.trace.read().clone() {
-                Some(collector) => {
-                    let handle = collector.begin("classify");
-                    let root = handle.start_span("route/classify", None);
-                    (Some(handle), Some(root), true)
-                }
-                None => (None, None, false),
-            },
-        };
+        let (handle, parent, root) = join_or_mint(edge_trace, &self.trace, "route/classify");
         if let Some(h) = &handle {
             h.event("route", format!("group={g}"));
         }
-        let forward = handle.as_ref().map(|h| h.start_span("route/forward", root));
-        let group_span = handle
-            .as_ref()
-            .map(|h| h.start_span("route/group_score", root));
+        let trace = handle.as_ref().map(|h| (h, parent));
+        let forward = frappe_obs::span_in("route/forward", trace);
+        let group_span = frappe_obs::span_in("route/group_score", trace);
         let submitted = self.groups[g]
             .service()
-            .classify_traced(app, handle.clone().map(|h| (h, group_span)));
-        if let (Some(h), Some(span)) = (&handle, forward) {
-            h.end_span(span);
-        }
+            .classify_traced(app, handle.clone().map(|h| (h, group_span.id())));
+        drop(forward);
         match submitted {
             Ok(mut pending) => {
                 self.metrics.classify_forwarded[g].inc();
-                if let Some(h) = handle {
-                    pending.set_route_trace(h, root, owned, group_span);
-                }
+                pending.set_route_spans(root, group_span);
                 Ok(pending)
             }
             Err(err) => {
                 // The group already flagged Shed429 and recorded the shed
-                // event on the handle; the router just closes its spans.
-                if let Some(h) = &handle {
-                    if let Some(span) = group_span {
-                        h.end_span(span);
-                    }
-                    if owned {
-                        if let Some(span) = root {
-                            h.end_span(span);
-                        }
-                        h.finish(match err {
-                            ServeError::Overloaded { .. } => "overloaded",
-                            _ => "shutting_down",
-                        });
-                    }
+                // event on the handle; the router finishes a trace it
+                // minted, and its guards close on return.
+                if let (Some(h), Some(_)) = (&handle, &root) {
+                    h.finish(err.outcome());
                 }
                 Err(err)
             }

@@ -24,7 +24,9 @@ use std::time::Instant;
 use crossbeam::channel::{Receiver, TryRecvError};
 use frappe::features::aggregation::KnownMaliciousNames;
 use frappe::{AppFeatures, FrappeModel, SharedKnownNames, SharedModel, VersionedModel};
-use frappe_obs::{AuditLog, AuditSource, Registry, SpanId, TraceCollector, TraceFlag, TraceHandle};
+use frappe_obs::{
+    AuditLog, AuditSource, Registry, Span, SpanId, TraceCollector, TraceFlag, TraceHandle,
+};
 use osn_types::ids::AppId;
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
@@ -149,6 +151,17 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
+impl ServeError {
+    /// The outcome a trace finishes with when this error ends it.
+    pub(crate) fn outcome(&self) -> &'static str {
+        match self {
+            ServeError::UnknownApp(_) => "unknown_app",
+            ServeError::Overloaded { .. } => "overloaded",
+            ServeError::ShuttingDown => "shutting_down",
+        }
+    }
+}
+
 /// Trace context that rides a queued request across the pool boundary.
 ///
 /// `submitted_us` is stamped (on the collector clock) when the request
@@ -181,7 +194,7 @@ impl ScoreEngine {
         app: AppId,
         trace: Option<&TraceCtx>,
     ) -> Result<Verdict, ServeError> {
-        let score_span = trace.map(|ctx| {
+        if let Some(ctx) = trace {
             // the time between submit and this wake-up is queue wait
             ctx.handle.span_at(
                 "serve/queue",
@@ -189,22 +202,8 @@ impl ScoreEngine {
                 ctx.submitted_us,
                 ctx.handle.now_micros(),
             );
-            ctx.handle.start_span("serve/score", ctx.parent)
-        });
-        let outcome = self.score_inner(app, trace, score_span);
-        if let (Some(ctx), Some(span)) = (trace, score_span) {
-            ctx.handle.end_span(span);
         }
-        outcome
-    }
-
-    fn score_inner(
-        &self,
-        app: AppId,
-        trace: Option<&TraceCtx>,
-        score_span: Option<SpanId>,
-    ) -> Result<Verdict, ServeError> {
-        let _span = frappe_obs::span("serve/score");
+        let score = frappe_obs::span_in("serve/score", trace.map(|ctx| (&ctx.handle, ctx.parent)));
         // fast path: generation probe + cache lookup, no feature build
         let app_gen = self
             .store
@@ -254,7 +253,10 @@ impl ScoreEngine {
         // consistent even if a swap lands mid-score), then snapshot under
         // the known-names read lock so the generation we stamp matches
         // the set we actually consulted
-        let eval_span = trace.map(|ctx| ctx.handle.start_span("serve/model_eval", score_span));
+        let eval = frappe_obs::span_in(
+            "serve/model_eval",
+            trace.map(|ctx| (&ctx.handle, score.id())),
+        );
         let vm = self.model.current();
         let (snapshot, known_gen) = self
             .known
@@ -262,22 +264,12 @@ impl ScoreEngine {
         let FeatureSnapshot {
             features,
             generation,
-        } = match snapshot {
-            Some(snapshot) => snapshot,
-            None => {
-                if let (Some(ctx), Some(span)) = (trace, eval_span) {
-                    ctx.handle.end_span(span);
-                }
-                return Err(ServeError::UnknownApp(app));
-            }
-        };
+        } = snapshot.ok_or(ServeError::UnknownApp(app))?;
         self.metrics.lanes_unobserved(&features);
         // Scores on the packed SIMD engine (warmed at install/swap time);
         // the engine is fixed per process, see `frappe::scoring`.
         let decision_value = vm.model().decision_value(&features);
-        if let (Some(ctx), Some(span)) = (trace, eval_span) {
-            ctx.handle.end_span(span);
-        }
+        drop(eval);
         let verdict = Verdict {
             app,
             malicious: decision_value >= 0.0,
@@ -318,58 +310,47 @@ pub struct PendingVerdict {
     reply: Receiver<Result<Verdict, ServeError>>,
     engine: Arc<ScoreEngine>,
     start: Instant,
-    trace: Option<PendingTrace>,
-}
-
-/// The trace attached to a pending classification, if any.
-///
-/// `owned == true` means the service minted it (in-process caller, no
-/// edge) and must finish it at settle time; `false` means an edge handed
-/// its own trace in and will finish it after the response is written.
-/// `group_span` is the router's open `route/group_score` span when the
-/// query was forwarded across a shard-group mailbox — it closes when the
-/// owning group's verdict settles, so the span measures the full
-/// forward-to-verdict residence inside the group.
-struct PendingTrace {
-    handle: TraceHandle,
-    root: Option<SpanId>,
-    owned: bool,
-    group_span: Option<SpanId>,
+    /// The trace riding with this query, if any.
+    trace: Option<TraceHandle>,
+    /// Root guard of a trace this handle minted (`serve/classify`, or the
+    /// router's `route/classify`). `Some` means the trace is ours to
+    /// finish when the verdict settles; an edge-minted trace is finished
+    /// by the edge after the response is written.
+    root: Option<Span>,
+    /// The router's `route/group_score` guard when the query was
+    /// forwarded across a shard-group mailbox: it closes when the
+    /// verdict settles, so it measures the full forward-to-verdict
+    /// residence inside the group.
+    group_span: Option<Span>,
 }
 
 impl PendingVerdict {
-    fn settle(&self, outcome: &Result<Verdict, ServeError>) {
+    fn settle(&mut self, outcome: &Result<Verdict, ServeError>) {
         if outcome.is_ok() {
-            let exemplar = self.trace.as_ref().map_or(0, |t| t.handle.id().as_u64());
+            let exemplar = self.trace.as_ref().map_or(0, |h| h.id().as_u64());
             self.engine
                 .metrics()
                 .query_served_traced(self.start.elapsed(), exemplar);
         }
-        if let Some(t) = &self.trace {
+        self.group_span = None;
+        if let Some(handle) = &self.trace {
             match outcome {
-                Ok(v) => t.handle.event(
+                Ok(v) => handle.event(
                     "verdict",
                     format!(
                         "malicious={} model_version={}",
                         v.malicious, v.model_version
                     ),
                 ),
-                Err(e) => t.handle.event("serve_error", e.to_string()),
+                Err(e) => handle.event("serve_error", e.to_string()),
             }
-            if let Some(span) = t.group_span {
-                t.handle.end_span(span);
-            }
-            if t.owned {
-                if let Some(root) = t.root {
-                    t.handle.end_span(root);
-                }
-                let outcome = match outcome {
+            // `finish` closes the root at its own timestamp; the guard
+            // drops after it, recording only the profile row
+            if let Some(_root) = self.root.take() {
+                handle.finish(match outcome {
                     Ok(_) => "ok",
-                    Err(ServeError::UnknownApp(_)) => "unknown_app",
-                    Err(ServeError::Overloaded { .. }) => "overloaded",
-                    Err(ServeError::ShuttingDown) => "shutting_down",
-                };
-                t.handle.finish(outcome);
+                    Err(e) => e.outcome(),
+                });
             }
         }
     }
@@ -378,62 +359,61 @@ impl PendingVerdict {
     /// the queue or being scored. A pool that shut down mid-flight
     /// surfaces [`ServeError::ShuttingDown`].
     pub fn poll(&mut self) -> Option<Result<Verdict, ServeError>> {
-        match self.reply.try_recv() {
-            Ok(outcome) => {
-                self.settle(&outcome);
-                Some(outcome)
-            }
-            Err(TryRecvError::Empty) => None,
-            Err(TryRecvError::Disconnected) => Some(Err(ServeError::ShuttingDown)),
-        }
+        let outcome = match self.reply.try_recv() {
+            Ok(outcome) => outcome,
+            Err(TryRecvError::Empty) => return None,
+            Err(TryRecvError::Disconnected) => Err(ServeError::ShuttingDown),
+        };
+        self.settle(&outcome);
+        Some(outcome)
     }
 
     /// Blocks until the verdict arrives.
-    pub fn wait(self) -> Result<Verdict, ServeError> {
-        let outcome = self.reply.recv().map_err(|_| ServeError::ShuttingDown)?;
+    pub fn wait(mut self) -> Result<Verdict, ServeError> {
+        let outcome = self.reply.recv().unwrap_or(Err(ServeError::ShuttingDown));
         self.settle(&outcome);
         outcome
     }
 
-    /// Replaces the trace bookkeeping with the router's view of this
-    /// query: the forwarding [`crate::router::ShardRouter`] owns the
-    /// trace lifecycle (root span, finish-at-settle), while the group
-    /// that scored it only contributed child spans. `group_span` is the
-    /// router's open `route/group_score` span, closed when the verdict
-    /// settles (or the handle is abandoned).
-    pub(crate) fn set_route_trace(
-        &mut self,
-        handle: TraceHandle,
-        root: Option<SpanId>,
-        owned: bool,
-        group_span: Option<SpanId>,
-    ) {
-        self.trace = Some(PendingTrace {
-            handle,
-            root,
-            owned,
-            group_span,
-        });
+    /// Hands this query the forwarding [`crate::router::ShardRouter`]'s
+    /// guards: its `route/classify` root when it minted the trace (so it,
+    /// not the group, finishes it at settle) and its `route/group_score`.
+    pub(crate) fn set_route_spans(&mut self, root: Option<Span>, group_span: Span) {
+        self.root = root;
+        self.group_span = Some(group_span);
     }
 }
 
 impl Drop for PendingVerdict {
     /// An abandoned query (handle dropped before the verdict) still
     /// closes its self-minted trace so the collector never accumulates
-    /// forever-open traces. Settled traces are already finished — the
-    /// idempotent `finish` makes this a no-op then.
+    /// forever-open traces. Settling took the root, so a settled handle
+    /// finishes nothing here.
     fn drop(&mut self) {
-        if let Some(t) = &self.trace {
-            if t.owned && !t.handle.is_finished() {
-                if let Some(span) = t.group_span {
-                    t.handle.end_span(span);
-                }
-                if let Some(root) = t.root {
-                    t.handle.end_span(root);
-                }
-                t.handle.finish("abandoned");
-            }
+        if let (Some(handle), Some(_)) = (&self.trace, &self.root) {
+            handle.finish("abandoned");
         }
+    }
+}
+
+/// The trace a classify call rides: the edge's `(handle, parent)`, else
+/// a `classify` trace minted on `collector` under an owned `root` guard.
+/// Returns the handle, the parent for further spans, and that guard.
+pub(crate) fn join_or_mint(
+    edge_trace: Option<(TraceHandle, Option<SpanId>)>,
+    collector: &RwLock<Option<TraceCollector>>,
+    root: &'static str,
+) -> (Option<TraceHandle>, Option<SpanId>, Option<Span>) {
+    if let Some((handle, parent)) = edge_trace {
+        return (Some(handle), parent, None);
+    }
+    let minted = collector.read().as_ref().map(|c| c.begin("classify"));
+    match minted {
+        Some(handle) => {
+            let root = frappe_obs::span_in(root, Some((&handle, None)));
+            (Some(handle), root.id(), Some(root))
+        }
+        None => (None, None, None),
     }
 }
 
@@ -520,7 +500,7 @@ impl FrappeService {
         assert!(config.queue_capacity > 0, "need a non-empty queue");
         assert!(config.batch_size > 0, "batches hold at least one request");
         // Pack the scoring representation now, not on the first verdict:
-        // the hot path (`score_inner`) should only ever see a warmed model.
+        // the hot path (`score_traced`) should only ever see a warmed model.
         model.current().model().warm();
         let engine = Arc::new(ScoreEngine {
             model,
@@ -598,48 +578,26 @@ impl FrappeService {
         edge_trace: Option<(TraceHandle, Option<SpanId>)>,
     ) -> Result<PendingVerdict, ServeError> {
         let start = Instant::now();
-        let trace = match edge_trace {
-            Some((handle, parent)) => Some(PendingTrace {
-                handle,
-                root: parent,
-                owned: false,
-                group_span: None,
-            }),
-            None => self.engine.trace.read().clone().map(|collector| {
-                let handle = collector.begin("classify");
-                let root = handle.start_span("serve/classify", None);
-                PendingTrace {
-                    handle,
-                    root: Some(root),
-                    owned: true,
-                    group_span: None,
-                }
-            }),
-        };
-        let ctx = trace.as_ref().map(|t| TraceCtx {
-            handle: t.handle.clone(),
-            parent: t.root,
-            submitted_us: t.handle.now_micros(),
+        let (trace, parent, root) = join_or_mint(edge_trace, &self.engine.trace, "serve/classify");
+        let ctx = trace.as_ref().map(|handle| TraceCtx {
+            handle: handle.clone(),
+            parent,
+            submitted_us: handle.now_micros(),
         });
         let reply = match self.pool.submit(app, ctx) {
             Ok(reply) => reply,
             Err(err) => {
-                if matches!(err, ServeError::Overloaded { .. }) {
+                let overloaded = matches!(err, ServeError::Overloaded { .. });
+                if overloaded {
                     self.engine.metrics.rejected();
                 }
-                if let Some(t) = &trace {
-                    if matches!(err, ServeError::Overloaded { .. }) {
-                        t.handle.flag(TraceFlag::Shed429);
+                if let Some(handle) = &trace {
+                    if overloaded {
+                        handle.flag(TraceFlag::Shed429);
                     }
-                    t.handle.event("shed", err.to_string());
-                    if t.owned {
-                        if let Some(root) = t.root {
-                            t.handle.end_span(root);
-                        }
-                        t.handle.finish(match err {
-                            ServeError::Overloaded { .. } => "overloaded",
-                            _ => "shutting_down",
-                        });
+                    handle.event("shed", err.to_string());
+                    if root.is_some() {
+                        handle.finish(err.outcome());
                     }
                 }
                 return Err(err);
@@ -650,6 +608,8 @@ impl FrappeService {
             engine: Arc::clone(&self.engine),
             start,
             trace,
+            root,
+            group_span: None,
         })
     }
 
@@ -776,11 +736,6 @@ impl FrappeService {
         self.engine.trace.read().clone()
     }
 
-    /// Detach the trace collector, returning it if one was attached.
-    pub fn take_trace_collector(&self) -> Option<TraceCollector> {
-        self.engine.trace.write().take()
-    }
-
     #[cfg(test)]
     pub(crate) fn engine_for_test(&self) -> Arc<ScoreEngine> {
         Arc::clone(&self.engine)
@@ -859,6 +814,28 @@ mod tests {
                 retry_after_ms: 1,
             },
         )
+    }
+
+    /// A zero-worker service whose one queue slot admits a query that
+    /// nothing ever drains; `app` is registered, so it is classifiable.
+    fn stalled_service(app: AppId) -> FrappeService {
+        let svc = FrappeService::new(
+            tiny_model(),
+            KnownMaliciousNames::default(),
+            Shortener::bitly(),
+            ServeConfig {
+                shards: 1,
+                workers: 0,
+                queue_capacity: 1,
+                batch_size: 1,
+                retry_after_ms: 9,
+            },
+        );
+        svc.ingest(&ServeEvent::Registered {
+            app,
+            name: "stuck".into(),
+        });
+        svc
     }
 
     fn feed_malicious(svc: &FrappeService, app: AppId) {
@@ -1071,23 +1048,8 @@ mod tests {
 
     #[test]
     fn zero_workers_is_a_stalled_pool() {
-        let svc = FrappeService::new(
-            tiny_model(),
-            KnownMaliciousNames::default(),
-            Shortener::bitly(),
-            ServeConfig {
-                shards: 1,
-                workers: 0,
-                queue_capacity: 1,
-                batch_size: 1,
-                retry_after_ms: 9,
-            },
-        );
         let app = AppId(71);
-        svc.ingest(&ServeEvent::Registered {
-            app,
-            name: "stuck".into(),
-        });
+        let svc = stalled_service(app);
         let mut first = svc.classify_nonblocking(app).expect("one slot admits");
         assert!(
             first.poll().is_none(),
@@ -1159,29 +1121,14 @@ mod tests {
 
     #[test]
     fn shed_queries_are_always_tail_sampled() {
-        let svc = FrappeService::new(
-            tiny_model(),
-            KnownMaliciousNames::default(),
-            Shortener::bitly(),
-            ServeConfig {
-                shards: 1,
-                workers: 0, // stalled pool: the second submit must shed
-                queue_capacity: 1,
-                batch_size: 1,
-                retry_after_ms: 9,
-            },
-        );
         let tc = TraceCollector::new(TraceConfig {
             head_every: 0, // tail-only: nothing survives without a flag
             slow_us: 0,
             ..TraceConfig::default()
         });
-        svc.set_trace_collector(tc.clone());
         let app = AppId(91);
-        svc.ingest(&ServeEvent::Registered {
-            app,
-            name: "stuck".into(),
-        });
+        let svc = stalled_service(app); // the second submit must shed
+        svc.set_trace_collector(tc.clone());
         let first = svc.classify_nonblocking(app).expect("one slot admits");
         assert_eq!(
             svc.classify_nonblocking(app).err(),
@@ -1193,6 +1140,38 @@ mod tests {
         assert_eq!(kept[0].outcome, "overloaded");
         drop(first); // abandoned and unflagged — sampling drops it
         assert_eq!(tc.snapshot().len(), 1);
+    }
+
+    #[test]
+    fn a_reply_lost_to_shutdown_settles_its_trace() {
+        let keep_all = TraceConfig {
+            head_every: 1,
+            ..TraceConfig::default()
+        };
+        let tc = TraceCollector::with_clock(keep_all, Arc::new(frappe_obs::ManualClock::at(0)));
+        let app = AppId(97);
+        let svc = stalled_service(app); // the query is still queued at shutdown
+        svc.set_trace_collector(tc.clone());
+        let pending = svc.classify_traced(app, None).expect("one slot admits");
+        drop(svc);
+        assert_eq!(pending.wait(), Err(ServeError::ShuttingDown));
+        let kept = tc.snapshot();
+        assert_eq!((kept.len(), kept[0].outcome.as_str()), (1, "shutting_down"));
+        assert!(kept[0].events.iter().any(|e| e.name == "serve_error"));
+    }
+
+    #[test]
+    fn untraced_classify_feeds_the_profile_table() {
+        frappe_obs::set_spans_enabled(true);
+        let svc = service();
+        feed_malicious(&svc, AppId(99));
+        svc.classify(AppId(99)).unwrap();
+        let stages = frappe_obs::Profiler::global().snapshot().stages;
+        let profiled = |name: &str| stages.iter().any(|row| row.path == name);
+        assert!(
+            profiled("serve/score") && profiled("serve/model_eval"),
+            "{stages:?}"
+        );
     }
 
     #[test]

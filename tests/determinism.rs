@@ -244,9 +244,9 @@ fn trace_sampling_keeps_an_identical_set_at_any_thread_count() {
             for chunk in handles.chunks(TRACES as usize / threads + 1) {
                 scope.spawn(move || {
                     for handle in chunk {
-                        let span = handle.start_span("work", None);
+                        let work = frappe_obs::span_in("work", Some((handle, None)));
                         handle.event("step", "done");
-                        handle.end_span(span);
+                        drop(work);
                         handle.finish("ok");
                     }
                 });

@@ -71,9 +71,10 @@ cargo test -q -p frappe-gauntlet
 FRAPPE_JOBS=1 cargo test -q -p frappe-gauntlet --test gauntlet
 FRAPPE_JOBS=8 cargo test -q -p frappe-gauntlet --test gauntlet
 
-echo "==> network edge suite (epoll reactor, HTTP routes, 429 shed, fenced hot swap)"
+echo "==> network edge suite (epoll reactor, HTTP routes, 429/503 shed, fenced hot swap)"
 # Real sockets on an ephemeral loopback port: byte-identical verdicts
 # vs in-process classify, the deterministic 429 + Retry-After contract,
+# the accept gate's canned 503 with its always-kept trace,
 # a read pause that holds while a router's shedding group is full, and
 # a promote/rollback under concurrent socket load fenced by the
 # drain protocol (zero drops, zero stale bodies).
@@ -97,9 +98,6 @@ cargo run --release -p frappe-bench --bin repro -- --small --bench-out "$CI_BENC
 echo "==> lifecycle bench, quick mode (retrain/swap/shadow, $CI_BENCH/BENCH_lifecycle.json)"
 cargo run --release -p frappe-bench --bin repro -- --small --lifecycle-bench-out "$CI_BENCH/BENCH_lifecycle.json"
 
-echo "==> edge bench, quick mode (socket ingest/classify/shed/drain, $CI_BENCH/BENCH_edge.json)"
-cargo run --release -p frappe-bench --bin repro -- --small --edge-bench-out "$CI_BENCH/BENCH_edge.json"
-
 echo "==> shard bench, quick mode (group scaling + zero-stale swap leg, $CI_BENCH/BENCH_shard.json)"
 cargo run --release -p frappe-bench --bin repro -- --small --shard-bench-out "$CI_BENCH/BENCH_shard.json"
 
@@ -117,8 +115,8 @@ echo "==> benchmark crate (its own workspace: build + harness tests)"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test --release --offline --manifest-path benchmark/Cargo.toml --test harness
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc --workspace --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

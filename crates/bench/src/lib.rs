@@ -18,7 +18,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod edgebench;
 pub mod experiments;
 pub mod gauntletbench;
 pub mod lab;
@@ -28,7 +27,6 @@ pub mod scoringbench;
 pub mod shardbench;
 pub mod trainbench;
 
-pub use edgebench::EdgeBenchReport;
 pub use experiments::{registry, ExpResult};
 pub use gauntletbench::GauntletBenchReport;
 pub use lab::Lab;

@@ -9,7 +9,8 @@
 //! sweep after a swap (every verdict is a cache miss), and the per-query
 //! overhead a riding shadow candidate adds to a warm serving path.
 //!
-//! Honesty note: all numbers are whatever *this machine* delivers; the
+//! Honesty note: all numbers are whatever *this machine* delivers in one
+//! unrepeated pass, so the report carries no ratio between them; the
 //! swap itself is a pointer store behind an `ArcSwap`-style cell, so its
 //! latency is reported in nanosecond-scale microseconds and dominated by
 //! clock overhead. `threads_available` is recorded alongside everything.
@@ -28,6 +29,7 @@ use serde::{Deserialize, Serialize};
 use synth_workload::ScenarioConfig;
 
 use crate::lab::{Archive, Lab};
+use crate::render::quantile_us;
 
 /// Retraining wall-clock: a full `retrain_on` pass (median imputation,
 /// scaling, 5-fold CV, final fit) at one thread vs many, plus the
@@ -48,8 +50,6 @@ pub struct RetrainBench {
     /// or `"serial"` when the machine clamp degraded it to the inline
     /// path (single-core CI boxes; see [`JobPool::for_machine`]).
     pub parallel_mode: String,
-    /// `serial_ms / parallel_ms`.
-    pub speedup: f64,
     /// Whether the two retrains produced byte-identical checkpoints.
     pub identical: bool,
     /// Cross-validated accuracy of the retrained model.
@@ -89,15 +89,13 @@ pub struct ShadowBench {
     pub shadowed_ms: f64,
     /// `(shadowed_ms - baseline_ms) / queries`, microseconds per query.
     pub overhead_us_per_query: f64,
-    /// `shadowed_ms / baseline_ms`.
-    pub overhead_ratio: f64,
 }
 
 /// The full lifecycle benchmark report (`BENCH_lifecycle.json`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LifecycleBenchReport {
     /// `std::thread::available_parallelism()` on the measuring machine —
-    /// read this before reading any speedup.
+    /// read this before reading any timing.
     pub threads_available: usize,
     /// Quick mode (CI-sized sweeps) or the full configuration.
     pub quick: bool,
@@ -147,7 +145,6 @@ pub fn run(quick: bool) -> LifecycleBenchReport {
         parallel_ms,
         parallel_threads: pool.threads(),
         parallel_mode: pool.mode(),
-        speedup: serial_ms / parallel_ms.max(1e-9),
         identical: write_model(&serial.model) == write_model(&parallel.model),
         cv_accuracy: serial.cv.accuracy,
     };
@@ -208,7 +205,6 @@ pub fn run(quick: bool) -> LifecycleBenchReport {
         baseline_ms,
         shadowed_ms,
         overhead_us_per_query: (shadowed_ms - baseline_ms) * 1e3 / queries.max(1) as f64,
-        overhead_ratio: shadowed_ms / baseline_ms.max(1e-9),
     };
 
     // Swap latency: alternate the two models through the live handle,
@@ -227,7 +223,7 @@ pub fn run(quick: bool) -> LifecycleBenchReport {
     }
     latencies_us.sort_by(|a, b| a.total_cmp(b));
     let mean_us = latencies_us.iter().sum::<f64>() / swaps.max(1) as f64;
-    let p99_us = latencies_us[(swaps.saturating_sub(1)) * 99 / 100];
+    let p99_us = quantile_us(&latencies_us, 0.99);
     let max_us = *latencies_us.last().unwrap_or(&0.0);
     let t = Instant::now();
     for &app in &apps {
@@ -264,11 +260,11 @@ impl LifecycleBenchReport {
         format!(
             "lifecycle bench ({} mode, {} threads available)\n\
              retrain      {} examples x {} folds: serial {:.0} ms, \
-             {} {:.0} ms, speedup {:.2}x, identical: {}, cv acc {:.3}\n\
+             {} {:.0} ms, identical: {}, cv acc {:.3}\n\
              hot swap     {} swaps: mean {:.2} us, p99 {:.2} us, max {:.2} us; \
              post-swap rescore of {} apps {:.1} ms cold vs {:.1} ms warm\n\
              shadow       {} queries: {:.1} ms plain vs {:.1} ms shadowed \
-             ({:.1} us/query overhead, {:.2}x)",
+             ({:.1} us/query overhead)",
             if self.quick { "quick" } else { "full" },
             self.threads_available,
             self.retrain.examples,
@@ -276,7 +272,6 @@ impl LifecycleBenchReport {
             self.retrain.serial_ms,
             self.retrain.parallel_mode,
             self.retrain.parallel_ms,
-            self.retrain.speedup,
             self.retrain.identical,
             self.retrain.cv_accuracy,
             self.swap.swaps,
@@ -290,7 +285,6 @@ impl LifecycleBenchReport {
             self.shadow.baseline_ms,
             self.shadow.shadowed_ms,
             self.shadow.overhead_us_per_query,
-            self.shadow.overhead_ratio,
         )
     }
 }

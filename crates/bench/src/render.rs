@@ -42,6 +42,16 @@ pub fn median(values: &[f64]) -> f64 {
     v[(v.len() - 1) / 2]
 }
 
+/// `p`-th quantile of an already-sorted latency sample (nearest rank,
+/// rounded); 0 on empty.
+pub fn quantile_us(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
+    sorted[idx.min(sorted.len() - 1)]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -65,6 +75,15 @@ mod tests {
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.0);
         assert_eq!(median(&[]), 0.0);
+    }
+
+    #[test]
+    fn quantiles_pick_sane_points() {
+        let sorted: Vec<f64> = (1..=1000).map(f64::from).collect();
+        assert_eq!(quantile_us(&sorted, 0.0), 1.0);
+        assert_eq!(quantile_us(&sorted, 0.5), 501.0);
+        assert_eq!(quantile_us(&sorted, 1.0), 1000.0);
+        assert_eq!(quantile_us(&[], 0.5), 0.0);
     }
 
     #[test]

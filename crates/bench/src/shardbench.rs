@@ -26,8 +26,8 @@ use frappe_serve::{serve_events, ServeConfig, ServeEvent, ShardConfig, ShardRout
 use osn_types::ids::AppId;
 use serde::{Deserialize, Serialize};
 
-use crate::edgebench::quantile_us;
 use crate::lab::{Archive, Lab};
+use crate::render::quantile_us;
 
 /// Group counts every sweep measures.
 pub const GROUP_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -169,7 +169,7 @@ pub fn run(quick: bool) -> ShardBenchReport {
         }
         let per_thread = queries_per_k.div_ceil(hammer_threads);
         let t = Instant::now();
-        let mut latencies: Vec<u64> = Vec::with_capacity(hammer_threads * per_thread);
+        let mut latencies: Vec<f64> = Vec::with_capacity(hammer_threads * per_thread);
         std::thread::scope(|s| {
             let workers: Vec<_> = (0..hammer_threads)
                 .map(|tid| {
@@ -183,7 +183,7 @@ pub fn run(quick: bool) -> ShardBenchReport {
                             i += 7;
                             let t = Instant::now();
                             router.classify(app).expect("tracked app");
-                            lat.push(t.elapsed().as_micros() as u64);
+                            lat.push(t.elapsed().as_micros() as f64);
                         }
                         lat
                     })
@@ -194,7 +194,7 @@ pub fn run(quick: bool) -> ShardBenchReport {
             }
         });
         let classify_wall_ms = t.elapsed().as_secs_f64() * 1e3;
-        latencies.sort_unstable();
+        latencies.sort_by(f64::total_cmp);
 
         let classify_per_s = latencies.len() as f64 / (classify_wall_ms / 1e3).max(1e-9);
         let baseline = runs.first().map_or(classify_per_s, |r| r.classify_per_s);

@@ -3,16 +3,16 @@
 //!
 //! Unlike the Criterion micro-benchmarks (statistical, report-oriented),
 //! this module produces one machine-readable [`TrainingBenchReport`] that
-//! `repro --bench-out` serializes to `BENCH_training.json`: the measured
-//! speedup of the `frappe-jobs` fan-out over the serial path, an explicit
-//! bit-identity verdict between the two, and the SMO cache/iteration
-//! statistics the allocation-free hot loop is judged by.
+//! `repro --bench-out` serializes to `BENCH_training.json`: one timed
+//! pass of the serial path and one of the `frappe-jobs` fan-out, an
+//! explicit bit-identity verdict between the two, and the SMO
+//! cache/iteration statistics the allocation-free hot loop is judged by.
 //!
-//! Honesty note: the speedup is whatever *this machine* delivers. On a
-//! single-core container the parallel path degenerates to the serial one
-//! (by design — `JobPool` clamps to available parallelism only when
-//! `FRAPPE_JOBS` is unset), so `threads_available` is recorded alongside
-//! every number.
+//! Honesty note: each timing is one unrepeated pass on *this machine*, so
+//! the report carries no ratio between them. On a single-core container
+//! the parallel path degenerates to the serial one (by design — `JobPool`
+//! clamps to available parallelism only when `FRAPPE_JOBS` is unset),
+//! which `parallel_mode` and `threads_available` record.
 
 use std::time::Instant;
 
@@ -43,8 +43,6 @@ pub struct GridBench {
     /// `"serial"` when the machine clamp degraded it to the inline path
     /// (single-core CI boxes; see [`JobPool::for_machine`]).
     pub parallel_mode: String,
-    /// `serial_ms / parallel_ms`.
-    pub speedup: f64,
     /// Whether serial and parallel results compared equal (`==` over the
     /// full `GridSearchResult`, i.e. bit-identical confusion counts).
     pub identical: bool,
@@ -73,7 +71,7 @@ pub struct SmoBench {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TrainingBenchReport {
     /// `std::thread::available_parallelism()` on the measuring machine —
-    /// read this before reading any speedup.
+    /// read this before reading any timing.
     pub threads_available: usize,
     /// Quick mode (CI-sized) or the full 4×4 × 5-fold configuration.
     pub quick: bool,
@@ -133,7 +131,6 @@ pub fn run(quick: bool) -> TrainingBenchReport {
         parallel_ms,
         parallel_threads: pool.threads(),
         parallel_mode: pool.mode(),
-        speedup: serial_ms / parallel_ms.max(1e-9),
         identical: serial == parallel,
     };
 
@@ -167,7 +164,7 @@ impl TrainingBenchReport {
         format!(
             "training bench ({} mode, {} threads available)\n\
              grid search  {} points x {} folds on {} examples: \
-             serial {:.0} ms, {} {:.0} ms, speedup {:.2}x, identical: {}\n\
+             serial {:.0} ms, {} {:.0} ms, identical: {}\n\
              smo solve    {} examples: {} iterations in {:.0} ms \
              ({:.0} iter/s; cache {} hits / {} misses / {} evictions)",
             if self.quick { "quick" } else { "full" },
@@ -178,7 +175,6 @@ impl TrainingBenchReport {
             self.grid.serial_ms,
             self.grid.parallel_mode,
             self.grid.parallel_ms,
-            self.grid.speedup,
             self.grid.identical,
             self.smo.examples,
             self.smo.iterations,

@@ -489,11 +489,11 @@ mod tests {
         };
         let run = || {
             let mut s = strategy_for(&attack, 99, 5000);
-            let mut plans = Vec::new();
-            plans.push(s.plan_round(&feedback(1, &[])));
-            plans.push(s.plan_round(&feedback(2, &[(5000, true), (5001, true), (5002, false)])));
-            plans.push(s.plan_round(&feedback(3, &[(5000, true), (5001, false)])));
-            plans
+            vec![
+                s.plan_round(&feedback(1, &[])),
+                s.plan_round(&feedback(2, &[(5000, true), (5001, true), (5002, false)])),
+                s.plan_round(&feedback(3, &[(5000, true), (5001, false)])),
+            ]
         };
         let a: Vec<Vec<AppAction>> = run().into_iter().map(|p| p.actions).collect();
         let b: Vec<Vec<AppAction>> = run().into_iter().map(|p| p.actions).collect();

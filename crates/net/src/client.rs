@@ -1,7 +1,7 @@
 //! A minimal blocking HTTP/1.1 client over one keep-alive connection:
 //! just enough protocol for the edge's routes. Requests carry a
-//! `content-length`; responses are framed by theirs. Tests, benches and
-//! `loadgen --connect` all talk to the edge through it.
+//! `content-length`; responses are framed by theirs. The tests talk to
+//! the edge through it; from a shell, curl does the same job.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};

@@ -25,8 +25,8 @@
 //!   implements [`frappe_lifecycle::SwapFence`] so model hot-swaps run
 //!   with zero responses in flight. It serves a
 //!   [`frappe_serve::Deployment`]: one service or a shard-group router.
-//! * [`client`] — the blocking keep-alive client that tests, benches and
-//!   `loadgen --connect` use to talk to the edge.
+//! * [`client`] — the blocking keep-alive client the tests use to talk
+//!   to the edge.
 //!
 //! Wire contract: verdicts are [`frappe_serve::Verdict`] JSON; every
 //! error is the [`frappe_serve::ErrorEnvelope`], whose exact bytes are

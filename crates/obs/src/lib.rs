@@ -8,7 +8,7 @@
 //! * [`metrics`] + [`registry`] — atomic counters, gauges, and
 //!   fixed-bucket histograms behind named `Arc` handles; registration
 //!   takes a short lock once, recording is lock-free and allocation-free.
-//!   Snapshots export as Prometheus text or JSONL.
+//!   Snapshots export as Prometheus text.
 //! * [`mod@span`] — the one span guard, [`Span`]. Every guard records
 //!   into a bounded per-stage profile table; [`span()`] nests by
 //!   `outer/inner` thread path, and [`span_in`] also opens a child span

@@ -1,4 +1,4 @@
-//! Named metric registry with Prometheus text and JSONL exporters.
+//! Named metric registry with a Prometheus text exporter.
 //!
 //! A [`Registry`] hands out `Arc` handles to instruments keyed by name
 //! plus an optional label set. Callers register once (taking a short
@@ -10,10 +10,7 @@
 //!
 //! Label values are escaped per the Prometheus text exposition rules
 //! (`\` → `\\`, `"` → `\"`, newline → `\n`) — the encoding is pinned
-//! byte-exactly by a test below. The JSONL exporter can stamp every
-//! line with a timestamp from an injected [`Clock`], never from a raw
-//! wall-time read, so exports are byte-deterministic under a
-//! [`ManualClock`](crate::ManualClock).
+//! byte-exactly by a test below.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -22,7 +19,6 @@ use std::sync::{Arc, OnceLock};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use crate::clock::Clock;
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 
 #[derive(Clone)]
@@ -262,33 +258,6 @@ impl RegistrySnapshot {
         }
         out
     }
-
-    /// Render as JSONL: one JSON object per metric per line.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for m in &self.metrics {
-            let line = serde_json::to_string(m).expect("metric snapshot serializes");
-            out.push_str(&line);
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Render as JSONL with a `ts_micros` field on every line, stamped
-    /// once from the injected clock. No wall time is read here — hand
-    /// in a [`ManualClock`](crate::ManualClock) and the output is
-    /// byte-deterministic.
-    pub fn to_jsonl_stamped(&self, clock: &dyn Clock) -> String {
-        let ts_micros = clock.now_micros();
-        let mut out = String::new();
-        for m in &self.metrics {
-            let line = serde_json::to_string(m).expect("metric snapshot serializes");
-            // Splice the timestamp in as the first field of each object.
-            let rest = line.strip_prefix('{').unwrap_or(&line);
-            let _ = writeln!(out, "{{\"ts_micros\":{ts_micros},{rest}");
-        }
-        out
-    }
 }
 
 /// Render `{k="v",…}` with escaped values, or nothing when unlabelled.
@@ -357,7 +326,6 @@ fn sanitize_metric_name(name: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::ManualClock;
 
     #[test]
     fn get_or_create_returns_same_instrument() {
@@ -431,35 +399,6 @@ mod tests {
              level{zone=\"eu-west\",tier=\"\\\"hot\\\"\"} 3\n\
              # TYPE odd counter\n\
              odd{path=\"a\\\\b\\\"c\\nd\"} 7\n"
-        );
-    }
-
-    #[test]
-    fn jsonl_is_one_parsable_object_per_line() {
-        let r = Registry::new();
-        r.counter("a").inc();
-        r.gauge("b").set(4);
-        r.histogram("c", &[1]).observe(2);
-        let jsonl = r.snapshot().to_jsonl();
-        let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 3);
-        for line in lines {
-            let parsed: MetricSnapshot = serde_json::from_str(line).expect("each line parses back");
-            assert!(!parsed.name.is_empty());
-        }
-    }
-
-    #[test]
-    fn stamped_jsonl_is_byte_deterministic_under_a_manual_clock() {
-        let r = Registry::new();
-        r.counter("a").inc();
-        let clock = ManualClock::at(1_234_567);
-        let first = r.snapshot().to_jsonl_stamped(&clock);
-        let second = r.snapshot().to_jsonl_stamped(&clock);
-        assert_eq!(first, second);
-        assert_eq!(
-            first,
-            "{\"ts_micros\":1234567,\"name\":\"a\",\"labels\":[],\"value\":{\"Counter\":1}}\n"
         );
     }
 

@@ -157,7 +157,7 @@ mod tests {
 
     fn tiny_model() -> FrappeModel {
         use frappe::features::aggregation::AggregationFeatures;
-        use frappe::{AppFeatures, FeatureSet, OnDemandFeatures};
+        use frappe::{AppFeatures, OnDemandFeatures};
         use osn_types::ids::AppId;
         let benign = AppFeatures {
             app: AppId(1),

@@ -5,9 +5,9 @@
 //! There are exactly two deployment shapes — a single [`FrappeService`]
 //! or a [`ShardRouter`] over K shard groups — so the handle is a closed
 //! enum, not a trait object. Every verb forwards to the shape's inherent
-//! method; where the shapes differ (fallible ingest, the flush barrier,
-//! the merged exposition, the retry hint, the per-group queue check) the
-//! difference lives in that verb's match arms and nowhere else.
+//! method; where the shapes differ (fallible ingest, the merged
+//! exposition, the retry hint, the per-group queue check) the difference
+//! lives in that verb's match arms and nowhere else.
 
 use std::sync::Arc;
 
@@ -16,7 +16,6 @@ use frappe_obs::{Registry, RegistrySnapshot, SpanId, TraceCollector, TraceHandle
 use osn_types::ids::AppId;
 
 use crate::event::ServeEvent;
-use crate::metrics::MetricsSnapshot;
 use crate::router::ShardRouter;
 use crate::service::{FrappeService, PendingVerdict, ServeError, Verdict};
 
@@ -53,15 +52,6 @@ impl Deployment {
                 Ok(())
             }
             Deployment::Router(r) => r.ingest(event),
-        }
-    }
-
-    /// Returns once every event accepted before this call is visible to
-    /// classify. A service's ingest is synchronous, so only a router
-    /// waits.
-    pub fn flush(&self) {
-        if let Deployment::Router(r) = self {
-            r.flush();
         }
     }
 
@@ -132,14 +122,6 @@ impl Deployment {
         }
     }
 
-    /// Point-in-time metrics for the whole deployment.
-    pub fn metrics(&self) -> MetricsSnapshot {
-        match self {
-            Deployment::Service(s) => s.metrics(),
-            Deployment::Router(r) => r.metrics(),
-        }
-    }
-
     /// The base registry: where transport and lifecycle layers register
     /// their own instruments so one scrape shows the whole process.
     pub fn obs_registry(&self) -> &Arc<Registry> {
@@ -162,27 +144,11 @@ impl Deployment {
         }
     }
 
-    /// Attaches a trace collector (in-process classifies mint traces).
-    pub fn set_trace_collector(&self, collector: TraceCollector) {
-        match self {
-            Deployment::Service(s) => s.set_trace_collector(collector),
-            Deployment::Router(r) => r.set_trace_collector(collector),
-        }
-    }
-
     /// The attached trace collector, if any (clones share state).
     pub fn trace_collector(&self) -> Option<TraceCollector> {
         match self {
             Deployment::Service(s) => s.trace_collector(),
             Deployment::Router(r) => r.trace_collector(),
-        }
-    }
-
-    /// Apps the deployment has evidence for, sorted.
-    pub fn tracked_apps(&self) -> Vec<AppId> {
-        match self {
-            Deployment::Service(s) => s.tracked_apps(),
-            Deployment::Router(r) => r.tracked_apps(),
         }
     }
 

@@ -29,8 +29,8 @@
 //! incremental feature state, `pool` (private) the scorer workers with
 //! reject-with-retry-after backpressure, [`cache`] the generation-stamped
 //! verdict memo, [`metrics`] the observability layer (a thin view over a
-//! per-instance [`frappe_obs::Registry`], exportable as Prometheus text
-//! or JSONL), [`service`] the façade, and [`bridge`] the adapter from
+//! per-instance [`frappe_obs::Registry`], exportable as Prometheus
+//! text), [`service`] the façade, and [`bridge`] the adapter from
 //! synthetic scenarios. The service can also stream explained verdicts
 //! into an [`frappe_obs::AuditLog`]
 //! (see [`FrappeService::set_audit_log`]).

@@ -5,9 +5,9 @@
 //! metrics must never become the bottleneck they are supposed to
 //! diagnose. This module binds them under well-known `serve_*` names and
 //! keeps the original [`MetricsSnapshot`] export as a thin view, so
-//! existing consumers (the load generator, the parity tests) see the
-//! same serde shape while new consumers read the registry directly in
-//! Prometheus text or JSONL form.
+//! existing consumers (the benchmark, the parity tests) see the same
+//! serde shape while new consumers read the registry directly in
+//! Prometheus text form.
 //!
 //! Each [`Metrics`] owns its own [`Registry`] by default: service
 //! instances (and tests) count independently instead of bleeding into a
@@ -101,7 +101,7 @@ impl Metrics {
         }
     }
 
-    /// The registry backing these instruments (for Prometheus/JSONL
+    /// The registry backing these instruments (for Prometheus text
     /// export alongside anything else registered there).
     pub fn registry(&self) -> &Arc<Registry> {
         &self.registry

@@ -103,8 +103,9 @@ pub enum ServeError {
 }
 
 /// The stable JSON error body every transport shares: the HTTP edge
-/// (`frappe-net`) writes it, `loadgen --connect` parses it back, and the
-/// wire format is pinned by a unit test here so neither can drift.
+/// (`frappe-net`) writes it, socket clients (the edge tests, curl users)
+/// read it back, and the wire format is pinned by a unit test here so
+/// neither side can drift.
 ///
 /// `retry_after_ms` is hoisted to the top level for [`ServeError::Overloaded`]
 /// (and `null` otherwise) so a client can honour backpressure without
@@ -699,8 +700,7 @@ impl FrappeService {
         self.engine.metrics.snapshot(self.pool.queue_depth())
     }
 
-    /// The instance's metric registry, for Prometheus-text or JSONL
-    /// export. Call [`Self::metrics`] first to refresh the queue-depth
+    /// The instance's metric registry, for Prometheus-text export. Call [`Self::metrics`] first to refresh the queue-depth
     /// gauge if you need it current.
     pub fn obs_registry(&self) -> &Arc<Registry> {
         self.engine.metrics.registry()
@@ -996,7 +996,7 @@ mod tests {
     }
 
     /// The envelope is a wire contract between the HTTP edge and every
-    /// client (`loadgen --connect`, curl users): these exact byte strings
+    /// client (the edge tests, curl users): these exact byte strings
     /// are what travels, so a serde or field-order change here is a
     /// breaking API change and must fail loudly.
     #[test]

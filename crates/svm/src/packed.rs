@@ -261,7 +261,7 @@ mod tests {
         let (svs, coefs) = svs();
         let packed = PackedModel::pack(Kernel::linear(), &svs, &coefs, 0.0);
         let w = packed.fused_weights().expect("linear");
-        let mut expect = vec![0.0; 3];
+        let mut expect = [0.0; 3];
         for (sv, &c) in svs.iter().zip(&coefs) {
             for (j, &v) in sv.iter().enumerate() {
                 expect[j] += c * v;

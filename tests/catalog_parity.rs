@@ -36,6 +36,10 @@ const SHARD_COUNTS: [usize; 3] = [1, 4, 16];
 const GROUP_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const INGEST_THREADS: usize = 4;
 
+/// The comparable fields of one verdict: app, decision-value bits,
+/// label, cache generation, model version.
+type VerdictRow = (AppId, u64, bool, u64, u64);
+
 /// Everything the batch reference needs to re-derive one app's row.
 #[derive(Default)]
 struct AppScript {
@@ -352,7 +356,7 @@ fn verdicts_are_bit_identical_for_every_group_count() {
 
     for seed in [11u64, 4242] {
         let world = random_world(seed, 48);
-        let mut reference: Option<Vec<(AppId, u64, bool, u64, u64)>> = None;
+        let mut reference: Option<Vec<VerdictRow>> = None;
 
         for groups in GROUP_COUNTS {
             let router = ShardRouter::new(
@@ -367,7 +371,7 @@ fn verdicts_are_bit_identical_for_every_group_count() {
             );
             ingest_routed_concurrently(&world, &router);
 
-            let observed: Vec<(AppId, u64, bool, u64, u64)> = world
+            let observed: Vec<VerdictRow> = world
                 .scripts
                 .iter()
                 .filter(|s| !s.events.is_empty())

@@ -7,6 +7,8 @@
 //!   in-process [`FrappeService::classify`], under concurrent clients;
 //! * a saturated scorer pool yields a deterministic `429` with a
 //!   `Retry-After` header and the pinned [`ErrorEnvelope`] body;
+//! * a full accept gate answers a canned `503` with a `Retry-After`
+//!   header and the same envelope, and always tail-keeps its trace;
 //! * a lifecycle hot-swap (promote, then rollback) fenced by the edge's
 //!   drain protocol loses **zero** responses under mid-load traffic, and
 //!   every response body is one of the known-good per-version strings —
@@ -24,6 +26,7 @@ use frappe_lifecycle::{
 };
 use frappe_net::client::Client;
 use frappe_net::{NetConfig, Server};
+use frappe_obs::{TraceCollector, TraceConfig, TraceFlag};
 use frappe_serve::{FrappeService, ServeConfig, ServeEvent, ShardConfig, ShardRouter};
 use osn_types::ids::AppId;
 use url_services::shortener::Shortener;
@@ -295,6 +298,60 @@ fn saturated_scorer_pool_answers_429_with_retry_after() {
         "the shed connection is read-paused: {snapshot}"
     );
     assert_eq!(service.metrics().rejected, 1);
+}
+
+#[test]
+fn full_accept_gate_answers_503_and_tail_keeps_the_shed() {
+    let service = Arc::new(service_with(ServeConfig {
+        retry_after_ms: 9,
+        ..ServeConfig::default()
+    }));
+    // tail-only: a kept trace proves the tail flag kept it
+    let collector = TraceCollector::new(TraceConfig {
+        head_every: 0,
+        slow_us: 0,
+        ..TraceConfig::default()
+    });
+    service.set_trace_collector(collector.clone());
+    let server = Server::bind(
+        Arc::clone(&service),
+        "127.0.0.1:0",
+        NetConfig {
+            max_connections: 1,
+            ..NetConfig::default()
+        },
+    )
+    .unwrap();
+
+    // a served request proves the parked client holds the only slot
+    let mut parked = Client::connect(server.local_addr()).unwrap();
+    assert_eq!(parked.get("/healthz").unwrap().status, 200);
+
+    let mut shed = Client::connect(server.local_addr()).unwrap();
+    let response = shed
+        .get("/healthz")
+        .expect("the gate's canned 503 reaches the client");
+    assert_eq!(response.status, 503);
+    assert_eq!(
+        response.header("retry-after"),
+        Some("1"),
+        "9ms rounds up to the 1-second header floor"
+    );
+    assert_eq!(
+        response.body,
+        r#"{"error":{"Overloaded":{"retry_after_ms":9}},"retry_after_ms":9}"#
+    );
+
+    let scrape = service.obs_registry().snapshot().to_prometheus_text();
+    assert!(scrape.contains("net_conns_rejected 1\n"), "{scrape}");
+    let kept: Vec<_> = collector
+        .snapshot()
+        .into_iter()
+        .filter(|t| t.has_flag(TraceFlag::ShedAcceptGate))
+        .collect();
+    assert_eq!(kept.len(), 1, "one shed, one tail-kept trace: {kept:?}");
+    assert_eq!(kept[0].outcome, "503");
+    assert!(!kept[0].head_sampled);
 }
 
 #[test]

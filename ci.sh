@@ -54,13 +54,18 @@ FRAPPE_SHARD_GROUPS=4 cargo test -q -p frappe-lifecycle --test shard
 FRAPPE_JOBS=1 FRAPPE_SHARD_GROUPS=4 cargo test -q -p frappe-lifecycle --test shard
 FRAPPE_JOBS=8 FRAPPE_SHARD_GROUPS=4 cargo test -q -p frappe-lifecycle --test shard
 
-echo "==> scoring suite with the detected engine and with FRAPPE_SIMD=0"
+echo "==> scoring suite with the detected engine, FRAPPE_SIMD=0 and FRAPPE_SIMD=fused"
 # The SIMD engine swap must be invisible: the svm suite (packed kernels,
 # scalar/AVX2 bit-identity properties) and the serve parity suite run
 # once with runtime ISA detection live and once pinned to the portable
-# scalar fallback. Identical results are the contract.
+# scalar fallback. Identical results are the contract. What ties the
+# passes together is the scoring test's pinned training digest (support
+# vectors, rho, dual coefficients, decision values): the auto, =0 and
+# =fused runs must all land on the same constants, so no FRAPPE_SIMD
+# value can fork a trained model.
 cargo test -q -p svm
 FRAPPE_SIMD=0 cargo test -q -p svm
+FRAPPE_SIMD=fused cargo test -q -p svm --test scoring
 FRAPPE_SIMD=0 cargo test -q -p frappe-serve
 
 echo "==> gauntlet suite (adversarial scenarios, FRAPPE_JOBS=1 and FRAPPE_JOBS=8)"

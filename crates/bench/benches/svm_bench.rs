@@ -58,7 +58,7 @@ fn bench_prediction(c: &mut Criterion) {
 /// acceptance batch trio {1, 64, 4096}. `repro --scoring-bench-out` produces the same comparison as
 /// machine-readable JSON; this group is the statistical view.
 fn bench_kernel_scoring(c: &mut Criterion) {
-    use svm::simd::{Dispatch, MathMode};
+    use svm::simd::Engine;
 
     let data = synth(800, 47);
     let model = train(&data, &SvmParams::paper_defaults(7));
@@ -69,8 +69,8 @@ fn bench_kernel_scoring(c: &mut Criterion) {
         "kernel_scoring: {} support vectors, isa {}, engines fallback={} best={}",
         model.support_vector_count(),
         svm::simd::detected_isa(),
-        Dispatch::scalar_deterministic().describe(),
-        Dispatch::best(MathMode::Deterministic).describe(),
+        Engine::Scalar.describe(),
+        Engine::best().describe(),
     );
 
     let mut group = c.benchmark_group("kernel_scoring");
@@ -78,18 +78,17 @@ fn bench_kernel_scoring(c: &mut Criterion) {
     for &batch in &[1usize, 64, 4096] {
         let slice = &queries[..batch];
         group.bench_with_input(BenchmarkId::new("fallback", batch), &slice, |b, qs| {
-            let d = Dispatch::scalar_deterministic();
             b.iter(|| {
                 qs.iter()
-                    .map(|q| model.decision_value_with(d, q))
+                    .map(|q| model.decision_value_with(Engine::Scalar, q))
                     .sum::<f64>()
             });
         });
         group.bench_with_input(BenchmarkId::new("simd", batch), &slice, |b, qs| {
-            let d = Dispatch::best(MathMode::Deterministic);
+            let best = Engine::best();
             b.iter(|| {
                 qs.iter()
-                    .map(|q| model.decision_value_with(d, q))
+                    .map(|q| model.decision_value_with(best, q))
                     .sum::<f64>()
             });
         });

@@ -12,21 +12,21 @@
 //!   with the platform `exp`. This is the baseline the acceptance
 //!   criterion's "≥ 3× batch-scoring throughput" is measured against.
 //! * **fallback** — [`svm::PackedModel`] on the portable 4-lane scalar
-//!   engine ([`svm::simd::Dispatch::scalar_deterministic`]).
+//!   engine ([`svm::simd::Engine::Scalar`]).
 //! * **simd** — the same packed model on the best engine the CPU offers
 //!   (AVX2+FMA where detected; identical to fallback otherwise, and
 //!   `detected_isa` in the report says which you got).
 //!
 //! The report also carries the fallback-vs-SIMD bit-identity verdict over
-//! the whole query stream — the property that makes the deterministic
-//! engine swap invisible to checkpoint and parity tests.
+//! the whole query stream — the property that makes the engine swap
+//! invisible to checkpoint and parity tests.
 
 use std::time::Instant;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use svm::simd::{self, Dispatch, MathMode};
+use svm::simd::{self, Engine};
 use svm::{train, Dataset, Kernel, SvmModel, SvmParams};
 
 /// One (path, batch size) timing cell.
@@ -34,7 +34,7 @@ use svm::{train, Dataset, Kernel, SvmModel, SvmParams};
 pub struct ScoringBenchPoint {
     /// Evaluation path: `scalar-legacy`, `fallback`, or `simd`.
     pub path: String,
-    /// Engine label actually dispatching (e.g. `avx2+fma/deterministic`).
+    /// Engine label actually dispatching (e.g. `avx2/deterministic`).
     pub engine: String,
     /// Queries scored back-to-back per timing rep.
     pub batch: usize,
@@ -172,8 +172,8 @@ pub fn run(quick: bool) -> ScoringBenchReport {
     let pool = crate::trainbench::synth_dataset(4096, 7701);
     let queries: Vec<Vec<f64>> = pool.features().to_vec();
 
-    let fallback = Dispatch::scalar_deterministic();
-    let best = Dispatch::best(MathMode::Deterministic);
+    let fallback = Engine::Scalar;
+    let best = Engine::best();
 
     let fallback_bit_identical = queries.iter().all(|q| {
         model.decision_value_with(fallback, q).to_bits()

@@ -3,7 +3,9 @@
 //! Every verdict is an exact kernel sum on the packed engine. Which
 //! instruction set evaluates it is fixed once per process by CPU detection
 //! plus the `FRAPPE_SIMD` environment variable (see
-//! [`svm::simd::active`]); nothing changes it at runtime.
+//! [`svm::simd::active`]); nothing changes it at runtime. Every engine
+//! computes the same bits, so the label names the instructions, never a
+//! different arithmetic.
 
 /// Banner label: `exact+` plus the engine actually dispatching, e.g.
 /// `exact+avx2/deterministic` or `exact+scalar-4lane/deterministic`.

@@ -156,11 +156,6 @@ impl LifecycleManager {
         self.fence.lock().replace(fence)
     }
 
-    /// Removes the installed fence, returning it.
-    pub fn take_swap_fence(&self) -> Option<Arc<dyn SwapFence>> {
-        self.fence.lock().take()
-    }
-
     /// Runs `swap` through the installed fence (or bare when none is
     /// installed), handing back what `swap` produced.
     fn fenced_swap<R>(&self, swap: impl FnOnce() -> R) -> R {

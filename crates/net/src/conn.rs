@@ -103,10 +103,10 @@ pub(crate) enum IoStep {
 }
 
 impl Conn {
-    pub(crate) fn new(stream: TcpStream, limits: Limits) -> Conn {
+    pub(crate) fn new(stream: TcpStream) -> Conn {
         Conn {
             stream,
-            parser: RequestParser::new(limits),
+            parser: RequestParser::new(Limits::default()),
             out: Vec::new(),
             out_pos: 0,
             // A fresh socket is writable until proven otherwise, and

@@ -28,10 +28,9 @@
 //!    Reads resume once every scorer queue has fallen to half its
 //!    capacity — on a router, each group's own queue (hysteresis, so the
 //!    edge does not flap).
-//! 3. **Pipelining guard** — at most
-//!    [`NetConfig::max_requests_per_wake`] buffered requests are served
-//!    per connection per wake-up, so one pipelining client cannot starve
-//!    the rest of the loop.
+//! 3. **Pipelining guard** — at most four (`MAX_REQUESTS_PER_WAKE`)
+//!    buffered requests are served per connection per wake-up, so one
+//!    pipelining client cannot starve the rest of the loop.
 //!
 //! ## Drain protocol
 //!
@@ -64,33 +63,28 @@ use frappe_serve::{Deployment, ErrorEnvelope, PendingVerdict, ServeError, ServeE
 use osn_types::ids::AppId;
 
 use crate::conn::{Conn, IoStep, PendingWrite, Phase};
-use crate::http::{Limits, Method, Request, Response};
+use crate::http::{Method, Request, Response};
 use crate::reactor::{Reactor, Readiness, Waker};
 
 /// The listener's reactor token; connections use `slot index + 1`.
 const LISTENER_TOKEN: u64 = 0;
 
-/// Edge tuning knobs.
+/// Buffered requests served per connection per wake-up (ring 3).
+const MAX_REQUESTS_PER_WAKE: usize = 4;
+
+/// Edge tuning knobs. Request byte budgets are
+/// [`crate::http::Limits::default`] (`431`/`413` beyond).
 #[derive(Debug, Clone, Copy)]
 pub struct NetConfig {
     /// Live-connection cap; beyond it accepts are answered `503` and
     /// closed (ring 1 of the backpressure story).
     pub max_connections: usize,
-    /// Per-request header budget (`431` beyond).
-    pub max_head_bytes: usize,
-    /// Per-request body budget (`413` beyond).
-    pub max_body_bytes: usize,
-    /// Buffered requests served per connection per wake-up (ring 3).
-    pub max_requests_per_wake: usize,
 }
 
 impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
             max_connections: 1024,
-            max_head_bytes: 8 * 1024,
-            max_body_bytes: 1024 * 1024,
-            max_requests_per_wake: 4,
         }
     }
 }
@@ -243,11 +237,6 @@ impl EdgeHandle {
         drop(state);
         self.waker.wake();
     }
-
-    /// Whether the edge is currently draining (or drained).
-    pub fn is_draining(&self) -> bool {
-        self.shared.state.lock().expect("edge state lock").command == Command::Draining
-    }
 }
 
 impl SwapFence for EdgeHandle {
@@ -325,10 +314,6 @@ impl Server {
 
         let event_loop = EventLoop {
             overload_response: accept_gate_response(service.retry_after_ms()),
-            limits: Limits {
-                max_head_bytes: config.max_head_bytes,
-                max_body_bytes: config.max_body_bytes,
-            },
             service,
             listener,
             reactor,
@@ -432,7 +417,6 @@ struct EventLoop {
     reactor: Reactor,
     shared: Arc<Shared>,
     config: NetConfig,
-    limits: Limits,
     /// Slab of connections; reactor token = index + 1.
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
@@ -553,7 +537,7 @@ impl EventLoop {
                         self.free.push(idx);
                         continue;
                     }
-                    self.conns[idx] = Some(Conn::new(stream, self.limits));
+                    self.conns[idx] = Some(Conn::new(stream));
                     self.active += 1;
                     self.metrics.accepted.inc();
                     self.metrics.active.set(self.active as i64);
@@ -641,7 +625,7 @@ impl EventLoop {
     /// Parses and serves buffered requests, bounded by the pipelining
     /// guard, stopping at an in-flight classify or a read pause.
     fn serve_buffered(&mut self, conn: &mut Conn) {
-        for _ in 0..self.config.max_requests_per_wake {
+        for _ in 0..MAX_REQUESTS_PER_WAKE {
             if conn.closing && conn.parser.buffered() == 0 {
                 break;
             }

@@ -151,23 +151,6 @@ impl AuditLog {
         }
         out
     }
-
-    /// Render as JSONL with a `ts_micros` field on every line, stamped
-    /// once from the injected clock (no raw wall-time read — output is
-    /// byte-deterministic under a [`ManualClock`](crate::ManualClock)).
-    pub fn to_jsonl_stamped(&self, clock: &dyn crate::Clock) -> String {
-        use std::fmt::Write as _;
-        let ts_micros = clock.now_micros();
-        let records = self.records.lock();
-        let mut out = String::new();
-        for record in records.iter() {
-            let line = serde_json::to_string(record).expect("audit record serializes");
-            // Splice the timestamp in as the first field of each object.
-            let rest = line.strip_prefix('{').unwrap_or(&line);
-            let _ = writeln!(out, "{{\"ts_micros\":{ts_micros},{rest}");
-        }
-        out
-    }
 }
 
 impl Default for AuditLog {
@@ -236,21 +219,6 @@ mod tests {
         assert_eq!((kept[0].app, kept[1].app), (3, 4));
         assert_eq!(log.drain().len(), 2);
         assert!(log.is_empty());
-    }
-
-    #[test]
-    fn stamped_jsonl_is_deterministic_under_a_manual_clock() {
-        let log = AuditLog::default();
-        log.record(record(1, 0.5));
-        let clock = crate::ManualClock::at(42);
-        let out = log.to_jsonl_stamped(&clock);
-        assert_eq!(out, log.to_jsonl_stamped(&clock));
-        let parsed: serde_json::Value = serde_json::from_str(out.lines().next().unwrap()).unwrap();
-        assert_eq!(
-            parsed.get_field("ts_micros").and_then(|v| v.as_u64()),
-            Some(42)
-        );
-        assert_eq!(parsed.get_field("app").and_then(|v| v.as_u64()), Some(1));
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! acceptable) trade for monitoring data.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
@@ -148,11 +147,6 @@ impl Histogram {
             .unwrap_or(self.bounds.len());
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         idx
-    }
-
-    /// Record a duration in whole microseconds.
-    pub fn observe_duration_micros(&self, elapsed: Duration) {
-        self.observe(elapsed.as_micros().min(u64::MAX as u128) as u64);
     }
 
     /// Point-in-time copy of the bucket counts.

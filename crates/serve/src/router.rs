@@ -233,11 +233,6 @@ impl ShardRouter {
         group_index(app, self.groups.len())
     }
 
-    /// The shared control plane (model pointer + known names).
-    pub fn control_plane(&self) -> &Arc<ControlPlane> {
-        &self.control
-    }
-
     /// Current control version vector.
     pub fn control_stamp(&self) -> ControlStamp {
         self.control.stamp()

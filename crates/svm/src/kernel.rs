@@ -75,18 +75,15 @@ impl Kernel {
     /// lengths — the vectorized primitives read through raw pointers, so
     /// the old debug-only zip-and-truncate behaviour is gone.
     pub fn compute(&self, x: &[f64], y: &[f64]) -> f64 {
-        let d = simd::active();
         match *self {
-            Kernel::Linear => simd::dot_with(d, x, y),
+            Kernel::Linear => simd::dot(x, y),
             Kernel::Polynomial {
                 degree,
                 gamma,
                 coef0,
-            } => (gamma * simd::dot_with(d, x, y) + coef0).powi(degree as i32),
-            Kernel::Rbf { gamma } => {
-                simd::exp_with(d.mode, simd::squared_distance_with(d, x, y) * -gamma)
-            }
-            Kernel::Sigmoid { gamma, coef0 } => (gamma * simd::dot_with(d, x, y) + coef0).tanh(),
+            } => (gamma * simd::dot(x, y) + coef0).powi(degree as i32),
+            Kernel::Rbf { gamma } => simd::exp(simd::squared_distance(x, y) * -gamma),
+            Kernel::Sigmoid { gamma, coef0 } => (gamma * simd::dot(x, y) + coef0).tanh(),
         }
     }
 }

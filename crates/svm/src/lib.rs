@@ -15,7 +15,9 @@
 //!   the bias term, with decision values and sign prediction.
 //! * [`simd`] — runtime-dispatched scoring primitives: AVX2 intrinsics
 //!   with a bit-identical unrolled-scalar fallback, plus a deterministic
-//!   vectorizable exponential.
+//!   vectorizable exponential. One arithmetic: `FRAPPE_SIMD` picks the
+//!   instructions, never the results, so training and scoring produce the
+//!   same bits under every setting.
 //! * [`packed`] — the model flattened into contiguous lane-transposed
 //!   arrays; all scoring runs here, including a fused single-dot-product
 //!   path for linear kernels.
@@ -73,5 +75,5 @@ pub use metrics::ConfusionMatrix;
 pub use model::SvmModel;
 pub use packed::PackedModel;
 pub use scale::Scaler;
-pub use simd::{Dispatch, Engine, MathMode};
+pub use simd::Engine;
 pub use smo::{train, CacheStats, SvmParams};

@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::kernel::Kernel;
 use crate::packed::{PackedCache, PackedModel};
-use crate::simd::Dispatch;
+use crate::simd::Engine;
 
 /// A trained C-SVC model.
 ///
@@ -123,7 +123,7 @@ impl SvmModel {
     /// Raw decision value `f(x)`; positive means class `+1`.
     ///
     /// Evaluated by the packed SIMD engine on the [`crate::simd::active`]
-    /// dispatch: a single fused dot product for linear kernels, blocked
+    /// engine: a single fused dot product for linear kernels, blocked
     /// lane-parallel kernel sums otherwise.
     ///
     /// # Panics
@@ -134,11 +134,11 @@ impl SvmModel {
         self.packed().decision_value(x)
     }
 
-    /// [`Self::decision_value`] on an explicit engine dispatch; used by
+    /// [`Self::decision_value`] on an explicit engine; used by
     /// tests and benches to compare engines side by side without touching
     /// the process-wide selection.
-    pub fn decision_value_with(&self, d: Dispatch, x: &[f64]) -> f64 {
-        self.packed().decision_value_with(d, x)
+    pub fn decision_value_with(&self, engine: Engine, x: &[f64]) -> f64 {
+        self.packed().decision_value_with(engine, x)
     }
 
     /// Predicted label: `+1.0` if `f(x) ≥ 0`, else `-1.0`.

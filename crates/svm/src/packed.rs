@@ -26,7 +26,7 @@ use std::sync::{Arc, OnceLock};
 use serde::{Deserialize, Error, Serialize, Value};
 
 use crate::kernel::Kernel;
-use crate::simd::{self, Dispatch, LANES};
+use crate::simd::{self, Engine, LANES};
 
 /// A trained model flattened into contiguous SIMD-friendly arrays.
 #[derive(Debug, Clone)]
@@ -111,18 +111,18 @@ impl PackedModel {
         self.linear_w.as_deref()
     }
 
-    /// Decision value `f(x)` with the [`simd::active`] dispatch.
+    /// Decision value `f(x)` on the [`simd::active`] engine.
     pub fn decision_value(&self, x: &[f64]) -> f64 {
         self.decision_value_with(simd::active(), x)
     }
 
-    /// Decision value `f(x)` with an explicit dispatch.
+    /// Decision value `f(x)` on an explicit engine.
     ///
     /// # Panics
     /// Panics — in release builds too — if `x.len()` differs from the
     /// model's feature dimension (unless the model has no support vectors,
     /// in which case `f(x) = −rho` for any input).
-    pub fn decision_value_with(&self, d: Dispatch, x: &[f64]) -> f64 {
+    pub fn decision_value_with(&self, engine: Engine, x: &[f64]) -> f64 {
         if self.n_sv == 0 {
             return -self.rho;
         }
@@ -136,18 +136,21 @@ impl PackedModel {
         match self.kernel {
             Kernel::Linear => {
                 let w = self.linear_w.as_deref().expect("linear weights packed");
-                simd::dot_with(d, w, x) - self.rho
+                simd::dot_with(engine, w, x) - self.rho
             }
             Kernel::Rbf { gamma } => {
-                simd::rbf_sum_with(d, &self.data, self.dim, &self.coefs, gamma, x) - self.rho
+                simd::rbf_sum_with(engine, &self.data, self.dim, &self.coefs, gamma, x) - self.rho
             }
             Kernel::Polynomial {
                 degree,
                 gamma,
                 coef0,
-            } => self.transformed_sum(d, x, |t| (gamma * t + coef0).powi(degree as i32)) - self.rho,
+            } => {
+                self.transformed_sum(engine, x, |t| (gamma * t + coef0).powi(degree as i32))
+                    - self.rho
+            }
             Kernel::Sigmoid { gamma, coef0 } => {
-                self.transformed_sum(d, x, |t| (gamma * t + coef0).tanh()) - self.rho
+                self.transformed_sum(engine, x, |t| (gamma * t + coef0).tanh()) - self.rho
             }
         }
     }
@@ -155,9 +158,9 @@ impl PackedModel {
     // Dot-based kernels without a primal form: blocked dot products, then a
     // per-lane transform accumulated in the canonical lane order (identical
     // in both engines, so bit-identity is preserved end to end).
-    fn transformed_sum(&self, d: Dispatch, x: &[f64], f: impl Fn(f64) -> f64) -> f64 {
+    fn transformed_sum(&self, engine: Engine, x: &[f64], f: impl Fn(f64) -> f64) -> f64 {
         let mut dots = vec![0.0; self.coefs.len()];
-        simd::dots_into_with(d, &self.data, self.dim, x, &mut dots);
+        simd::dots_into_with(engine, &self.data, self.dim, x, &mut dots);
         let mut lanes = [0.0; LANES];
         for (i, (&t, &c)) in dots.iter().zip(&self.coefs).enumerate() {
             lanes[i % LANES] += c * f(t);
@@ -234,7 +237,7 @@ mod tests {
                 .map(|(sv, &c)| c * kernel.compute(sv, &x))
                 .sum::<f64>()
                 - 0.125;
-            let got = packed.decision_value_with(Dispatch::scalar_deterministic(), &x);
+            let got = packed.decision_value_with(Engine::Scalar, &x);
             assert!(
                 (got - naive).abs() < 1e-9,
                 "{kernel:?}: packed {got} vs naive {naive}"

@@ -12,16 +12,16 @@
 //! * **Scalar**: a portable unrolled fallback that mirrors the AVX2 lane
 //!   structure *exactly* — four accumulator lanes, the same per-lane
 //!   operation order, the same horizontal-reduction tree, and zero-filled
-//!   masked tail lanes. In [`MathMode::Deterministic`] both engines perform
-//!   the identical sequence of IEEE-754 operations, so their results are
-//!   **bit-identical**, not merely close.
+//!   masked tail lanes. Both engines perform the identical sequence of
+//!   IEEE-754 operations, so their results are **bit-identical**, not
+//!   merely close.
 //!
-//! [`MathMode::Fused`] swaps the multiply-then-add pairs for fused
-//! multiply-adds (`vfmadd*` on AVX2, [`f64::mul_add`] on the scalar path —
-//! both exactly rounded, so the two engines still agree bit-for-bit with
-//! each other; only the deterministic-vs-fused results differ, by design).
+//! There is one arithmetic: every multiply-add is a rounded multiply then
+//! a rounded add, never a fused one. The engine picks which instructions
+//! run, never which results come out, so a model trained or scored on one
+//! machine has the same bits on every other.
 //!
-//! The libm `exp` is replaced by [`exp_with`]: a branch-free Cody–Waite
+//! The libm `exp` is replaced by [`exp`]: a branch-free Cody–Waite
 //! range reduction plus polynomial that performs the same operation
 //! sequence in scalar and 4-wide form. This is what makes the RBF kernel
 //! vectorizable at all — with a scalar libm call per support vector the
@@ -30,10 +30,9 @@
 //!
 //! Engine selection: [`active`] is fixed once per process from the
 //! `FRAPPE_SIMD` environment variable (`0`/`off`/`scalar` forces the
-//! fallback; `fast`/`fma`/`fused` opts into fused mode) and otherwise
-//! auto-detection (AVX2+FMA if the CPU has it, deterministic mode).
+//! fallback) and otherwise auto-detection (AVX2+FMA if the CPU has it).
 //! Code that must compare engines side by side — tests, benches — passes an
-//! explicit [`Dispatch`] to the `*_with` variants.
+//! explicit [`Engine`] to the `*_with` variants.
 
 #![allow(unsafe_code)]
 
@@ -42,65 +41,33 @@ use std::sync::OnceLock;
 /// Number of `f64` lanes per SIMD register (AVX2: 256 bits / 64 bits).
 pub const LANES: usize = 4;
 
-/// Which instruction set evaluates the primitives.
+/// Which instruction set evaluates the primitives. Both compute
+/// bit-identical results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
     /// Portable unrolled scalar code mirroring the AVX2 lane structure.
     Scalar,
-    /// AVX2 + FMA intrinsics (`x86_64` with runtime detection). On a CPU
-    /// without them the entry points run the scalar engine instead.
+    /// AVX2 intrinsics (`x86_64`, when runtime detection finds AVX2 and
+    /// FMA). On a CPU without them the entry points run the scalar engine
+    /// instead.
     Avx2,
 }
 
-/// Floating-point contraction policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MathMode {
-    /// Separate multiply and add steps. Scalar and AVX2 engines produce
-    /// bit-identical results; this is the default and what checkpoints,
-    /// parity suites and the serve path rely on.
-    Deterministic,
-    /// Fused multiply-add (exactly rounded in both engines, so scalar and
-    /// AVX2 still agree bit-for-bit — but results differ from
-    /// [`MathMode::Deterministic`] by up to ~1 ULP per reduction).
-    Fused,
-}
-
-/// A fully resolved engine choice passed to the `*_with` primitives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Dispatch {
-    /// Instruction set.
-    pub engine: Engine,
-    /// Contraction policy.
-    pub mode: MathMode,
-}
-
-impl Dispatch {
-    /// The portable reference configuration: scalar engine, deterministic
-    /// math. Every other configuration is validated against this one.
-    pub const fn scalar_deterministic() -> Dispatch {
-        Dispatch {
-            engine: Engine::Scalar,
-            mode: MathMode::Deterministic,
-        }
-    }
-
-    /// The fastest engine the running CPU supports, in the given mode.
-    pub fn best(mode: MathMode) -> Dispatch {
-        let engine = if avx2_available() {
+impl Engine {
+    /// The fastest engine the running CPU supports.
+    pub fn best() -> Engine {
+        if avx2_available() {
             Engine::Avx2
         } else {
             Engine::Scalar
-        };
-        Dispatch { engine, mode }
+        }
     }
 
     /// Human-readable label, used by benches and the serve banner.
     pub fn describe(self) -> &'static str {
-        match (self.engine, self.mode) {
-            (Engine::Scalar, MathMode::Deterministic) => "scalar-4lane/deterministic",
-            (Engine::Scalar, MathMode::Fused) => "scalar-4lane/fused",
-            (Engine::Avx2, MathMode::Deterministic) => "avx2/deterministic",
-            (Engine::Avx2, MathMode::Fused) => "avx2+fma/fused",
+        match self {
+            Engine::Scalar => "scalar-4lane/deterministic",
+            Engine::Avx2 => "avx2/deterministic",
         }
     }
 }
@@ -126,19 +93,18 @@ pub fn detected_isa() -> &'static str {
     }
 }
 
-/// The dispatch every non-`_with` entry point uses, read once per process
+/// The engine every non-`_with` entry point uses, read once per process
 /// from `FRAPPE_SIMD` and the CPU.
-pub fn active() -> Dispatch {
-    static ACTIVE: OnceLock<Dispatch> = OnceLock::new();
+pub fn active() -> Engine {
+    static ACTIVE: OnceLock<Engine> = OnceLock::new();
     *ACTIVE.get_or_init(|| dispatch_for(std::env::var("FRAPPE_SIMD").ok().as_deref()))
 }
 
-/// The dispatch a `FRAPPE_SIMD` setting selects on this CPU.
-fn dispatch_for(setting: Option<&str>) -> Dispatch {
+/// The engine a `FRAPPE_SIMD` setting selects on this CPU.
+fn dispatch_for(setting: Option<&str>) -> Engine {
     match setting {
-        Some("0") | Some("off") | Some("scalar") => Dispatch::scalar_deterministic(),
-        Some("fast") | Some("fma") | Some("fused") => Dispatch::best(MathMode::Fused),
-        _ => Dispatch::best(MathMode::Deterministic),
+        Some("0") | Some("off") | Some("scalar") => Engine::Scalar,
+        _ => Engine::best(),
     }
 }
 
@@ -174,11 +140,8 @@ pub fn reduce_lanes(acc: [f64; LANES]) -> f64 {
 }
 
 #[inline]
-fn muladd(mode: MathMode, a: f64, b: f64, acc: f64) -> f64 {
-    match mode {
-        MathMode::Deterministic => acc + a * b,
-        MathMode::Fused => a.mul_add(b, acc),
-    }
+fn muladd(a: f64, b: f64, acc: f64) -> f64 {
+    acc + a * b
 }
 
 // ---------------------------------------------------------------------------
@@ -222,7 +185,7 @@ const EXP_COEFFS: [f64; 14] = [
 /// 4-wide AVX2 forms, replacing libm's (scalar-only, platform-varying)
 /// `exp` in the RBF kernel. Accuracy is within a couple of ULP of libm;
 /// inputs below −708 flush to `0.0`, above 709 to `+∞`, NaN propagates.
-pub fn exp_with(mode: MathMode, x: f64) -> f64 {
+pub fn exp(x: f64) -> f64 {
     if x < EXP_UNDERFLOW {
         return 0.0;
     }
@@ -231,17 +194,14 @@ pub fn exp_with(mode: MathMode, x: f64) -> f64 {
     }
     let t = x * LOG2E;
     let n = (t + ROUND_MAGIC) - ROUND_MAGIC;
-    let r = match mode {
-        MathMode::Deterministic => (x - n * LN2_HI) - n * LN2_LO,
-        MathMode::Fused => (-n).mul_add(LN2_LO, (-n).mul_add(LN2_HI, x)),
-    };
+    let r = (x - n * LN2_HI) - n * LN2_LO;
     // Estrin tree over the degree-13 Taylor polynomial: 4 dependent
     // levels instead of Horner's 13. The RBF hot loop is latency-bound on
     // exactly this chain, and the AVX2 `exp4` mirrors the tree
     // step-for-step so both engines still produce identical bits.
     // `c0 = c1 = 1` keeps `exp(±0) = 1` exact: every power of r is +0, so
     // each level collapses to its leading pair and `p0 = 1 + 1·(±0) = 1`.
-    let step = |a: f64, b: f64, c: f64| muladd(mode, b, c, a);
+    let step = |a: f64, b: f64, c: f64| muladd(b, c, a);
     let r2 = r * r;
     let r4 = r2 * r2;
     let r8 = r4 * r4;
@@ -266,7 +226,7 @@ pub fn exp_with(mode: MathMode, x: f64) -> f64 {
 // scalar engine — the unrolled mirror of the AVX2 lane structure
 // ---------------------------------------------------------------------------
 
-fn dot_scalar(mode: MathMode, x: &[f64], y: &[f64]) -> f64 {
+fn dot_scalar(x: &[f64], y: &[f64]) -> f64 {
     let n = x.len();
     let chunks = n / LANES;
     let mut acc = [0.0f64; LANES];
@@ -274,22 +234,22 @@ fn dot_scalar(mode: MathMode, x: &[f64], y: &[f64]) -> f64 {
         let xs = &x[c * LANES..(c + 1) * LANES];
         let ys = &y[c * LANES..(c + 1) * LANES];
         for ((a, &xv), &yv) in acc.iter_mut().zip(xs).zip(ys) {
-            *a = muladd(mode, xv, yv, *a);
+            *a = muladd(xv, yv, *a);
         }
     }
     if !n.is_multiple_of(LANES) {
         // Mirror the masked tail load: lanes beyond the data contribute a
-        // 0·0 product, exactly as `maskload` feeds zeros into the FMA.
+        // 0·0 product, exactly as `maskload` feeds zeros into the multiply-add.
         for (l, a) in acc.iter_mut().enumerate() {
             let i = chunks * LANES + l;
             let (xv, yv) = if i < n { (x[i], y[i]) } else { (0.0, 0.0) };
-            *a = muladd(mode, xv, yv, *a);
+            *a = muladd(xv, yv, *a);
         }
     }
     reduce_lanes(acc)
 }
 
-fn squared_distance_scalar(mode: MathMode, x: &[f64], y: &[f64]) -> f64 {
+fn squared_distance_scalar(x: &[f64], y: &[f64]) -> f64 {
     let n = x.len();
     let chunks = n / LANES;
     let mut acc = [0.0f64; LANES];
@@ -298,27 +258,20 @@ fn squared_distance_scalar(mode: MathMode, x: &[f64], y: &[f64]) -> f64 {
         let ys = &y[c * LANES..(c + 1) * LANES];
         for ((a, &xv), &yv) in acc.iter_mut().zip(xs).zip(ys) {
             let d = xv - yv;
-            *a = muladd(mode, d, d, *a);
+            *a = muladd(d, d, *a);
         }
     }
     if !n.is_multiple_of(LANES) {
         for (l, a) in acc.iter_mut().enumerate() {
             let i = chunks * LANES + l;
             let d = if i < n { x[i] - y[i] } else { 0.0 };
-            *a = muladd(mode, d, d, *a);
+            *a = muladd(d, d, *a);
         }
     }
     reduce_lanes(acc)
 }
 
-fn rbf_sum_scalar(
-    mode: MathMode,
-    packed: &[f64],
-    dim: usize,
-    coefs: &[f64],
-    gamma: f64,
-    x: &[f64],
-) -> f64 {
+fn rbf_sum_scalar(packed: &[f64], dim: usize, coefs: &[f64], gamma: f64, x: &[f64]) -> f64 {
     let blocks = coefs.len() / LANES;
     // Two interleaved accumulator streams: even blocks land in `sum0`,
     // odd blocks in `sum1`, merged lane-wise at the end. The per-block
@@ -334,7 +287,7 @@ fn rbf_sum_scalar(
             let svs = &packed[base + j * LANES..base + (j + 1) * LANES];
             for (a, &s) in d2.iter_mut().zip(svs) {
                 let d = xj - s;
-                *a = muladd(mode, d, d, *a);
+                *a = muladd(d, d, *a);
             }
         }
         let cs = &coefs[b * LANES..(b + 1) * LANES];
@@ -344,8 +297,8 @@ fn rbf_sum_scalar(
             &mut sum1
         };
         for ((acc, &d2l), &c) in sum.iter_mut().zip(&d2).zip(cs) {
-            let e = exp_with(mode, d2l * -gamma);
-            *acc = muladd(mode, c, e, *acc);
+            let e = exp(d2l * -gamma);
+            *acc = muladd(c, e, *acc);
         }
     }
     for (a, &b) in sum0.iter_mut().zip(&sum1) {
@@ -354,7 +307,7 @@ fn rbf_sum_scalar(
     reduce_lanes(sum0)
 }
 
-fn dots_into_scalar(mode: MathMode, packed: &[f64], dim: usize, x: &[f64], out: &mut [f64]) {
+fn dots_into_scalar(packed: &[f64], dim: usize, x: &[f64], out: &mut [f64]) {
     let blocks = out.len() / LANES;
     for b in 0..blocks {
         let base = b * dim * LANES;
@@ -362,7 +315,7 @@ fn dots_into_scalar(mode: MathMode, packed: &[f64], dim: usize, x: &[f64], out: 
         for (j, &xj) in x.iter().enumerate() {
             let svs = &packed[base + j * LANES..base + (j + 1) * LANES];
             for (a, &s) in acc.iter_mut().zip(svs) {
-                *a = muladd(mode, xj, s, *a);
+                *a = muladd(xj, s, *a);
             }
         }
         out[b * LANES..(b + 1) * LANES].copy_from_slice(&acc);
@@ -376,18 +329,15 @@ fn dots_into_scalar(mode: MathMode, packed: &[f64], dim: usize, x: &[f64], out: 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::{
-        MathMode, EXP2_BIAS, EXP_COEFFS, EXP_OVERFLOW, EXP_UNDERFLOW, LANES, LN2_HI, LN2_LO, LOG2E,
+        EXP2_BIAS, EXP_COEFFS, EXP_OVERFLOW, EXP_UNDERFLOW, LANES, LN2_HI, LN2_LO, LOG2E,
         ROUND_MAGIC,
     };
     use core::arch::x86_64::*;
 
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    fn step_mul(mode: MathMode, acc: __m256d, a: __m256d, b: __m256d) -> __m256d {
-        match mode {
-            MathMode::Deterministic => _mm256_add_pd(acc, _mm256_mul_pd(a, b)),
-            MathMode::Fused => _mm256_fmadd_pd(a, b, acc),
-        }
+    fn step_mul(acc: __m256d, a: __m256d, b: __m256d) -> __m256d {
+        _mm256_add_pd(acc, _mm256_mul_pd(a, b))
     }
 
     #[inline]
@@ -409,7 +359,7 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2,fma")]
-    pub fn dot(mode: MathMode, x: &[f64], y: &[f64]) -> f64 {
+    pub fn dot(x: &[f64], y: &[f64]) -> f64 {
         let n = x.len();
         let chunks = n / LANES;
         let rem = n % LANES;
@@ -422,7 +372,7 @@ mod avx2 {
                     _mm256_loadu_pd(y.as_ptr().add(c * LANES)),
                 )
             };
-            acc = step_mul(mode, acc, a, b);
+            acc = step_mul(acc, a, b);
         }
         if rem != 0 {
             let m = tail_mask(rem);
@@ -433,13 +383,13 @@ mod avx2 {
                     _mm256_maskload_pd(y.as_ptr().add(chunks * LANES), m),
                 )
             };
-            acc = step_mul(mode, acc, a, b);
+            acc = step_mul(acc, a, b);
         }
         hsum(acc)
     }
 
     #[target_feature(enable = "avx2,fma")]
-    pub fn squared_distance(mode: MathMode, x: &[f64], y: &[f64]) -> f64 {
+    pub fn squared_distance(x: &[f64], y: &[f64]) -> f64 {
         let n = x.len();
         let chunks = n / LANES;
         let rem = n % LANES;
@@ -453,7 +403,7 @@ mod avx2 {
                 )
             };
             let d = _mm256_sub_pd(a, b);
-            acc = step_mul(mode, acc, d, d);
+            acc = step_mul(acc, d, d);
         }
         if rem != 0 {
             let m = tail_mask(rem);
@@ -465,49 +415,42 @@ mod avx2 {
                 )
             };
             let d = _mm256_sub_pd(a, b);
-            acc = step_mul(mode, acc, d, d);
+            acc = step_mul(acc, d, d);
         }
         hsum(acc)
     }
 
-    /// 4-wide mirror of [`super::exp_with`] — same constants, same
-    /// operation order, lane-parallel.
+    /// 4-wide mirror of [`super::exp`] — same constants, same operation
+    /// order, lane-parallel.
     #[target_feature(enable = "avx2,fma")]
-    pub fn exp4(mode: MathMode, x: __m256d) -> __m256d {
+    pub fn exp4(x: __m256d) -> __m256d {
         let under = _mm256_cmp_pd::<_CMP_LT_OQ>(x, _mm256_set1_pd(EXP_UNDERFLOW));
         let over = _mm256_cmp_pd::<_CMP_GT_OQ>(x, _mm256_set1_pd(EXP_OVERFLOW));
         let magic = _mm256_set1_pd(ROUND_MAGIC);
         let t = _mm256_mul_pd(x, _mm256_set1_pd(LOG2E));
         let n = _mm256_sub_pd(_mm256_add_pd(t, magic), magic);
-        let r = match mode {
-            MathMode::Deterministic => _mm256_sub_pd(
-                _mm256_sub_pd(x, _mm256_mul_pd(n, _mm256_set1_pd(LN2_HI))),
-                _mm256_mul_pd(n, _mm256_set1_pd(LN2_LO)),
-            ),
-            MathMode::Fused => _mm256_fnmadd_pd(
-                n,
-                _mm256_set1_pd(LN2_LO),
-                _mm256_fnmadd_pd(n, _mm256_set1_pd(LN2_HI), x),
-            ),
-        };
-        // Same Estrin tree as the scalar `exp_with`, lane-parallel.
+        let r = _mm256_sub_pd(
+            _mm256_sub_pd(x, _mm256_mul_pd(n, _mm256_set1_pd(LN2_HI))),
+            _mm256_mul_pd(n, _mm256_set1_pd(LN2_LO)),
+        );
+        // Same Estrin tree as the scalar `exp`, lane-parallel.
         let c = |k: usize| _mm256_set1_pd(EXP_COEFFS[k]);
         let r2 = _mm256_mul_pd(r, r);
         let r4 = _mm256_mul_pd(r2, r2);
         let r8 = _mm256_mul_pd(r4, r4);
-        let p0 = step_mul(mode, c(0), c(1), r);
-        let p1 = step_mul(mode, c(2), c(3), r);
-        let p2 = step_mul(mode, c(4), c(5), r);
-        let p3 = step_mul(mode, c(6), c(7), r);
-        let p4 = step_mul(mode, c(8), c(9), r);
-        let p5 = step_mul(mode, c(10), c(11), r);
-        let p6 = step_mul(mode, c(12), c(13), r);
-        let q0 = step_mul(mode, p0, p1, r2);
-        let q1 = step_mul(mode, p2, p3, r2);
-        let q2 = step_mul(mode, p4, p5, r2);
-        let s0 = step_mul(mode, q0, q1, r4);
-        let s1 = step_mul(mode, q2, p6, r4);
-        let p = step_mul(mode, s0, s1, r8);
+        let p0 = step_mul(c(0), c(1), r);
+        let p1 = step_mul(c(2), c(3), r);
+        let p2 = step_mul(c(4), c(5), r);
+        let p3 = step_mul(c(6), c(7), r);
+        let p4 = step_mul(c(8), c(9), r);
+        let p5 = step_mul(c(10), c(11), r);
+        let p6 = step_mul(c(12), c(13), r);
+        let q0 = step_mul(p0, p1, r2);
+        let q1 = step_mul(p2, p3, r2);
+        let q2 = step_mul(p4, p5, r2);
+        let s0 = step_mul(q0, q1, r4);
+        let s1 = step_mul(q2, p6, r4);
+        let p = step_mul(s0, s1, r8);
         let biased = _mm256_add_pd(n, _mm256_set1_pd(EXP2_BIAS));
         let scale = _mm256_castsi256_pd(_mm256_slli_epi64::<52>(_mm256_castpd_si256(biased)));
         // Out-of-range lanes computed garbage above; the blends overwrite
@@ -518,14 +461,7 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2,fma")]
-    pub fn rbf_sum(
-        mode: MathMode,
-        packed: &[f64],
-        dim: usize,
-        coefs: &[f64],
-        gamma: f64,
-        x: &[f64],
-    ) -> f64 {
+    pub fn rbf_sum(packed: &[f64], dim: usize, coefs: &[f64], gamma: f64, x: &[f64]) -> f64 {
         let blocks = coefs.len() / LANES;
         let neg_gamma = _mm256_set1_pd(-gamma);
         // Mirror of the scalar engine's two interleaved accumulator
@@ -552,19 +488,19 @@ mod avx2 {
                         _mm256_loadu_pd(packed.as_ptr().add(base + u * stride + j * LANES))
                     };
                     let d = _mm256_sub_pd(xj, s);
-                    *acc = step_mul(mode, *acc, d, d);
+                    *acc = step_mul(*acc, d, d);
                 }
             }
-            let e0 = exp4(mode, _mm256_mul_pd(d2[0], neg_gamma));
-            let e1 = exp4(mode, _mm256_mul_pd(d2[1], neg_gamma));
-            let e2 = exp4(mode, _mm256_mul_pd(d2[2], neg_gamma));
-            let e3 = exp4(mode, _mm256_mul_pd(d2[3], neg_gamma));
+            let e0 = exp4(_mm256_mul_pd(d2[0], neg_gamma));
+            let e1 = exp4(_mm256_mul_pd(d2[1], neg_gamma));
+            let e2 = exp4(_mm256_mul_pd(d2[2], neg_gamma));
+            let e3 = exp4(_mm256_mul_pd(d2[3], neg_gamma));
             // SAFETY: `coefs.len() == blocks * LANES`.
             let c = |u: usize| unsafe { _mm256_loadu_pd(coefs.as_ptr().add((b + u) * LANES)) };
-            sum0 = step_mul(mode, sum0, c(0), e0);
-            sum1 = step_mul(mode, sum1, c(1), e1);
-            sum0 = step_mul(mode, sum0, c(2), e2);
-            sum1 = step_mul(mode, sum1, c(3), e3);
+            sum0 = step_mul(sum0, c(0), e0);
+            sum1 = step_mul(sum1, c(1), e1);
+            sum0 = step_mul(sum0, c(2), e2);
+            sum1 = step_mul(sum1, c(3), e3);
             b += 4;
         }
         while b < blocks {
@@ -579,15 +515,15 @@ mod avx2 {
                     )
                 };
                 let d = _mm256_sub_pd(xj, s);
-                d2 = step_mul(mode, d2, d, d);
+                d2 = step_mul(d2, d, d);
             }
-            let e = exp4(mode, _mm256_mul_pd(d2, neg_gamma));
+            let e = exp4(_mm256_mul_pd(d2, neg_gamma));
             // SAFETY: `coefs.len() == blocks * LANES`.
             let cv = unsafe { _mm256_loadu_pd(coefs.as_ptr().add(b * LANES)) };
             if b.is_multiple_of(2) {
-                sum0 = step_mul(mode, sum0, cv, e);
+                sum0 = step_mul(sum0, cv, e);
             } else {
-                sum1 = step_mul(mode, sum1, cv, e);
+                sum1 = step_mul(sum1, cv, e);
             }
             b += 1;
         }
@@ -595,7 +531,7 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2,fma")]
-    pub fn dots_into(mode: MathMode, packed: &[f64], dim: usize, x: &[f64], out: &mut [f64]) {
+    pub fn dots_into(packed: &[f64], dim: usize, x: &[f64], out: &mut [f64]) {
         let blocks = out.len() / LANES;
         for b in 0..blocks {
             let base = b * dim * LANES;
@@ -608,7 +544,7 @@ mod avx2 {
                         _mm256_loadu_pd(packed.as_ptr().add(base + j * LANES)),
                     )
                 };
-                acc = step_mul(mode, acc, xj, s);
+                acc = step_mul(acc, xj, s);
             }
             // SAFETY: `out.len() == blocks * LANES`.
             unsafe { _mm256_storeu_pd(out.as_mut_ptr().add(b * LANES), acc) };
@@ -620,41 +556,41 @@ mod avx2 {
 // dispatched entry points
 // ---------------------------------------------------------------------------
 
-/// Dot product `xᵀy` with the given dispatch.
+/// Dot product `xᵀy` on the given engine.
 ///
 /// # Panics
 /// Panics if the slice lengths differ (release builds included — the AVX2
 /// path reads through raw pointers, so this is a safety boundary).
-pub fn dot_with(d: Dispatch, x: &[f64], y: &[f64]) -> f64 {
+pub fn dot_with(engine: Engine, x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "dot: length mismatch");
-    match d.engine {
+    match engine {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the guard confirms AVX2+FMA on the running CPU.
-        Engine::Avx2 if avx2_available() => unsafe { avx2::dot(d.mode, x, y) },
-        _ => dot_scalar(d.mode, x, y),
+        Engine::Avx2 if avx2_available() => unsafe { avx2::dot(x, y) },
+        _ => dot_scalar(x, y),
     }
 }
 
-/// Dot product with the [`active`] dispatch.
+/// Dot product on the [`active`] engine.
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     dot_with(active(), x, y)
 }
 
-/// Squared Euclidean distance `‖x−y‖²` with the given dispatch.
+/// Squared Euclidean distance `‖x−y‖²` on the given engine.
 ///
 /// # Panics
 /// Panics if the slice lengths differ.
-pub fn squared_distance_with(d: Dispatch, x: &[f64], y: &[f64]) -> f64 {
+pub fn squared_distance_with(engine: Engine, x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "squared_distance: length mismatch");
-    match d.engine {
+    match engine {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the guard confirms AVX2+FMA on the running CPU.
-        Engine::Avx2 if avx2_available() => unsafe { avx2::squared_distance(d.mode, x, y) },
-        _ => squared_distance_scalar(d.mode, x, y),
+        Engine::Avx2 if avx2_available() => unsafe { avx2::squared_distance(x, y) },
+        _ => squared_distance_scalar(x, y),
     }
 }
 
-/// Squared Euclidean distance with the [`active`] dispatch.
+/// Squared Euclidean distance on the [`active`] engine.
 pub fn squared_distance(x: &[f64], y: &[f64]) -> f64 {
     squared_distance_with(active(), x, y)
 }
@@ -666,7 +602,7 @@ pub fn squared_distance(x: &[f64], y: &[f64]) -> f64 {
 /// Panics unless `coefs.len()` is a multiple of [`LANES`],
 /// `packed.len() == coefs.len() * dim` and `x.len() == dim`.
 pub fn rbf_sum_with(
-    d: Dispatch,
+    engine: Engine,
     packed: &[f64],
     dim: usize,
     coefs: &[f64],
@@ -676,14 +612,12 @@ pub fn rbf_sum_with(
     assert_eq!(coefs.len() % LANES, 0, "rbf_sum: unpadded coefficients");
     assert_eq!(packed.len(), coefs.len() * dim, "rbf_sum: packed size");
     assert_eq!(x.len(), dim, "rbf_sum: query dimension");
-    match d.engine {
+    match engine {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the guard confirms AVX2+FMA on the running CPU, and the
         // asserts above establish the pointer bounds.
-        Engine::Avx2 if avx2_available() => unsafe {
-            avx2::rbf_sum(d.mode, packed, dim, coefs, gamma, x)
-        },
-        _ => rbf_sum_scalar(d.mode, packed, dim, coefs, gamma, x),
+        Engine::Avx2 if avx2_available() => unsafe { avx2::rbf_sum(packed, dim, coefs, gamma, x) },
+        _ => rbf_sum_scalar(packed, dim, coefs, gamma, x),
     }
 }
 
@@ -693,24 +627,22 @@ pub fn rbf_sum_with(
 /// # Panics
 /// Panics unless `out.len()` is a multiple of [`LANES`],
 /// `packed.len() == out.len() * dim` and `x.len() == dim`.
-pub fn dots_into_with(d: Dispatch, packed: &[f64], dim: usize, x: &[f64], out: &mut [f64]) {
+pub fn dots_into_with(engine: Engine, packed: &[f64], dim: usize, x: &[f64], out: &mut [f64]) {
     assert_eq!(out.len() % LANES, 0, "dots_into: unpadded output");
     assert_eq!(packed.len(), out.len() * dim, "dots_into: packed size");
     assert_eq!(x.len(), dim, "dots_into: query dimension");
-    match d.engine {
+    match engine {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the guard confirms AVX2+FMA on the running CPU, and the
         // asserts above establish the pointer bounds.
-        Engine::Avx2 if avx2_available() => unsafe { avx2::dots_into(d.mode, packed, dim, x, out) },
-        _ => dots_into_scalar(d.mode, packed, dim, x, out),
+        Engine::Avx2 if avx2_available() => unsafe { avx2::dots_into(packed, dim, x, out) },
+        _ => dots_into_scalar(packed, dim, x, out),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const DET: Dispatch = Dispatch::scalar_deterministic();
 
     fn ramp(n: usize, salt: f64) -> Vec<f64> {
         (0..n)
@@ -723,33 +655,31 @@ mod tests {
         let x = ramp(19, 0.1);
         let y = ramp(19, 1.7);
         let naive: f64 = x.iter().zip(&y).map(|(a, b)| a * b).sum();
-        let got = dot_with(DET, &x, &y);
+        let got = dot_with(Engine::Scalar, &x, &y);
         assert!((got - naive).abs() < 1e-12 * naive.abs().max(1.0));
     }
 
     #[test]
     fn exp_matches_libm_within_tolerance() {
-        for mode in [MathMode::Deterministic, MathMode::Fused] {
-            let mut worst: f64 = 0.0;
-            let mut x = -30.0;
-            while x < 30.0 {
-                let got = exp_with(mode, x);
-                let want = x.exp();
-                let rel = ((got - want) / want).abs();
-                worst = worst.max(rel);
-                x += 0.0371;
-            }
-            assert!(worst < 1e-13, "exp relative error {worst:e} ({mode:?})");
+        let mut worst: f64 = 0.0;
+        let mut x: f64 = -30.0;
+        while x < 30.0 {
+            let got = exp(x);
+            let want = x.exp();
+            let rel = ((got - want) / want).abs();
+            worst = worst.max(rel);
+            x += 0.0371;
         }
+        assert!(worst < 1e-13, "exp relative error {worst:e}");
     }
 
     #[test]
     fn exp_edge_cases() {
-        assert_eq!(exp_with(MathMode::Deterministic, 0.0), 1.0);
-        assert_eq!(exp_with(MathMode::Deterministic, -0.0), 1.0);
-        assert_eq!(exp_with(MathMode::Deterministic, -1000.0), 0.0);
-        assert_eq!(exp_with(MathMode::Deterministic, 1000.0), f64::INFINITY);
-        assert!(exp_with(MathMode::Deterministic, f64::NAN).is_nan());
+        assert_eq!(exp(0.0), 1.0);
+        assert_eq!(exp(-0.0), 1.0);
+        assert_eq!(exp(-1000.0), 0.0);
+        assert_eq!(exp(1000.0), f64::INFINITY);
+        assert!(exp(f64::NAN).is_nan());
     }
 
     #[test]
@@ -758,21 +688,17 @@ mod tests {
             eprintln!("skipping: no AVX2 on this host");
             return;
         }
-        let simd = Dispatch {
-            engine: Engine::Avx2,
-            mode: MathMode::Deterministic,
-        };
         for dim in [1, 3, 4, 7, 8, 19, 32] {
             let x = ramp(dim, 0.3);
             let y = ramp(dim, 2.9);
             assert_eq!(
-                dot_with(DET, &x, &y).to_bits(),
-                dot_with(simd, &x, &y).to_bits(),
+                dot_with(Engine::Scalar, &x, &y).to_bits(),
+                dot_with(Engine::Avx2, &x, &y).to_bits(),
                 "dot dim {dim}"
             );
             assert_eq!(
-                squared_distance_with(DET, &x, &y).to_bits(),
-                squared_distance_with(simd, &x, &y).to_bits(),
+                squared_distance_with(Engine::Scalar, &x, &y).to_bits(),
+                squared_distance_with(Engine::Avx2, &x, &y).to_bits(),
                 "sqdist dim {dim}"
             );
         }
@@ -781,14 +707,13 @@ mod tests {
     #[test]
     fn env_spellings_select_the_documented_dispatch() {
         for off in ["0", "off", "scalar"] {
-            assert_eq!(dispatch_for(Some(off)), DET);
+            assert_eq!(dispatch_for(Some(off)), Engine::Scalar);
         }
-        for fused in ["fast", "fma", "fused"] {
-            assert_eq!(dispatch_for(Some(fused)), Dispatch::best(MathMode::Fused));
+        // The retired fused-math spellings select the best engine like any
+        // other value: no setting picks a second arithmetic.
+        for other in [None, Some("1"), Some("fast"), Some("fma"), Some("fused")] {
+            assert_eq!(dispatch_for(other), Engine::best(), "{other:?}");
         }
-        let auto = Dispatch::best(MathMode::Deterministic);
-        assert_eq!(dispatch_for(None), auto);
-        assert_eq!(dispatch_for(Some("1")), auto);
         assert_eq!(active(), active(), "fixed for the process lifetime");
     }
 

@@ -316,10 +316,7 @@ fn full_accept_gate_answers_503_and_tail_keeps_the_shed() {
     let server = Server::bind(
         Arc::clone(&service),
         "127.0.0.1:0",
-        NetConfig {
-            max_connections: 1,
-            ..NetConfig::default()
-        },
+        NetConfig { max_connections: 1 },
     )
     .unwrap();
 

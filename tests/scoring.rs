@@ -1,38 +1,24 @@
 //! Scoring-engine equivalence suite: the properties that make the SIMD
 //! engine swap invisible.
 //!
-//! * In **deterministic** math mode the portable 4-lane scalar engine and
-//!   the AVX2 engine produce **bit-identical** results — dots, squared
-//!   distances, full decision values, every kernel, every ragged tail.
-//!   This is the property that lets checkpoint byte-determinism and serve
-//!   parity hold regardless of which engine a machine dispatches.
-//! * In **fused** math mode the engines stay within 1 ULP of each other
-//!   (both use exactly-rounded FMA in the same lane structure, so in
-//!   practice they also match bit-for-bit; the contract is ≤ 1 ULP).
+//! * The portable 4-lane scalar engine and the AVX2 engine produce
+//!   **bit-identical** results — dots, squared distances, full decision
+//!   values, every kernel, every ragged tail. This is the property that
+//!   lets checkpoint byte-determinism and serve parity hold regardless of
+//!   which engine a machine dispatches.
+//! * A trained model's bits are pinned: SMO evaluates its kernel on the
+//!   active engine, and the pinned digest must come out the same under
+//!   every `FRAPPE_SIMD` setting the suite is run with.
 //!
-//! On a machine without AVX2 both dispatches resolve to the scalar
-//! engine and the cross-engine assertions hold trivially — the suite
-//! still exercises the lane-mirrored scalar path.
+//! On a machine without AVX2 both engines resolve to the scalar path and
+//! the cross-engine assertions hold trivially — the suite still exercises
+//! the lane-mirrored scalar path.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use svm::simd::{self, Dispatch, MathMode};
+use svm::simd::{self, Engine};
 use svm::{train, Dataset, Kernel, PackedModel, SvmParams};
-
-/// Absolute ULP distance between two finite f64s.
-fn ulp_distance(a: f64, b: f64) -> u64 {
-    // Map the sign-magnitude bit patterns onto a monotone integer line.
-    fn key(x: f64) -> i64 {
-        let bits = x.to_bits() as i64;
-        if bits < 0 {
-            i64::MIN.wrapping_add(1).wrapping_sub(bits).wrapping_sub(1)
-        } else {
-            bits
-        }
-    }
-    key(a).abs_diff(key(b))
-}
 
 /// Paper-shaped, noisily-separable data at an arbitrary dimension.
 fn synth(n: usize, dim: usize, seed: u64) -> Dataset {
@@ -52,29 +38,9 @@ fn synth(n: usize, dim: usize, seed: u64) -> Dataset {
     Dataset::new(xs, ys).expect("generated data is valid")
 }
 
-/// The four dispatches under comparison: (reference, candidate, mode).
-fn engine_pairs() -> [(Dispatch, Dispatch, MathMode); 2] {
-    [
-        (
-            Dispatch::scalar_deterministic(),
-            Dispatch::best(MathMode::Deterministic),
-            MathMode::Deterministic,
-        ),
-        (
-            Dispatch {
-                engine: simd::Engine::Scalar,
-                mode: MathMode::Fused,
-            },
-            Dispatch::best(MathMode::Fused),
-            MathMode::Fused,
-        ),
-    ]
-}
-
 proptest! {
     /// Primitive agreement at the acceptance dims {3, 8, 19, 32} plus
-    /// every ragged length in between: deterministic mode is bit-exact,
-    /// fused mode is within 1 ULP.
+    /// every ragged length in between is bit-exact.
     #[test]
     fn dot_and_squared_distance_agree_across_engines(
         seed in 0u64..1_000_000,
@@ -83,30 +49,18 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let x: Vec<f64> = (0..dim).map(|_| rng.gen::<f64>() * 20.0 - 10.0).collect();
         let y: Vec<f64> = (0..dim).map(|_| rng.gen::<f64>() * 20.0 - 10.0).collect();
-        for (reference, candidate, mode) in engine_pairs() {
-            let (d0, d1) = (
-                simd::dot_with(reference, &x, &y),
-                simd::dot_with(candidate, &x, &y),
-            );
-            let (s0, s1) = (
-                simd::squared_distance_with(reference, &x, &y),
-                simd::squared_distance_with(candidate, &x, &y),
-            );
-            match mode {
-                MathMode::Deterministic => {
-                    prop_assert_eq!(d0.to_bits(), d1.to_bits());
-                    prop_assert_eq!(s0.to_bits(), s1.to_bits());
-                }
-                MathMode::Fused => {
-                    prop_assert!(ulp_distance(d0, d1) <= 1, "dot {} vs {}", d0, d1);
-                    prop_assert!(ulp_distance(s0, s1) <= 1, "sqdist {} vs {}", s0, s1);
-                }
-            }
-        }
+        prop_assert_eq!(
+            simd::dot_with(Engine::Scalar, &x, &y).to_bits(),
+            simd::dot_with(Engine::best(), &x, &y).to_bits()
+        );
+        prop_assert_eq!(
+            simd::squared_distance_with(Engine::Scalar, &x, &y).to_bits(),
+            simd::squared_distance_with(Engine::best(), &x, &y).to_bits()
+        );
     }
 
-    /// Full packed decision values are bit-identical across engines in
-    /// deterministic mode for every kernel, including ragged
+    /// Full packed decision values are bit-identical across engines for
+    /// every kernel, including ragged
     /// support-vector counts that leave partial lane blocks.
     #[test]
     fn packed_decision_values_are_bit_identical_across_engines(
@@ -128,8 +82,8 @@ proptest! {
             Kernel::Sigmoid { gamma, coef0: 0.0 },
         ] {
             let packed = PackedModel::pack(kernel, &svs, &coefs, 0.25);
-            let a = packed.decision_value_with(Dispatch::scalar_deterministic(), &x);
-            let b = packed.decision_value_with(Dispatch::best(MathMode::Deterministic), &x);
+            let a = packed.decision_value_with(Engine::Scalar, &x);
+            let b = packed.decision_value_with(Engine::best(), &x);
             prop_assert_eq!(a.to_bits(), b.to_bits(), "kernel {:?}", kernel);
         }
     }
@@ -144,8 +98,8 @@ fn trained_model_decisions_are_engine_independent() {
         let data = synth(160, dim, 42 + dim as u64);
         let model = train(&data, &SvmParams::paper_defaults(dim));
         for q in synth(64, dim, 7).features() {
-            let a = model.decision_value_with(Dispatch::scalar_deterministic(), q);
-            let b = model.decision_value_with(Dispatch::best(MathMode::Deterministic), q);
+            let a = model.decision_value_with(Engine::Scalar, q);
+            let b = model.decision_value_with(Engine::best(), q);
             assert_eq!(a.to_bits(), b.to_bits(), "dim {dim}");
         }
     }
@@ -162,12 +116,9 @@ fn fused_linear_decision_is_one_dot_product() {
     let w = packed.fused_weights().expect("linear models fold weights");
     assert_eq!(w.len(), 9);
     for q in synth(64, 9, 8).features() {
-        for d in [
-            Dispatch::scalar_deterministic(),
-            Dispatch::best(MathMode::Deterministic),
-        ] {
-            let direct = simd::dot_with(d, w, q) - packed.rho();
-            let through = packed.decision_value_with(d, q);
+        for engine in [Engine::Scalar, Engine::best()] {
+            let direct = simd::dot_with(engine, w, q) - packed.rho();
+            let through = packed.decision_value_with(engine, q);
             assert_eq!(direct.to_bits(), through.to_bits());
         }
     }
@@ -183,4 +134,39 @@ fn wrong_length_query_panics() {
     let data = synth(60, 7, 47);
     let model = train(&data, &SvmParams::paper_defaults(7));
     model.decision_value(&[0.0; 6]);
+}
+
+/// FNV-1a over the little-endian bytes of each `u64`.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for w in words {
+        for byte in w.to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// The trained model itself is engine-independent: SMO evaluates its
+/// kernel on the active engine, so a second arithmetic anywhere would
+/// fork `rho`, the dual coefficients and every decision value. The
+/// constants pin one training run; the suite runs once per `FRAPPE_SIMD`
+/// setting, and every run must land on the same bits.
+#[test]
+fn trained_model_bits_are_pinned_under_every_engine() {
+    let data = synth(400, 7, 17);
+    let model = train(&data, &SvmParams::paper_defaults(7));
+    let decisions = data.features().iter().map(|q| model.decision_value(q));
+    let digest = fnv1a(
+        model
+            .dual_coefs()
+            .iter()
+            .copied()
+            .chain(decisions)
+            .map(f64::to_bits),
+    );
+    assert_eq!(model.support_vector_count(), 25);
+    assert_eq!(model.rho().to_bits(), 0x3f74_f194_c031_253a);
+    assert_eq!(digest, 0x3ebb_c9ed_25f5_9e2f);
 }

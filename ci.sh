@@ -44,15 +44,15 @@ cargo test -q -p frappe-lifecycle
 FRAPPE_JOBS=1 cargo test -q -p frappe-lifecycle --test lifecycle
 FRAPPE_JOBS=8 cargo test -q -p frappe-lifecycle --test lifecycle
 
-echo "==> shard-group suite (fenced multi-group swaps, shared known-names flips) at K=1 and K=4"
+echo "==> shard-group suite (fenced multi-group swaps, shared known-names flips) at K=1/3/4, FRAPPE_JOBS=1 and FRAPPE_JOBS=8"
 # The shared-nothing deployment: a fenced promote/rollback must land on
 # every group atomically under load, and a mid-stream known-names flip
-# must reach every group exactly like a single service. Run at the
-# degenerate single-group shape and a genuinely partitioned one.
-FRAPPE_SHARD_GROUPS=1 cargo test -q -p frappe-lifecycle --test shard
-FRAPPE_SHARD_GROUPS=4 cargo test -q -p frappe-lifecycle --test shard
-FRAPPE_JOBS=1 FRAPPE_SHARD_GROUPS=4 cargo test -q -p frappe-lifecycle --test shard
-FRAPPE_JOBS=8 FRAPPE_SHARD_GROUPS=4 cargo test -q -p frappe-lifecycle --test shard
+# must reach every group exactly like a single service. Each test sweeps
+# the degenerate single-group shape and two genuinely partitioned ones
+# (GROUP_COUNTS in tests/shard.rs); run it at both pool extremes too.
+cargo test -q -p frappe-lifecycle --test shard
+FRAPPE_JOBS=1 cargo test -q -p frappe-lifecycle --test shard
+FRAPPE_JOBS=8 cargo test -q -p frappe-lifecycle --test shard
 
 echo "==> scoring suite with the detected engine, FRAPPE_SIMD=0 and FRAPPE_SIMD=fused"
 # The SIMD engine swap must be invisible: the svm suite (packed kernels,
@@ -76,13 +76,15 @@ cargo test -q -p frappe-gauntlet
 FRAPPE_JOBS=1 cargo test -q -p frappe-gauntlet --test gauntlet
 FRAPPE_JOBS=8 cargo test -q -p frappe-gauntlet --test gauntlet
 
-echo "==> network edge suite (epoll reactor, HTTP routes, 429/503 shed, fenced hot swap)"
+echo "==> network edge suite (thread per connection, HTTP routes, 429/503 shed, fenced hot swap)"
 # Real sockets on an ephemeral loopback port: byte-identical verdicts
 # vs in-process classify, the deterministic 429 + Retry-After contract,
 # the accept gate's canned 503 with its always-kept trace,
-# a read pause that holds while a router's shedding group is full, and
+# a read pause that holds while a router's shedding group is full,
 # a promote/rollback under concurrent socket load fenced by the
-# drain protocol (zero drops, zero stale bodies).
+# drain protocol (zero drops, zero stale bodies), a drain beside a
+# half-sent request, and a server drop that joins every connection
+# thread wherever it is blocked.
 cargo test -q -p frappe-net --test edge
 
 echo "==> end-to-end trace suite (socket accept to verdict, shed/swap tail sampling)"

@@ -14,7 +14,9 @@
 //! Honesty note: the scaling curve is whatever *this machine* delivers —
 //! a box with fewer cores than `groups x workers` flattens early, which
 //! is why `threads_available` and `parallel_mode` ride along in the
-//! report (same convention as the other BENCH files).
+//! report (same convention as the other BENCH files). It records no
+//! speedup between group counts: each timing is one unrepeated pass, and
+//! a ratio of two such passes is inside their noise.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -55,8 +57,6 @@ pub struct GroupRunBench {
     pub classify_p50_us: f64,
     /// 99th-percentile per-call classify latency, microseconds.
     pub classify_p99_us: f64,
-    /// `classify_per_s` relative to the K=1 run in the same sweep.
-    pub classify_speedup_vs_one_group: f64,
 }
 
 /// The hot-swap-under-load leg: repeated promotions against concurrent
@@ -197,7 +197,6 @@ pub fn run(quick: bool) -> ShardBenchReport {
         latencies.sort_by(f64::total_cmp);
 
         let classify_per_s = latencies.len() as f64 / (classify_wall_ms / 1e3).max(1e-9);
-        let baseline = runs.first().map_or(classify_per_s, |r| r.classify_per_s);
         runs.push(GroupRunBench {
             groups,
             ingest_events: events.len(),
@@ -209,7 +208,6 @@ pub fn run(quick: bool) -> ShardBenchReport {
             classify_per_s,
             classify_p50_us: quantile_us(&latencies, 0.50),
             classify_p99_us: quantile_us(&latencies, 0.99),
-            classify_speedup_vs_one_group: classify_per_s / baseline.max(1e-9),
         });
         largest = Some(router);
     }
@@ -278,13 +276,12 @@ impl ShardBenchReport {
         for run in &self.runs {
             out.push_str(&format!(
                 "  K={}: ingest {:.0} events/s; classify {:.0}/s \
-                 (p50 {:.0} us, p99 {:.0} us, {:.2}x vs K=1)\n",
+                 (p50 {:.0} us, p99 {:.0} us)\n",
                 run.groups,
                 run.ingest_events_per_s,
                 run.classify_per_s,
                 run.classify_p50_us,
                 run.classify_p99_us,
-                run.classify_speedup_vs_one_group,
             ));
         }
         out.push_str(&format!(

@@ -1,15 +1,15 @@
 //! Incremental HTTP/1.1: a request parser that accepts bytes as the
-//! reactor delivers them, and a response writer that renders into a
-//! connection's outbound buffer.
+//! socket delivers them, and a response writer that renders into an
+//! outbound buffer.
 //!
 //! Scope is exactly what the edge needs — `HTTP/1.1` only, identity
 //! bodies sized by `Content-Length`, keep-alive by default, `Connection:
 //! close` honoured. Chunked transfer encoding is refused with `501`
-//! rather than half-implemented. Pipelined requests are *parsed*
-//! correctly (each [`RequestParser::next_request`] consumes exactly one
-//! request, leaving the rest buffered) but the connection state machine
-//! guards how many are *served* per wake-up, so a pipelining flood
-//! cannot starve other connections (see [`crate::server`]).
+//! rather than half-implemented. A `Content-Length` must be all ASCII
+//! digits, and repeated ones must agree; anything else is a `400`.
+//! Pipelined requests are parsed correctly: each
+//! [`RequestParser::next_request`] consumes exactly one request, leaving
+//! the rest buffered for the connection's thread to serve in order.
 //!
 //! Both limits in [`Limits`] are enforced incrementally: an over-long
 //! header section or declared body fails as soon as it is knowable, not
@@ -172,7 +172,7 @@ impl RequestParser {
             return Err(HttpError::UnsupportedVersion);
         }
 
-        let mut content_length: usize = 0;
+        let mut content_length: Option<usize> = None;
         let mut keep_alive = true;
         for line in lines {
             let Some((name, value)) = line.split_once(':') else {
@@ -180,15 +180,18 @@ impl RequestParser {
             };
             let value = value.trim();
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .parse()
-                    .map_err(|_| HttpError::BadRequest("unparsable Content-Length"))?;
+                let length = parse_content_length(value)?;
+                if content_length.is_some_and(|seen| seen != length) {
+                    return Err(HttpError::BadRequest("conflicting Content-Length headers"));
+                }
+                content_length = Some(length);
             } else if name.eq_ignore_ascii_case("transfer-encoding") {
                 return Err(HttpError::UnsupportedTransferEncoding);
             } else if name.eq_ignore_ascii_case("connection") {
                 keep_alive = !value.eq_ignore_ascii_case("close");
             }
         }
+        let content_length = content_length.unwrap_or(0);
         if content_length > self.limits.max_body_bytes {
             return Err(HttpError::BodyTooLarge);
         }
@@ -207,6 +210,16 @@ impl RequestParser {
             body,
         }))
     }
+}
+
+/// A `Content-Length` value: ASCII digits only. Rust's integer parse
+/// alone would also take a leading `+`.
+fn parse_content_length(value: &str) -> Result<usize, HttpError> {
+    let bad = HttpError::BadRequest("unparsable Content-Length");
+    if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+        return Err(bad);
+    }
+    value.parse().map_err(|_| bad)
 }
 
 /// Index just past `\r\n\r\n`, if present.
@@ -379,6 +392,41 @@ mod tests {
         let mut p = parser();
         p.push(b"POST / HTTP/1.1\r\ncontent-length: nope\r\n\r\n");
         assert!(matches!(p.next_request(), Err(HttpError::BadRequest(_))));
+    }
+
+    #[test]
+    fn content_length_must_be_all_digits() {
+        for value in ["+5", "-5", "5 5", "0x5", "5,5", ""] {
+            let mut p = parser();
+            p.push(format!("POST / HTTP/1.1\r\ncontent-length: {value}\r\n\r\nhello").as_bytes());
+            assert_eq!(
+                p.next_request(),
+                Err(HttpError::BadRequest("unparsable Content-Length")),
+                "{value:?}"
+            );
+        }
+        let mut p = parser();
+        p.push(b"POST / HTTP/1.1\r\ncontent-length: 99999999999999999999999\r\n\r\n");
+        assert!(
+            matches!(p.next_request(), Err(HttpError::BadRequest(_))),
+            "overflow is a bad request, not a panic"
+        );
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_bad_requests() {
+        let mut p = parser();
+        p.push(b"POST / HTTP/1.1\r\ncontent-length: 1\r\nContent-Length: 5\r\n\r\nhello");
+        assert_eq!(
+            p.next_request(),
+            Err(HttpError::BadRequest("conflicting Content-Length headers"))
+        );
+        assert_eq!(HttpError::BadRequest("").status().0, 400);
+
+        // a repeated but agreeing length frames the body as one would
+        let mut p = parser();
+        p.push(b"POST / HTTP/1.1\r\ncontent-length: 5\r\ncontent-length: 5\r\n\r\nhello");
+        assert_eq!(p.next_request().unwrap().unwrap().body, b"hello");
     }
 
     #[test]

@@ -2,28 +2,21 @@
 //!
 //! The paper's closing proposal is FRAppE "as a service to which one can
 //! query any app ID" (§8). [`frappe_serve`] provides the in-process
-//! service; this crate puts a socket in front of it — built from raw
-//! parts, no async runtime, in keeping with the workspace's vendored-only
+//! service; this crate puts a socket in front of it — built from the
+//! standard library's blocking sockets and threads, with no async runtime
+//! and no `unsafe`, in keeping with the workspace's vendored-only
 //! discipline:
 //!
-//! * [`sys`] — one of the workspace's two unsafe surfaces (the other is
-//!   the AVX2 scoring engine in `svm::simd`): a thin FFI wrapper
-//!   over `epoll` and `eventfd` (std already links libc, so the five
-//!   calls are declared directly against the C ABI). Descriptors live in
-//!   `OwnedFd`, errors become `io::Error`, and no unsafety escapes.
-//! * [`reactor`] — edge-triggered readiness multiplexing with a
-//!   cross-thread [`reactor::Waker`]; connections keep readiness *memos*
-//!   so backpressure can defer work without losing kernel edges.
 //! * [`http`] — an incremental HTTP/1.1 parser (request line, headers,
 //!   `Content-Length` bodies, keep-alive, pipelining) with hard byte
 //!   limits, plus the response writer.
-//! * [`server`] — the single-threaded event loop: nonblocking accept
-//!   with a bounded-connection gate, per-connection state machines that
-//!   ride the scorer pool via [`frappe_serve::PendingVerdict`] (the loop
-//!   never parks on a verdict), 429-triggered read pauses with
-//!   hysteresis, and a drain protocol whose [`server::EdgeHandle`]
-//!   implements [`frappe_lifecycle::SwapFence`] so model hot-swaps run
-//!   with zero responses in flight. It serves a
+//! * [`server`] — an accept thread with a bounded-connection gate, and
+//!   one blocking thread per connection: it parses, routes, waits on its
+//!   own [`frappe_serve::PendingVerdict`] (the scorer's reply wakes it),
+//!   and writes the response. A 429 pauses that connection's reads until
+//!   the scorer queues recover, and a drain protocol whose
+//!   [`server::EdgeHandle`] implements [`frappe_lifecycle::SwapFence`]
+//!   lets model hot-swaps run with zero responses in flight. It serves a
 //!   [`frappe_serve::Deployment`]: one service or a shard-group router.
 //! * [`client`] — the blocking keep-alive client the tests use to talk
 //!   to the edge.
@@ -47,16 +40,12 @@
 //! # Ok::<(), std::io::Error>(())
 //! ```
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-#[allow(unsafe_code)]
-pub mod sys;
 
 pub mod client;
 mod conn;
 pub mod http;
-pub mod reactor;
 pub mod server;
 
 pub use server::{EdgeHandle, NetConfig, Server};

@@ -1,7 +1,7 @@
-//! The server: one event-loop thread driving listener + connections over
-//! the [`crate::reactor`], routing HTTP requests into a [`Deployment`] —
-//! a single [`frappe_serve::FrappeService`] or a
-//! [`frappe_serve::ShardRouter`] over K shard groups.
+//! The server: an accept thread plus one blocking thread per accepted
+//! connection, routing HTTP requests into a [`Deployment`] — a single
+//! [`frappe_serve::FrappeService`] or a [`frappe_serve::ShardRouter`]
+//! over K shard groups.
 //!
 //! ## Routes
 //!
@@ -17,39 +17,42 @@
 //! `Retry-After` header (whole seconds, rounded up from the envelope's
 //! exact millisecond hint), `ShuttingDown → 503`.
 //!
-//! ## Backpressure, in three rings
+//! ## Backpressure, in two rings
 //!
 //! 1. **Accept gate** — beyond [`NetConfig::max_connections`] live
-//!    connections, new ones get a best-effort `503` + `Retry-After` and
-//!    are closed immediately.
+//!    connections (so at most that many connection threads), new ones
+//!    get a best-effort `503` + `Retry-After` and are closed immediately.
 //! 2. **Read pause** — a connection whose classify is rejected with
 //!    [`ServeError::Overloaded`] got its `429` *and* stops being read:
-//!    its buffered pipeline waits and TCP pushes back on the client.
-//!    Reads resume once every scorer queue has fallen to half its
-//!    capacity — on a router, each group's own queue (hysteresis, so the
-//!    edge does not flap).
-//! 3. **Pipelining guard** — at most four (`MAX_REQUESTS_PER_WAKE`)
-//!    buffered requests are served per connection per wake-up, so one
-//!    pipelining client cannot starve the rest of the loop.
+//!    its thread waits out the envelope's `retry_after_ms` hint, then
+//!    re-checks, so its buffered pipeline waits and TCP pushes back on
+//!    the client. Reads resume once every scorer queue has fallen to half
+//!    its capacity — on a router, each group's own queue (hysteresis, so
+//!    the edge does not flap).
+//!
+//! A connection's thread serves its pipelined requests one at a time, in
+//! order; the OS scheduler shares the machine between connections.
 //!
 //! ## Drain protocol
 //!
-//! [`EdgeHandle::drain`] asks the loop to stop accepting and stop
-//! *starting* requests, while in-flight scores finish and responses
-//! flush; it blocks until the loop reports every connection quiesced
-//! (phase idle, output flushed) and returns the drain latency.
-//! Connections stay open throughout — after [`EdgeHandle::resume`],
-//! buffered requests pick up where they left off. [`EdgeHandle`]
-//! implements [`SwapFence`], so installing it on a
-//! [`frappe_lifecycle::LifecycleManager`] wraps every model promotion
-//! and rollback in exactly this drain/swap/resume cycle — the "zero
-//! dropped responses across a hot swap" guarantee `tests/edge.rs`
+//! [`EdgeHandle::drain`] stops every connection from *starting* a
+//! request, while requests already started finish and their responses
+//! are written; it blocks until none is in flight and returns the drain
+//! latency. Both the in-flight count and the drain command live under
+//! one lock, and a connection thread takes its in-flight slot under that
+//! lock only while the edge runs, so no request starts during a drain.
+//! Connections stay open throughout (one accepted mid-drain waits too) —
+//! after [`EdgeHandle::resume`], buffered requests pick up where they
+//! left off. [`EdgeHandle`] implements [`SwapFence`], so installing it
+//! on a [`frappe_lifecycle::LifecycleManager`] wraps every model
+//! promotion and rollback in exactly this drain/swap/resume cycle — the
+//! "zero dropped responses across a hot swap" guarantee `tests/edge.rs`
 //! exercises.
 
-use std::io;
-use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-use std::os::fd::AsRawFd;
-use std::sync::{Arc, Condvar, Mutex};
+use std::collections::HashMap;
+use std::io::{self, Write as _};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -62,15 +65,7 @@ use frappe_serve::metrics::LATENCY_BOUNDS_MICROS;
 use frappe_serve::{Deployment, ErrorEnvelope, PendingVerdict, ServeError, ServeEvent, Verdict};
 use osn_types::ids::AppId;
 
-use crate::conn::{Conn, IoStep, PendingWrite, Phase};
 use crate::http::{Method, Request, Response};
-use crate::reactor::{Reactor, Readiness, Waker};
-
-/// The listener's reactor token; connections use `slot index + 1`.
-const LISTENER_TOKEN: u64 = 0;
-
-/// Buffered requests served per connection per wake-up (ring 3).
-const MAX_REQUESTS_PER_WAKE: usize = 4;
 
 /// Edge tuning knobs. Request byte budgets are
 /// [`crate::http::Limits::default`] (`431`/`413` beyond).
@@ -89,7 +84,7 @@ impl Default for NetConfig {
     }
 }
 
-/// What the control plane has asked the loop to do.
+/// What the control plane has asked the edge to do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Command {
     Running,
@@ -97,41 +92,30 @@ enum Command {
     Shutdown,
 }
 
+/// The edge's one lock: the drain/shutdown command, the requests in
+/// flight, and the live connections.
 struct EdgeState {
     command: Command,
-    /// Loop-reported: every connection quiesced (only meaningful while
-    /// `command == Draining`).
-    drained: bool,
-}
-
-struct Shared {
-    state: Mutex<EdgeState>,
-    cond: Condvar,
-}
-
-impl Default for Shared {
-    fn default() -> Self {
-        Shared {
-            state: Mutex::new(EdgeState {
-                command: Command::Running,
-                drained: false,
-            }),
-            cond: Condvar::new(),
-        }
-    }
+    /// Requests admitted past the drain gate whose responses are not yet
+    /// written.
+    in_flight: usize,
+    /// A `try_clone` of every live connection's stream, so shutdown can
+    /// unblock its thread; the map's length is what the accept gate caps.
+    conns: HashMap<u64, TcpStream>,
+    next_conn: u64,
 }
 
 /// Connection-level metrics, registered on the service's own obs
 /// registry so one `/metrics` scrape shows serving, lifecycle, *and*
 /// edge state.
-struct NetMetrics {
+pub(crate) struct NetMetrics {
     accepted: Arc<Counter>,
     rejected: Arc<Counter>,
     active: Arc<Gauge>,
-    bytes_read: Arc<Counter>,
+    pub(crate) bytes_read: Arc<Counter>,
     bytes_written: Arc<Counter>,
-    read_stalls: Arc<Counter>,
-    requests: Arc<Counter>,
+    pub(crate) read_stalls: Arc<Counter>,
+    pub(crate) requests: Arc<Counter>,
     responses_429: Arc<Counter>,
     /// Submit-time 429s attributed to the shard group that shed them
     /// (a distinct family from `net_http_429`, which stays the
@@ -176,256 +160,14 @@ impl NetMetrics {
     }
 }
 
-/// Control handle onto a running [`Server`]: drain, resume, and the
-/// [`SwapFence`] implementation that fences lifecycle hot-swaps.
-#[derive(Clone)]
-pub struct EdgeHandle {
-    shared: Arc<Shared>,
-    waker: Waker,
-    drains: Arc<Counter>,
-    drain_micros: Arc<Histogram>,
-    trace: Option<TraceCollector>,
-}
-
-impl EdgeHandle {
-    /// Stops accepting and starting requests, waits until every
-    /// connection is quiesced (in-flight verdicts answered, responses
-    /// flushed), and returns how long that took. Idempotent while
-    /// already draining. Connections stay open; pair with
-    /// [`resume`](Self::resume).
-    pub fn drain(&self) -> Duration {
-        let start = Instant::now();
-        if let Some(tc) = &self.trace {
-            // every in-flight trace gets flagged + the event appended,
-            // so exported traces show what they straddled
-            tc.lifecycle_event(LifecycleEvent::DrainBegin, "edge drain");
-        }
-        let mut state = self.shared.state.lock().expect("edge state lock");
-        if state.command == Command::Running {
-            state.command = Command::Draining;
-            state.drained = false;
-        }
-        self.waker.wake();
-        while state.command == Command::Draining && !state.drained {
-            // Timed wait so a dead loop thread cannot park us forever.
-            let (guard, _) = self
-                .shared
-                .cond
-                .wait_timeout(state, Duration::from_millis(50))
-                .expect("edge state lock");
-            state = guard;
-        }
-        drop(state);
-        let took = start.elapsed();
-        self.drains.inc();
-        self.drain_micros
-            .observe(u64::try_from(took.as_micros()).unwrap_or(u64::MAX));
-        took
-    }
-
-    /// Reopens the edge after a [`drain`](Self::drain): accepting
-    /// restarts and buffered requests resume.
-    pub fn resume(&self) {
-        if let Some(tc) = &self.trace {
-            tc.lifecycle_event(LifecycleEvent::DrainEnd, "edge resume");
-        }
-        let mut state = self.shared.state.lock().expect("edge state lock");
-        if state.command == Command::Draining {
-            state.command = Command::Running;
-            state.drained = false;
-        }
-        drop(state);
-        self.waker.wake();
-    }
-}
-
-impl SwapFence for EdgeHandle {
-    /// Drain → swap → resume. Installed on a
-    /// [`frappe_lifecycle::LifecycleManager`], this runs every model
-    /// promotion and rollback with zero responses mid-flight.
-    fn fenced(&self, swap: &mut dyn FnMut()) {
-        self.drain();
-        swap();
-        self.resume();
-    }
-}
-
-/// The network edge: owns the listener and the event-loop thread.
-/// Dropping the server shuts the loop down and joins it (open
-/// connections are closed without ceremony — drain first for grace).
-pub struct Server {
-    local_addr: SocketAddr,
-    shared: Arc<Shared>,
-    waker: Waker,
-    handle: EdgeHandle,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl Server {
-    /// Binds `addr` (use port 0 for an ephemeral port), registers the
-    /// edge's `net_*` metrics on the deployment's base obs registry, and
-    /// spawns the event-loop thread. Takes an `Arc<FrappeService>`, an
-    /// `Arc<ShardRouter>`, or a [`Deployment`].
-    pub fn bind<A: ToSocketAddrs>(
-        service: impl Into<Deployment>,
-        addr: A,
-        config: NetConfig,
-    ) -> io::Result<Server> {
-        let service = service.into();
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
-        let reactor = Reactor::new(256)?;
-        reactor.register_read(listener.as_raw_fd(), LISTENER_TOKEN)?;
-        let waker = reactor.waker();
-        let shared = Arc::new(Shared::default());
-        let metrics = NetMetrics::new(service.obs_registry(), service.group_count());
-        // The collector attached to the service (if any) becomes the
-        // edge's tracer: captured at bind, so attach it *before* binding.
-        let trace = service.trace_collector();
-        let handle = EdgeHandle {
-            shared: Arc::clone(&shared),
-            waker: waker.clone(),
-            drains: Arc::clone(&metrics.drains),
-            drain_micros: Arc::clone(&metrics.drain_micros),
-            trace: trace.clone(),
-        };
-
-        // SLO windows share the collector's clock so traced tests can
-        // drive both deterministically; untraced edges run on wall time.
-        let slo_clock: Arc<dyn Clock> = trace
-            .as_ref()
-            .map(TraceCollector::clock)
-            .unwrap_or_else(|| Arc::new(WallClock::new()));
-        let slo_1m = SloWindow::new(
-            SloConfig {
-                window_secs: 60,
-                ..SloConfig::default()
-            },
-            Arc::clone(&slo_clock),
-        );
-        let slo_5m = SloWindow::new(
-            SloConfig {
-                window_secs: 300,
-                ..SloConfig::default()
-            },
-            slo_clock,
-        );
-
-        let event_loop = EventLoop {
-            overload_response: accept_gate_response(service.retry_after_ms()),
-            service,
-            listener,
-            reactor,
-            shared: Arc::clone(&shared),
-            config,
-            conns: Vec::new(),
-            free: Vec::new(),
-            active: 0,
-            accept_ready: true, // connections may predate registration
-            paused_any: false,
-            metrics,
-            trace,
-            slo_1m,
-            slo_5m,
-        };
-        let thread = std::thread::Builder::new()
-            .name("frappe-net".into())
-            .spawn(move || event_loop.run())?;
-        Ok(Server {
-            local_addr,
-            shared,
-            waker,
-            handle,
-            thread: Some(thread),
-        })
-    }
-
-    /// The bound address (resolves port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// A cloneable control handle (drain/resume/[`SwapFence`]).
-    pub fn handle(&self) -> EdgeHandle {
-        self.handle.clone()
-    }
-
-    /// Convenience for [`EdgeHandle::drain`].
-    pub fn drain(&self) -> Duration {
-        self.handle.drain()
-    }
-
-    /// Convenience for [`EdgeHandle::resume`].
-    pub fn resume(&self) {
-        self.handle.resume()
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        {
-            let mut state = self.shared.state.lock().expect("edge state lock");
-            state.command = Command::Shutdown;
-        }
-        self.shared.cond.notify_all();
-        self.waker.wake();
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-    }
-}
-
-/// Pre-rendered `503` for connections beyond the accept gate, reusing
-/// the standard envelope so even gate rejections parse uniformly.
-fn accept_gate_response(retry_after_ms: u64) -> Vec<u8> {
-    let envelope = ErrorEnvelope::new(ServeError::Overloaded { retry_after_ms });
-    let mut response = Response::json(503, envelope_json(&envelope));
-    response.retry_after_secs = Some(retry_secs(retry_after_ms));
-    response.close = true;
-    let mut bytes = Vec::new();
-    response.write_into(&mut bytes);
-    bytes
-}
-
-fn envelope_json(envelope: &ErrorEnvelope) -> Vec<u8> {
-    serde_json::to_string(envelope)
-        .expect("the envelope wire format is pinned by a frappe-serve test")
-        .into_bytes()
-}
-
-/// `Retry-After` is whole seconds; round the millisecond hint up so the
-/// header never promises an earlier retry than the envelope.
-fn retry_secs(retry_after_ms: u64) -> u64 {
-    retry_after_ms.div_ceil(1000).max(1)
-}
-
-/// Where a routed request goes next.
-enum Routed {
-    /// Answer immediately; `pause_reads` is the 429 backpressure signal.
-    Done {
-        response: Response,
-        pause_reads: bool,
-    },
-    /// A classify rode the scorer queue; poll the handle from the loop.
-    Score(PendingVerdict),
-}
-
-struct EventLoop {
+/// Everything the accept thread, the connection threads and the control
+/// handle share.
+pub(crate) struct Edge {
     service: Deployment,
-    listener: TcpListener,
-    reactor: Reactor,
-    shared: Arc<Shared>,
     config: NetConfig,
-    /// Slab of connections; reactor token = index + 1.
-    conns: Vec<Option<Conn>>,
-    free: Vec<usize>,
-    active: usize,
-    /// Edge-trigger memo for the listener.
-    accept_ready: bool,
-    /// Any connection read-paused (enables the resume check + busy tick).
-    paused_any: bool,
-    metrics: NetMetrics,
+    state: Mutex<EdgeState>,
+    cond: Condvar,
+    pub(crate) metrics: NetMetrics,
     overload_response: Vec<u8>,
     /// Request tracer (the service's collector, captured at bind).
     trace: Option<TraceCollector>,
@@ -434,265 +176,160 @@ struct EventLoop {
     slo_5m: SloWindow,
 }
 
-impl EventLoop {
-    fn run(mut self) {
-        let mut events: Vec<Readiness> = Vec::new();
+/// One admitted request's slot in the in-flight count; dropping it (the
+/// response written, or the thread unwinding) releases the slot and
+/// wakes a waiting drain.
+pub(crate) struct InFlight<'a>(&'a Edge);
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        let mut state = self.0.lock();
+        state.in_flight -= 1;
+        if state.in_flight == 0 {
+            self.0.cond.notify_all();
+        }
+    }
+}
+
+/// Where a routed request goes next.
+pub(crate) enum Routed {
+    /// Answer immediately; `pause` is the 429 backpressure signal — the
+    /// retry hint to wait out before reading the connection again.
+    Done {
+        response: Response,
+        pause: Option<Duration>,
+    },
+    /// A classify rode the scorer queue; wait on the handle.
+    Score(PendingVerdict),
+}
+
+impl Edge {
+    fn lock(&self) -> MutexGuard<'_, EdgeState> {
+        self.state.lock().expect("edge state lock")
+    }
+
+    pub(crate) fn shutting_down(&self) -> bool {
+        self.lock().command == Command::Shutdown
+    }
+
+    /// The drain gate: waits out a drain, then takes an in-flight slot.
+    /// `None` once the edge is shutting down.
+    pub(crate) fn admit(&self) -> Option<InFlight<'_>> {
+        let state = self.lock();
+        let mut state = self
+            .cond
+            .wait_while(state, |s| s.command == Command::Draining)
+            .expect("edge state lock");
+        if state.command == Command::Shutdown {
+            return None;
+        }
+        state.in_flight += 1;
+        Some(InFlight(self))
+    }
+
+    /// Ring 2: holds a shed connection's reads. Waits out the retry
+    /// `hint`, then re-checks the scorer queues, until every queue is at
+    /// most half full (`true`) or the edge shuts down (`false`).
+    pub(crate) fn pause_reads(&self, hint: Duration) -> bool {
         loop {
-            let command = self.shared.state.lock().expect("edge state lock").command;
-            if command == Command::Shutdown {
+            let state = self.lock();
+            let (state, _) = self
+                .cond
+                .wait_timeout_while(state, hint, |s| s.command != Command::Shutdown)
+                .expect("edge state lock");
+            if state.command == Command::Shutdown {
+                return false;
+            }
+            drop(state);
+            if self.service.queues_at_most_half_full() {
+                return true;
+            }
+        }
+    }
+
+    /// Drops a finished connection's stream clone (closing the socket
+    /// for good) and republishes the live count.
+    pub(crate) fn deregister(&self, id: u64) {
+        let mut state = self.lock();
+        state.conns.remove(&id);
+        self.metrics.active.set(state.conns.len() as i64);
+    }
+
+    fn accept_loop(self: Arc<Self>, listener: TcpListener) {
+        let mut threads: Vec<JoinHandle<()>> = Vec::new();
+        for stream in listener.incoming() {
+            // transient per-connection failures (e.g. ECONNABORTED)
+            let Ok(stream) = stream else { continue };
+            // reap finished connection threads (a panicked one has already
+            // reported through the panic hook; the others keep serving)
+            for done in threads.extract_if(.., |t| t.is_finished()) {
+                let _ = done.join();
+            }
+            let mut state = self.lock();
+            if state.command == Command::Shutdown {
                 break;
             }
-            let running = command == Command::Running;
-
-            self.maybe_resume_paused();
-            if running {
-                self.accept_new();
-            }
-            for idx in 0..self.conns.len() {
-                self.pump(idx, running);
-            }
-            self.publish_drained(command);
-
-            // In-flight verdicts and paused reads have no fd edge to wake
-            // us — tick; otherwise sleep until the kernel or a waker says.
-            let busy = self.paused_any || self.conns.iter().flatten().any(Conn::in_flight);
-            let timeout = busy.then(|| Duration::from_millis(1));
-            events.clear();
-            if self.reactor.poll(timeout, &mut events).is_err() {
+            let active = state.conns.len();
+            if active >= self.config.max_connections {
+                drop(state);
+                self.reject(stream, active);
                 continue;
             }
-            for event in &events {
-                if event.token == LISTENER_TOKEN {
-                    self.accept_ready = true;
-                    continue;
-                }
-                let idx = (event.token - 1) as usize;
-                if let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) {
-                    if event.readable || event.hangup {
-                        // hangup delivers the final bytes + EOF via read
-                        conn.readable = true;
-                    }
-                    if event.writable {
-                        conn.writable = true;
-                    }
-                }
+            let Ok(clone) = stream.try_clone() else {
+                continue;
+            };
+            let id = state.next_conn;
+            state.next_conn += 1;
+            state.conns.insert(id, clone);
+            self.metrics.accepted.inc();
+            self.metrics.active.set(state.conns.len() as i64);
+            drop(state);
+            let _ = stream.set_nodelay(true);
+            let edge = Arc::clone(&self);
+            let spawned = std::thread::Builder::new()
+                .name("frappe-net-conn".into())
+                .spawn(move || crate::conn::serve(&edge, stream, id));
+            match spawned {
+                Ok(thread) => threads.push(thread),
+                Err(_) => self.deregister(id),
             }
         }
-        for idx in 0..self.conns.len() {
-            if let Some(mut conn) = self.conns[idx].take() {
-                conn.abort_write_traces();
-                self.reactor.deregister(conn.stream.as_raw_fd());
-            }
-        }
-        self.active = 0;
-        self.metrics.active.set(0);
-    }
-
-    /// Hysteresis: 429-paused connections resume once every scorer queue
-    /// has fallen to half its capacity, not the instant one slot frees —
-    /// so the edge does not flap between pause and reject.
-    fn maybe_resume_paused(&mut self) {
-        if !self.paused_any {
-            return;
-        }
-        if self.service.queues_at_most_half_full() {
-            for conn in self.conns.iter_mut().flatten() {
-                conn.paused = false;
-            }
-            self.paused_any = false;
+        for thread in threads {
+            let _ = thread.join();
         }
     }
 
-    fn accept_new(&mut self) {
-        while self.accept_ready {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    if self.active >= self.config.max_connections {
-                        // ring 1: over the gate — canned 503, then close.
-                        // A fresh socket's buffer swallows this small
-                        // write, so best-effort is near-certain delivery.
-                        self.metrics.rejected.inc();
-                        if let Some(tc) = &self.trace {
-                            // no connection ever exists, so the trace is
-                            // born finished — and always tail-kept
-                            let t = tc.begin("edge");
-                            t.flag(TraceFlag::ShedAcceptGate);
-                            t.event("accept_gate", format!("active={}", self.active));
-                            t.finish("503");
-                        }
-                        let _ = stream.set_nonblocking(true);
-                        let _ = io::Write::write(&mut &stream, &self.overload_response);
-                        continue;
-                    }
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    let idx = self.free.pop().unwrap_or_else(|| {
-                        self.conns.push(None);
-                        self.conns.len() - 1
-                    });
-                    let token = idx as u64 + 1;
-                    if self.reactor.register(stream.as_raw_fd(), token).is_err() {
-                        self.free.push(idx);
-                        continue;
-                    }
-                    self.conns[idx] = Some(Conn::new(stream));
-                    self.active += 1;
-                    self.metrics.accepted.inc();
-                    self.metrics.active.set(self.active as i64);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    self.accept_ready = false;
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                // transient per-connection failures (e.g. ECONNABORTED)
-                Err(_) => {}
-            }
+    /// Ring 1: over the gate — canned 503, then close. A fresh socket's
+    /// buffer swallows this small write, so best-effort is near-certain
+    /// delivery, and the write never blocks the accept thread.
+    fn reject(&self, mut stream: TcpStream, active: usize) {
+        self.metrics.rejected.inc();
+        if let Some(tc) = &self.trace {
+            // no connection ever exists, so the trace is born finished —
+            // and always tail-kept
+            let t = tc.begin("edge");
+            t.flag(TraceFlag::ShedAcceptGate);
+            t.event("accept_gate", format!("active={active}"));
+            t.finish("503");
         }
-    }
-
-    fn pump(&mut self, idx: usize, running: bool) {
-        let Some(mut conn) = self.conns[idx].take() else {
-            return;
-        };
-        let gone = self.pump_conn(&mut conn, running);
-        let finished = conn.closing && conn.is_quiesced();
-        if gone || finished {
-            // a vanished peer leaves responses unflushed; their traces
-            // still finish (as `aborted`) so nothing dangles
-            conn.abort_write_traces();
-            self.reactor.deregister(conn.stream.as_raw_fd());
-            self.free.push(idx);
-            self.active -= 1;
-            self.metrics.active.set(self.active as i64);
-        } else {
-            self.conns[idx] = Some(conn);
-        }
-    }
-
-    /// One connection's turn; `true` means the peer is gone.
-    fn pump_conn(&mut self, conn: &mut Conn, running: bool) -> bool {
-        if conn.writable && conn.has_pending_output() {
-            match conn.flush_out() {
-                IoStep::Progress(n) => self.flushed(conn, n),
-                IoStep::Gone => return true,
-            }
-        }
-
-        if let Phase::Scoring {
-            pending,
-            keep_alive,
-            started,
-            trace,
-        } = &mut conn.phase
-        {
-            if let Some(outcome) = pending.poll() {
-                let (keep_alive, started, trace) = (*keep_alive, *started, trace.take());
-                let response = self.verdict_response(outcome);
-                self.enqueue(conn, response, keep_alive, Some(started), trace);
-            }
-        }
-
-        if running && !conn.closing && !conn.paused && matches!(conn.phase, Phase::Idle) {
-            if conn.readable {
-                match conn.fill() {
-                    IoStep::Progress(n) => self.metrics.bytes_read.add(n as u64),
-                    // EOF: serve what's buffered, flush, then retire
-                    IoStep::Gone => conn.closing = true,
-                }
-            }
-            self.serve_buffered(conn);
-        }
-
-        if conn.writable && conn.has_pending_output() {
-            match conn.flush_out() {
-                IoStep::Progress(n) => self.flushed(conn, n),
-                IoStep::Gone => return true,
-            }
-        }
-        false
-    }
-
-    /// Books `n` flushed bytes: byte counter, watermark, and any traces
-    /// whose responses just made it fully onto the wire.
-    fn flushed(&self, conn: &mut Conn, n: usize) {
-        self.metrics.bytes_written.add(n as u64);
-        conn.flushed_total += n as u64;
-        conn.complete_flushed_writes();
-    }
-
-    /// Parses and serves buffered requests, bounded by the pipelining
-    /// guard, stopping at an in-flight classify or a read pause.
-    fn serve_buffered(&mut self, conn: &mut Conn) {
-        for _ in 0..MAX_REQUESTS_PER_WAKE {
-            if conn.closing && conn.parser.buffered() == 0 {
-                break;
-            }
-            if !matches!(conn.phase, Phase::Idle) || conn.paused {
-                break;
-            }
-            match conn.parser.next_request() {
-                Ok(None) => break,
-                Ok(Some(request)) => {
-                    let started = Instant::now();
-                    self.metrics.requests.inc();
-                    let trace = self.begin_request_trace(conn, &request);
-                    match self.route(&request, trace.as_ref()) {
-                        Routed::Done {
-                            response,
-                            pause_reads,
-                        } => {
-                            self.enqueue(conn, response, request.keep_alive, Some(started), trace);
-                            if pause_reads {
-                                // ring 2: this client just got a 429 —
-                                // stop reading it until the queue recovers
-                                conn.paused = true;
-                                self.paused_any = true;
-                                self.metrics.read_stalls.inc();
-                            }
-                        }
-                        Routed::Score(pending) => {
-                            conn.phase = Phase::Scoring {
-                                pending: Box::new(pending),
-                                keep_alive: request.keep_alive,
-                                started,
-                                trace,
-                            };
-                        }
-                    }
-                }
-                Err(err) => {
-                    // framing is broken — answer and close
-                    self.metrics.requests.inc();
-                    let (status, _) = err.status();
-                    let body = format!(
-                        "{{\"error\":{}}}",
-                        serde_json::to_string(err.detail()).expect("strings serialize")
-                    );
-                    let response = Response::json(status, body.into_bytes());
-                    self.enqueue(conn, response, false, None, None);
-                    break;
-                }
-            }
-        }
+        let _ = stream.set_nonblocking(true);
+        let _ = stream.write(&self.overload_response);
     }
 
     /// Mints the request's trace (when a collector is attached): a
     /// retroactive `edge/accept` span on the connection's first request,
     /// then the open `edge/request` root span everything downstream
     /// parents under.
-    fn begin_request_trace(
+    pub(crate) fn begin_request_trace(
         &self,
-        conn: &mut Conn,
+        accepted_at: &mut Option<Instant>,
         request: &Request,
     ) -> Option<(TraceHandle, Span)> {
         let tc = self.trace.as_ref()?;
         let handle = tc.begin("edge");
-        if !conn.accept_traced {
-            conn.accept_traced = true;
+        if let Some(accepted_at) = accepted_at.take() {
             let now = handle.now_micros();
-            let elapsed = u64::try_from(conn.accepted_at.elapsed().as_micros()).unwrap_or(u64::MAX);
+            let elapsed = u64::try_from(accepted_at.elapsed().as_micros()).unwrap_or(u64::MAX);
             handle.span_at("edge/accept", None, now.saturating_sub(elapsed), now);
         }
         let root = frappe_obs::span_in("edge/request", Some((&handle, None)));
@@ -705,10 +342,10 @@ impl EventLoop {
         Some((handle, root))
     }
 
-    fn route(&self, request: &Request, trace: Option<&(TraceHandle, Span)>) -> Routed {
+    pub(crate) fn route(&self, request: &Request, trace: Option<&(TraceHandle, Span)>) -> Routed {
         let done = |response| Routed::Done {
             response,
-            pause_reads: false,
+            pause: None,
         };
         match (request.method, request.path.as_str()) {
             (Method::Get, "/healthz") => done(Response::json(200, &br#"{"status":"ok"}"#[..])),
@@ -750,16 +387,20 @@ impl EventLoop {
                 match self.service.classify_traced(app, edge_trace) {
                     Ok(pending) => Routed::Score(pending),
                     Err(err) => {
-                        let pause_reads = matches!(err, ServeError::Overloaded { .. });
-                        if pause_reads {
-                            // the submit site is the one place both the
-                            // app and the shed are known — attribute the
-                            // 429 to the group that owns the app
-                            self.metrics.shed(self.service.group_of(app));
-                        }
+                        let pause = match err {
+                            ServeError::Overloaded { retry_after_ms } => {
+                                // the submit site is the one place both the
+                                // app and the shed are known — attribute the
+                                // 429 to the group that owns the app
+                                self.metrics.shed(self.service.group_of(app));
+                                // a zero hint must not spin the re-check
+                                Some(Duration::from_millis(retry_after_ms.max(1)))
+                            }
+                            _ => None,
+                        };
                         Routed::Done {
                             response: error_response(err),
-                            pause_reads,
+                            pause,
                         }
                     }
                 }
@@ -820,7 +461,7 @@ impl EventLoop {
         )
     }
 
-    fn verdict_response(&self, outcome: Result<Verdict, ServeError>) -> Response {
+    pub(crate) fn verdict_response(&self, outcome: Result<Verdict, ServeError>) -> Response {
         match outcome {
             Ok(verdict) => Response::json(
                 200,
@@ -837,25 +478,20 @@ impl EventLoop {
         }
     }
 
-    fn enqueue(
+    /// Renders `response` and writes it to `stream`, booking latency
+    /// (parse-complete to response-rendered) and the SLO windows, and
+    /// finishing the request's trace once the bytes are written. Returns
+    /// whether the write succeeded.
+    pub(crate) fn respond(
         &self,
-        conn: &mut Conn,
-        mut response: Response,
-        keep_alive: bool,
+        stream: &mut TcpStream,
+        response: &Response,
         started: Option<Instant>,
         trace: Option<(TraceHandle, Span)>,
-    ) {
-        if !keep_alive {
-            response.close = true;
-        }
-        if response.close {
-            conn.closing = true;
-        }
+    ) -> bool {
+        let mut out = Vec::new();
+        response.write_into(&mut out);
         let status = response.status;
-        let before = conn.out.len();
-        response.write_into(&mut conn.out);
-        conn.enqueued_total += (conn.out.len() - before) as u64;
-        conn.phase = Phase::Idle;
         if let Some(started) = started {
             let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
             // latency bucket exemplars name a real traced request
@@ -868,34 +504,244 @@ impl EventLoop {
             self.slo_1m.record(micros, bad);
             self.slo_5m.record(micros, bad);
         }
-        if let Some((handle, root)) = trace {
+        let write = trace.as_ref().map(|(handle, root)| {
             if status == 429 {
                 handle.flag(TraceFlag::Shed429);
             }
-            // the response is buffered, not yet on the wire: the trace
-            // finishes when the flush watermark passes `target`
-            let write = frappe_obs::span_in("edge/write", Some((&handle, root.id())));
-            conn.write_traces.push(PendingWrite {
-                handle,
-                _root: root,
-                _write: write,
-                outcome: status.to_string(),
-                target: conn.enqueued_total,
-            });
+            frappe_obs::span_in("edge/write", Some((handle, root.id())))
+        });
+        let written = stream.write_all(&out).is_ok();
+        if written {
+            self.metrics.bytes_written.add(out.len() as u64);
         }
+        if let Some((handle, _root)) = trace {
+            // `finish` closes the trace at the moment the last byte left;
+            // the `edge/write` and `edge/request` guards drop after it
+            let status = status.to_string();
+            handle.finish(if written { &status } else { "aborted" });
+            drop(write);
+        }
+        written
+    }
+}
+
+/// Control handle onto a running [`Server`]: drain, resume, and the
+/// [`SwapFence`] implementation that fences lifecycle hot-swaps.
+#[derive(Clone)]
+pub struct EdgeHandle {
+    edge: Arc<Edge>,
+}
+
+impl EdgeHandle {
+    /// Stops starting requests, waits until every request already
+    /// started is answered (its response written), and returns how long
+    /// that took. Idempotent while already draining. Connections stay
+    /// open; pair with [`resume`](Self::resume).
+    pub fn drain(&self) -> Duration {
+        let start = Instant::now();
+        let edge = &self.edge;
+        if let Some(tc) = &edge.trace {
+            // every in-flight trace gets flagged + the event appended,
+            // so exported traces show what they straddled
+            tc.lifecycle_event(LifecycleEvent::DrainBegin, "edge drain");
+        }
+        let mut state = edge.lock();
+        if state.command == Command::Running {
+            state.command = Command::Draining;
+        }
+        let state = edge
+            .cond
+            .wait_while(state, |s| s.command == Command::Draining && s.in_flight > 0)
+            .expect("edge state lock");
+        drop(state);
+        let took = start.elapsed();
+        edge.metrics.drains.inc();
+        edge.metrics
+            .drain_micros
+            .observe(u64::try_from(took.as_micros()).unwrap_or(u64::MAX));
+        took
     }
 
-    fn publish_drained(&self, command: Command) {
-        if command != Command::Draining {
-            return;
+    /// Reopens the edge after a [`drain`](Self::drain): buffered and
+    /// held requests resume.
+    pub fn resume(&self) {
+        if let Some(tc) = &self.edge.trace {
+            tc.lifecycle_event(LifecycleEvent::DrainEnd, "edge resume");
         }
-        let drained = self.conns.iter().flatten().all(Conn::is_quiesced);
-        let mut state = self.shared.state.lock().expect("edge state lock");
-        if state.command == command && state.drained != drained {
-            state.drained = drained;
-            self.shared.cond.notify_all();
+        let mut state = self.edge.lock();
+        if state.command == Command::Draining {
+            state.command = Command::Running;
+            self.edge.cond.notify_all();
         }
     }
+}
+
+impl SwapFence for EdgeHandle {
+    /// Drain → swap → resume. Installed on a
+    /// [`frappe_lifecycle::LifecycleManager`], this runs every model
+    /// promotion and rollback with zero responses mid-flight.
+    fn fenced(&self, swap: &mut dyn FnMut()) {
+        self.drain();
+        swap();
+        self.resume();
+    }
+}
+
+/// The network edge: owns the accept thread, which owns the connection
+/// threads. Dropping the server shuts every connection down and joins
+/// every thread (open connections are closed without ceremony — drain
+/// first for grace).
+pub struct Server {
+    local_addr: SocketAddr,
+    handle: EdgeHandle,
+    accept: Option<JoinHandle<()>>,
+}
+
+impl Server {
+    /// Binds `addr` (use port 0 for an ephemeral port), registers the
+    /// edge's `net_*` metrics on the deployment's base obs registry, and
+    /// spawns the accept thread. Takes an `Arc<FrappeService>`, an
+    /// `Arc<ShardRouter>`, or a [`Deployment`].
+    pub fn bind<A: ToSocketAddrs>(
+        service: impl Into<Deployment>,
+        addr: A,
+        config: NetConfig,
+    ) -> io::Result<Server> {
+        let service = service.into();
+        let listener = TcpListener::bind(addr)?;
+        let local_addr = listener.local_addr()?;
+        let metrics = NetMetrics::new(service.obs_registry(), service.group_count());
+        // The collector attached to the service (if any) becomes the
+        // edge's tracer: captured at bind, so attach it *before* binding.
+        let trace = service.trace_collector();
+
+        // SLO windows share the collector's clock so traced tests can
+        // drive both deterministically; untraced edges run on wall time.
+        let slo_clock: Arc<dyn Clock> = trace
+            .as_ref()
+            .map(TraceCollector::clock)
+            .unwrap_or_else(|| Arc::new(WallClock::new()));
+        let slo_1m = SloWindow::new(
+            SloConfig {
+                window_secs: 60,
+                ..SloConfig::default()
+            },
+            Arc::clone(&slo_clock),
+        );
+        let slo_5m = SloWindow::new(
+            SloConfig {
+                window_secs: 300,
+                ..SloConfig::default()
+            },
+            slo_clock,
+        );
+
+        let edge = Arc::new(Edge {
+            overload_response: accept_gate_response(service.retry_after_ms()),
+            service,
+            config,
+            state: Mutex::new(EdgeState {
+                command: Command::Running,
+                in_flight: 0,
+                conns: HashMap::new(),
+                next_conn: 0,
+            }),
+            cond: Condvar::new(),
+            metrics,
+            trace,
+            slo_1m,
+            slo_5m,
+        });
+        let accept_edge = Arc::clone(&edge);
+        let accept = std::thread::Builder::new()
+            .name("frappe-net".into())
+            .spawn(move || accept_edge.accept_loop(listener))?;
+        Ok(Server {
+            local_addr,
+            handle: EdgeHandle { edge },
+            accept: Some(accept),
+        })
+    }
+
+    /// The bound address (resolves port 0).
+    pub fn local_addr(&self) -> SocketAddr {
+        self.local_addr
+    }
+
+    /// A cloneable control handle (drain/resume/[`SwapFence`]).
+    pub fn handle(&self) -> EdgeHandle {
+        self.handle.clone()
+    }
+
+    /// Convenience for [`EdgeHandle::drain`].
+    pub fn drain(&self) -> Duration {
+        self.handle.drain()
+    }
+
+    /// Convenience for [`EdgeHandle::resume`].
+    pub fn resume(&self) {
+        self.handle.resume()
+    }
+}
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        let edge = &self.handle.edge;
+        {
+            // under the lock the accept thread registers under, so no
+            // connection slips in after the sweep
+            let mut state = edge.lock();
+            state.command = Command::Shutdown;
+            for stream in state.conns.values() {
+                // unblocks a thread parked in `read` or `write`
+                let _ = stream.shutdown(Shutdown::Both);
+            }
+        }
+        // wakes threads held by a drain, a read pause or the gate
+        edge.cond.notify_all();
+        // the accept thread is parked in `accept`: hand it a connection
+        let _ = TcpStream::connect(wake_addr(self.local_addr));
+        if let Some(accept) = self.accept.take() {
+            let _ = accept.join();
+        }
+    }
+}
+
+/// Where a loopback connect reaches the listener: its own address, with
+/// an unspecified IP replaced by the loopback of the same family.
+fn wake_addr(local: SocketAddr) -> SocketAddr {
+    let mut addr = local;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
+/// Pre-rendered `503` for connections beyond the accept gate, reusing
+/// the standard envelope so even gate rejections parse uniformly.
+fn accept_gate_response(retry_after_ms: u64) -> Vec<u8> {
+    let envelope = ErrorEnvelope::new(ServeError::Overloaded { retry_after_ms });
+    let mut response = Response::json(503, envelope_json(&envelope));
+    response.retry_after_secs = Some(retry_secs(retry_after_ms));
+    response.close = true;
+    let mut bytes = Vec::new();
+    response.write_into(&mut bytes);
+    bytes
+}
+
+fn envelope_json(envelope: &ErrorEnvelope) -> Vec<u8> {
+    serde_json::to_string(envelope)
+        .expect("the envelope wire format is pinned by a frappe-serve test")
+        .into_bytes()
+}
+
+/// `Retry-After` is whole seconds; round the millisecond hint up so the
+/// header never promises an earlier retry than the envelope.
+fn retry_secs(retry_after_ms: u64) -> u64 {
+    retry_after_ms.div_ceil(1000).max(1)
 }
 
 /// Maps a [`ServeError`] onto its status + envelope body. The 429

@@ -19,9 +19,9 @@
 //!   collision bit).
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, TryRecvError};
+use crossbeam::channel::{Receiver, RecvTimeoutError};
 use frappe::features::aggregation::KnownMaliciousNames;
 use frappe::{AppFeatures, FrappeModel, SharedKnownNames, SharedModel, VersionedModel};
 use frappe_obs::{
@@ -301,12 +301,13 @@ impl ScoreEngine {
 
 /// A classification submitted to the scorer pool but not yet answered.
 ///
-/// The handle is how a non-blocking caller (the network edge's event
-/// loop) rides the pool: [`poll`](Self::poll) checks for the verdict
-/// without blocking, [`wait`](Self::wait) parks until it arrives. Either
-/// way the query-latency histogram is fed exactly once, measured from
-/// submission. Dropping the handle abandons the query (the worker's
-/// reply goes nowhere, which is fine).
+/// The handle is how a caller that must stay responsive (a network
+/// edge's connection thread) rides the pool:
+/// [`wait_timeout`](Self::wait_timeout) parks until the worker's reply
+/// wakes it or the timeout lapses, [`wait`](Self::wait) parks until the
+/// verdict arrives. Either way the query-latency histogram is fed
+/// exactly once, measured from submission. Dropping the handle abandons
+/// the query (the worker's reply goes nowhere, which is fine).
 pub struct PendingVerdict {
     reply: Receiver<Result<Verdict, ServeError>>,
     engine: Arc<ScoreEngine>,
@@ -356,14 +357,16 @@ impl PendingVerdict {
         }
     }
 
-    /// The verdict, if a scorer has answered; `None` while it is still in
-    /// the queue or being scored. A pool that shut down mid-flight
+    /// The verdict, waiting at most `timeout` for it: the scorer's reply
+    /// wakes the caller directly, and `None` means it is still in the
+    /// queue or being scored when the timeout lapses (`Duration::ZERO`
+    /// checks without blocking). A pool that shut down mid-flight
     /// surfaces [`ServeError::ShuttingDown`].
-    pub fn poll(&mut self) -> Option<Result<Verdict, ServeError>> {
-        let outcome = match self.reply.try_recv() {
+    pub fn wait_timeout(&mut self, timeout: Duration) -> Option<Result<Verdict, ServeError>> {
+        let outcome = match self.reply.recv_timeout(timeout) {
             Ok(outcome) => outcome,
-            Err(TryRecvError::Empty) => return None,
-            Err(TryRecvError::Disconnected) => Err(ServeError::ShuttingDown),
+            Err(RecvTimeoutError::Timeout) => return None,
+            Err(RecvTimeoutError::Disconnected) => Err(ServeError::ShuttingDown),
         };
         self.settle(&outcome);
         Some(outcome)
@@ -550,9 +553,9 @@ impl FrappeService {
 
     /// Submits a classification without waiting for the answer.
     ///
-    /// This is the entry point for callers that must never park — the
-    /// network edge's reactor submits here and polls the returned
-    /// [`PendingVerdict`] from its event loop. Queue-full rejection is
+    /// This is the entry point for callers that bound their wait — the
+    /// network edge's connection threads submit here and wait on the
+    /// returned [`PendingVerdict`] with a timeout. Queue-full rejection is
     /// identical to [`classify`](Self::classify): immediate
     /// [`ServeError::Overloaded`] with the retry hint, counted in the
     /// rejected metric.
@@ -1036,12 +1039,10 @@ mod tests {
         feed_malicious(&svc, app);
         let blocking = svc.classify(app).unwrap();
         let mut pending = svc.classify_nonblocking(app).unwrap();
-        let polled = loop {
-            if let Some(outcome) = pending.poll() {
-                break outcome.unwrap();
-            }
-            std::thread::yield_now();
-        };
+        let polled = pending
+            .wait_timeout(Duration::from_secs(30))
+            .expect("the worker's reply wakes the waiter")
+            .unwrap();
         assert_eq!(polled, blocking, "cache answers both paths identically");
         assert_eq!(svc.metrics().queries_served, 2, "both paths feed latency");
     }
@@ -1052,7 +1053,7 @@ mod tests {
         let svc = stalled_service(app);
         let mut first = svc.classify_nonblocking(app).expect("one slot admits");
         assert!(
-            first.poll().is_none(),
+            first.wait_timeout(Duration::from_millis(20)).is_none(),
             "nothing ever drains a 0-worker pool"
         );
         assert_eq!(

@@ -12,10 +12,14 @@
 //! * a lifecycle hot-swap (promote, then rollback) fenced by the edge's
 //!   drain protocol loses **zero** responses under mid-load traffic, and
 //!   every response body is one of the known-good per-version strings —
-//!   nothing stale, nothing garbled.
+//!   nothing stale, nothing garbled;
+//! * dropping a server joins every connection thread, wherever each one
+//!   is blocked: on a stalled verdict, in a 429 read pause, or in `read`;
+//! * a drain does not wait for a request that is only half sent, and
+//!   that request is answered after the resume.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use frappe::features::aggregation::{AggregationFeatures, KnownMaliciousNames};
@@ -512,4 +516,98 @@ fn fenced_hot_swap_under_load_drops_and_stales_nothing() {
     assert!(snapshot.contains("lifecycle_rollbacks 1"));
     let metrics = service.metrics();
     assert_eq!(metrics.model_swaps, 2);
+}
+
+/// Runs `f` on a thread of its own and waits up to `secs` for it, so a
+/// call that never returns fails the test instead of hanging it.
+fn within<T: Send + 'static>(secs: u64, what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    rx.recv_timeout(Duration::from_secs(secs))
+        .unwrap_or_else(|_| panic!("{what} did not return within {secs} s"))
+}
+
+#[test]
+fn dropping_the_server_joins_every_connection_thread() {
+    // Stalled pool (as in the 429 test): the parked classify never gets
+    // a verdict, and the next one is shed.
+    let service = Arc::new(service_with(ServeConfig {
+        shards: 1,
+        workers: 0,
+        queue_capacity: 1,
+        batch_size: 1,
+        retry_after_ms: 9,
+    }));
+    feed_app(&service, AppId(7), true, 2);
+    let server = Server::bind(Arc::clone(&service), "127.0.0.1:0", NetConfig::default()).unwrap();
+    let addr = server.local_addr();
+
+    // 1. parked on a verdict that never comes
+    let mut parked = Client::connect(addr).unwrap();
+    parked.send("GET", "/v1/classify/7", "").unwrap();
+    while service.queue_depth() == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // 2. read-paused after its 429 (the queue never recovers)
+    let mut paused = Client::connect(addr).unwrap();
+    assert_eq!(paused.get("/v1/classify/7").unwrap().status, 429);
+    // 3. idle keep-alive, blocked in `read`
+    let mut idle = Client::connect(addr).unwrap();
+    assert_eq!(idle.get("/healthz").unwrap().status, 200);
+    let scrape = service.obs_registry().snapshot().to_prometheus_text();
+    assert!(scrape.contains("net_conns_active 3\n"), "{scrape}");
+
+    within(10, "dropping the server", move || drop(server));
+
+    // every thread is gone: its connection is closed and deregistered
+    for (name, mut client) in [("parked", parked), ("paused", paused), ("idle", idle)] {
+        assert!(
+            client.read_response().is_err(),
+            "the {name} connection was closed by the shutdown"
+        );
+    }
+    let scrape = service.obs_registry().snapshot().to_prometheus_text();
+    assert!(scrape.contains("net_conns_active 0\n"), "{scrape}");
+}
+
+#[test]
+fn drain_skips_a_half_sent_request_and_resume_answers_it() {
+    let service = Arc::new(service_with(ServeConfig::default()));
+    feed_app(&service, AppId(7), true, 2);
+    let expected = serde_json::to_string(&service.classify(AppId(7)).unwrap()).unwrap();
+    let server = Server::bind(Arc::clone(&service), "127.0.0.1:0", NetConfig::default()).unwrap();
+    let handle = server.handle();
+
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    assert_eq!(client.get("/healthz").unwrap().status, 200);
+    client
+        .send_raw(b"GET /v1/classify/7 HTTP/1.1\r\ncontent-")
+        .unwrap();
+    let drainer = handle.clone();
+    within(10, "a drain beside a half-sent head", move || {
+        drainer.drain()
+    });
+
+    // the head completes mid-drain: the request is parsed but held
+    client.send_raw(b"length: 0\r\n\r\n").unwrap();
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(client.read_response().map(|r| (r.status, r.body)));
+    });
+    assert!(
+        rx.recv_timeout(Duration::from_millis(100)).is_err(),
+        "no request starts while the edge is drained"
+    );
+
+    handle.resume();
+    let (status, body) = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the held request is answered after the resume")
+        .unwrap();
+    assert_eq!(status, 200);
+    assert_eq!(body, expected);
+    let scrape = service.obs_registry().snapshot().to_prometheus_text();
+    assert!(scrape.contains("net_drains 1\n"), "{scrape}");
 }

@@ -15,9 +15,9 @@
 //!   after it (warm caches invalidated everywhere), and over the rest of
 //!   the stream.
 //!
-//! The group count defaults to 3 (so apps genuinely span a group
-//! boundary) and can be pinned with `FRAPPE_SHARD_GROUPS` — ci.sh runs
-//! the suite at 1 and 4 to cover the degenerate and the scaled shapes.
+//! Each test sweeps the group counts in [`GROUP_COUNTS`] in-process: the
+//! degenerate single group, three (so apps genuinely span a group
+//! boundary), and four.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -36,20 +36,12 @@ use osn_types::ids::AppId;
 use synth_workload::scenario::ScenarioWorld;
 use synth_workload::{run_scenario, ScenarioConfig};
 
-/// Group count under test: `FRAPPE_SHARD_GROUPS` pins it (ci.sh runs 1
-/// and 4); the default of 3 guarantees a multi-group deployment.
-fn shard_groups() -> usize {
-    match std::env::var("FRAPPE_SHARD_GROUPS") {
-        Ok(v) => v
-            .parse()
-            .expect("FRAPPE_SHARD_GROUPS must be a positive integer"),
-        Err(_) => 3,
-    }
-}
+/// Group counts every test sweeps.
+const GROUP_COUNTS: [usize; 3] = [1, 3, 4];
 
-fn shard_config() -> ShardConfig {
+fn shard_config(groups: usize) -> ShardConfig {
     ShardConfig {
-        groups: shard_groups(),
+        groups,
         mailbox_capacity: 4096,
         group: ServeConfig::default(),
     }
@@ -132,136 +124,138 @@ fn fenced_promote_and_rollback_are_atomic_across_groups_under_load() {
     let incumbent = FrappeModel::train(&half_samples, &half_labels, frappe::FeatureSet::Full, None);
     let candidate = FrappeModel::train(&samples, &labels, frappe::FeatureSet::Full, None);
 
-    let registry = ModelRegistry::new(incumbent, ModelSource::default());
-    let router = Arc::new(ShardRouter::with_shared_model(
-        registry.handle(),
-        known,
-        world.shortener.clone(),
-        shard_config(),
-    ));
-    for event in serve_events(&world) {
-        ingest_routed(&router, &event);
-    }
-    router.flush();
-    let groups_hit: std::collections::BTreeSet<usize> =
-        apps.iter().map(|&a| router.group_of(a)).collect();
-    assert_eq!(
-        groups_hit.len(),
-        router.group_count().min(apps.len()),
-        "the world's apps must exercise every group"
-    );
-
-    let manager = LifecycleManager::new(
-        Arc::clone(&router),
-        registry,
-        // The gate is not under test — let the shadow through.
-        PromotionGate {
-            min_scored: 10,
-            max_disagreement_rate: 1.0,
-            max_false_positive_increase: 1.0,
-            max_false_negative_increase: 1.0,
-        },
-        DriftDetector::new(DriftConfig::default()),
-    );
-    let fence = Arc::new(DrainFence {
-        router: Arc::clone(&router),
-        entered: AtomicU64::new(0),
-    });
-    manager.set_swap_fence(Arc::clone(&fence) as Arc<dyn SwapFence>);
-
-    assert_eq!(
-        manager.begin_shadow(Arc::new(candidate.clone()), ModelSource::default()),
-        2
-    );
-    for (&app, &label) in apps.iter().zip(&labels) {
-        manager
-            .classify_labelled(app, Some(label))
-            .expect("tracked app");
-    }
-
-    // Hammer every group while the promotion lands. The zero-stale
-    // invariant, per thread: once any verdict carries v2, no later one
-    // may carry v1 — the swap is one shared pointer, and the epoch bump
-    // kills every pre-swap cache entry in every group.
-    let stop = AtomicBool::new(false);
-    std::thread::scope(|s| {
-        let workers: Vec<_> = (0..3)
-            .map(|t| {
-                let router = &router;
-                let apps = &apps;
-                let stop = &stop;
-                s.spawn(move || {
-                    let mut versions = Vec::new();
-                    let mut i = t;
-                    while !stop.load(Ordering::Relaxed) {
-                        let app = apps[i % apps.len()];
-                        i += 7;
-                        match router.classify(app) {
-                            Ok(v) => versions.push(v.model_version),
-                            Err(_) => std::thread::yield_now(),
-                        }
-                    }
-                    versions
-                })
-            })
-            .collect();
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(manager.try_promote(), PromotionOutcome::Promoted(2));
-        std::thread::sleep(Duration::from_millis(20));
-        stop.store(true, Ordering::Relaxed);
-        for worker in workers {
-            let versions = worker.join().expect("hammer thread");
-            assert!(!versions.is_empty(), "thread observed no verdicts");
-            for pair in versions.windows(2) {
-                assert!(
-                    pair[0] <= pair[1],
-                    "stale-epoch verdict: v{} served after v{}",
-                    pair[1],
-                    pair[0]
-                );
-            }
-            assert_eq!(*versions.last().unwrap(), 2, "promotion reached the thread");
+    for groups in GROUP_COUNTS {
+        let registry = ModelRegistry::new(incumbent.clone(), ModelSource::default());
+        let router = Arc::new(ShardRouter::with_shared_model(
+            registry.handle(),
+            known.clone(),
+            world.shortener.clone(),
+            shard_config(groups),
+        ));
+        for event in serve_events(&world) {
+            ingest_routed(&router, &event);
         }
-    });
-    assert_eq!(fence.entered.load(Ordering::SeqCst), 1, "promote fenced");
-
-    // Settled: every app, whatever its owner group, serves the candidate
-    // bit-exactly.
-    for &app in &apps {
-        let verdict = router.classify(app).expect("tracked app");
-        assert_eq!(verdict.model_version, 2);
+        router.flush();
+        let groups_hit: std::collections::BTreeSet<usize> =
+            apps.iter().map(|&a| router.group_of(a)).collect();
         assert_eq!(
-            verdict.decision_value.to_bits(),
-            candidate
-                .decision_value(&router.features(app).expect("tracked"))
-                .to_bits(),
-            "post-swap verdicts come from the candidate"
+            groups_hit.len(),
+            router.group_count().min(apps.len()),
+            "the world's apps must exercise every group"
         );
-    }
 
-    // Rollback runs through the same fence; v1 serves again at a fresh
-    // epoch, so nothing cached under v2 survives in any group.
-    let epoch_before = router.control_stamp().model_epoch;
-    assert_eq!(manager.rollback().expect("history has v1"), 1);
-    assert_eq!(fence.entered.load(Ordering::SeqCst), 2, "rollback fenced");
-    let stamp = router.control_stamp();
-    assert_eq!(stamp.model_version, 1);
-    assert_eq!(stamp.model_epoch, epoch_before + 1);
-    for &app in &apps {
-        assert_eq!(router.classify(app).expect("tracked").model_version, 1);
-    }
+        let manager = LifecycleManager::new(
+            Arc::clone(&router),
+            registry,
+            // The gate is not under test — let the shadow through.
+            PromotionGate {
+                min_scored: 10,
+                max_disagreement_rate: 1.0,
+                max_false_positive_increase: 1.0,
+                max_false_negative_increase: 1.0,
+            },
+            DriftDetector::new(DriftConfig::default()),
+        );
+        let fence = Arc::new(DrainFence {
+            router: Arc::clone(&router),
+            entered: AtomicU64::new(0),
+        });
+        manager.set_swap_fence(Arc::clone(&fence) as Arc<dyn SwapFence>);
 
-    // Merged metrics: each group booked the two shared swaps once (max,
-    // not sum), and the lifecycle counters — which live on the router's
-    // base registry — surface in the one merged scrape.
-    let merged = router.metrics();
-    assert_eq!(merged.model_swaps, 2);
-    assert_eq!(merged.model_version, 1);
-    let text = router.exposition().to_prometheus_text();
-    assert!(text.contains("lifecycle_promotions 1"), "scrape: {text}");
-    assert!(text.contains("lifecycle_rollbacks 1"));
-    assert!(text.contains("control_model_version 1"));
-    assert!(text.contains(&format!("route_groups {}", router.group_count())));
+        assert_eq!(
+            manager.begin_shadow(Arc::new(candidate.clone()), ModelSource::default()),
+            2
+        );
+        for (&app, &label) in apps.iter().zip(&labels) {
+            manager
+                .classify_labelled(app, Some(label))
+                .expect("tracked app");
+        }
+
+        // Hammer every group while the promotion lands. The zero-stale
+        // invariant, per thread: once any verdict carries v2, no later one
+        // may carry v1 — the swap is one shared pointer, and the epoch bump
+        // kills every pre-swap cache entry in every group.
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let workers: Vec<_> = (0..3)
+                .map(|t| {
+                    let router = &router;
+                    let apps = &apps;
+                    let stop = &stop;
+                    s.spawn(move || {
+                        let mut versions = Vec::new();
+                        let mut i = t;
+                        while !stop.load(Ordering::Relaxed) {
+                            let app = apps[i % apps.len()];
+                            i += 7;
+                            match router.classify(app) {
+                                Ok(v) => versions.push(v.model_version),
+                                Err(_) => std::thread::yield_now(),
+                            }
+                        }
+                        versions
+                    })
+                })
+                .collect();
+            std::thread::sleep(Duration::from_millis(20));
+            assert_eq!(manager.try_promote(), PromotionOutcome::Promoted(2));
+            std::thread::sleep(Duration::from_millis(20));
+            stop.store(true, Ordering::Relaxed);
+            for worker in workers {
+                let versions = worker.join().expect("hammer thread");
+                assert!(!versions.is_empty(), "thread observed no verdicts");
+                for pair in versions.windows(2) {
+                    assert!(
+                        pair[0] <= pair[1],
+                        "stale-epoch verdict: v{} served after v{}",
+                        pair[1],
+                        pair[0]
+                    );
+                }
+                assert_eq!(*versions.last().unwrap(), 2, "promotion reached the thread");
+            }
+        });
+        assert_eq!(fence.entered.load(Ordering::SeqCst), 1, "promote fenced");
+
+        // Settled: every app, whatever its owner group, serves the candidate
+        // bit-exactly.
+        for &app in &apps {
+            let verdict = router.classify(app).expect("tracked app");
+            assert_eq!(verdict.model_version, 2);
+            assert_eq!(
+                verdict.decision_value.to_bits(),
+                candidate
+                    .decision_value(&router.features(app).expect("tracked"))
+                    .to_bits(),
+                "post-swap verdicts come from the candidate"
+            );
+        }
+
+        // Rollback runs through the same fence; v1 serves again at a fresh
+        // epoch, so nothing cached under v2 survives in any group.
+        let epoch_before = router.control_stamp().model_epoch;
+        assert_eq!(manager.rollback().expect("history has v1"), 1);
+        assert_eq!(fence.entered.load(Ordering::SeqCst), 2, "rollback fenced");
+        let stamp = router.control_stamp();
+        assert_eq!(stamp.model_version, 1);
+        assert_eq!(stamp.model_epoch, epoch_before + 1);
+        for &app in &apps {
+            assert_eq!(router.classify(app).expect("tracked").model_version, 1);
+        }
+
+        // Merged metrics: each group booked the two shared swaps once (max,
+        // not sum), and the lifecycle counters — which live on the router's
+        // base registry — surface in the one merged scrape.
+        let merged = router.metrics();
+        assert_eq!(merged.model_swaps, 2);
+        assert_eq!(merged.model_version, 1);
+        let text = router.exposition().to_prometheus_text();
+        assert!(text.contains("lifecycle_promotions 1"), "scrape: {text}");
+        assert!(text.contains("lifecycle_rollbacks 1"));
+        assert!(text.contains("control_model_version 1"));
+        assert!(text.contains(&format!("route_groups {}", router.group_count())));
+    }
 }
 
 #[test]
@@ -272,80 +266,82 @@ fn a_mid_stream_name_flip_reaches_every_group_exactly_like_a_single_service() {
     let (samples, labels) = labelled_rows(&world, &KnownMaliciousNames::default());
     let model = FrappeModel::train(&samples, &labels, frappe::FeatureSet::Full, None);
 
-    let single = FrappeService::new(
-        model.clone(),
-        KnownMaliciousNames::default(),
-        world.shortener.clone(),
-        ServeConfig::default(),
-    );
-    let router = ShardRouter::new(
-        model,
-        KnownMaliciousNames::default(),
-        world.shortener.clone(),
-        shard_config(),
-    );
-
     let events: Vec<ServeEvent> = serve_events(&world);
     let (first, second) = events.split_at(events.len() / 2);
-    for event in first {
-        single.ingest(event);
-        ingest_routed(&router, event);
-    }
-    router.flush();
+    for groups in GROUP_COUNTS {
+        let single = FrappeService::new(
+            model.clone(),
+            KnownMaliciousNames::default(),
+            world.shortener.clone(),
+            ServeConfig::default(),
+        );
+        let router = ShardRouter::new(
+            model.clone(),
+            KnownMaliciousNames::default(),
+            world.shortener.clone(),
+            shard_config(groups),
+        );
 
-    let parity = |phase: &str| {
-        let tracked = router.tracked_apps();
-        assert_eq!(tracked, single.tracked_apps(), "{phase}: same ownership");
-        for app in tracked {
-            let a = single.classify(app).expect("tracked on the service");
-            let b = router.classify(app).expect("tracked on the router");
-            assert_eq!(
-                (
-                    a.decision_value.to_bits(),
-                    a.malicious,
-                    a.generation,
-                    a.model_version
-                ),
-                (
-                    b.decision_value.to_bits(),
-                    b.malicious,
-                    b.generation,
-                    b.model_version
-                ),
-                "{phase}: app {app:?} diverged across the group boundary"
-            );
+        for event in first {
+            single.ingest(event);
+            ingest_routed(&router, event);
         }
-    };
-    parity("pre-flip");
+        router.flush();
 
-    // Flag a tracked app's own name on both deployments: its collision
-    // feature must flip, in whichever group owns it.
-    let victim = router.tracked_apps()[0];
-    let flagged = world
-        .platform
-        .app(victim)
-        .expect("tracked apps exist in the platform")
-        .name()
-        .to_string();
-    assert!(single.flag_name(&flagged), "fresh name on the service");
-    assert!(router.flag_name(&flagged), "fresh name on the shared plane");
-    assert_eq!(router.control_stamp().known_generation, 1);
-    assert!(
-        router
-            .features(victim)
-            .expect("tracked")
-            .aggregation
-            .name_matches_known_malicious,
-        "the flip reached the victim's owner group"
-    );
-    parity("post-flip (warm caches invalidated everywhere)");
+        let parity = |phase: &str| {
+            let tracked = router.tracked_apps();
+            assert_eq!(tracked, single.tracked_apps(), "{phase}: same ownership");
+            for app in tracked {
+                let a = single.classify(app).expect("tracked on the service");
+                let b = router.classify(app).expect("tracked on the router");
+                assert_eq!(
+                    (
+                        a.decision_value.to_bits(),
+                        a.malicious,
+                        a.generation,
+                        a.model_version
+                    ),
+                    (
+                        b.decision_value.to_bits(),
+                        b.malicious,
+                        b.generation,
+                        b.model_version
+                    ),
+                    "{phase}: app {app:?} diverged across the group boundary"
+                );
+            }
+        };
+        parity("pre-flip");
 
-    // The rest of the stream lands on post-flip state; parity must hold
-    // through it.
-    for event in second {
-        single.ingest(event);
-        ingest_routed(&router, event);
+        // Flag a tracked app's own name on both deployments: its collision
+        // feature must flip, in whichever group owns it.
+        let victim = router.tracked_apps()[0];
+        let flagged = world
+            .platform
+            .app(victim)
+            .expect("tracked apps exist in the platform")
+            .name()
+            .to_string();
+        assert!(single.flag_name(&flagged), "fresh name on the service");
+        assert!(router.flag_name(&flagged), "fresh name on the shared plane");
+        assert_eq!(router.control_stamp().known_generation, 1);
+        assert!(
+            router
+                .features(victim)
+                .expect("tracked")
+                .aggregation
+                .name_matches_known_malicious,
+            "the flip reached the victim's owner group"
+        );
+        parity("post-flip (warm caches invalidated everywhere)");
+
+        // The rest of the stream lands on post-flip state; parity must hold
+        // through it.
+        for event in second {
+            single.ingest(event);
+            ingest_routed(&router, event);
+        }
+        router.flush();
+        parity("post-flip, stream complete");
     }
-    router.flush();
-    parity("post-flip, stream complete");
 }

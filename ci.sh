@@ -36,7 +36,12 @@ FRAPPE_JOBS=8 cargo test -q -p frappe --test determinism
 
 echo "==> lifecycle suite (FRAPPE_JOBS=1 and FRAPPE_JOBS=8)"
 # Shadow-evaluated hot swap, drift detection, and the checkpoint
-# roundtrip on a fresh temp dir, with retraining at both pool extremes
+# roundtrip on a fresh temp dir; the crate's unit tests include the
+# lineage hardening test
+# (registry::tests::truncated_or_bit_flipped_manifests_never_panic_or_reuse_a_version,
+# every truncation and single-bit flip of a saved lineage.json is refused
+# or loads a registry whose next register is a new version), with
+# retraining at both pool extremes
 # (the suite's retraining_is_bit_identical_across_pool_sizes covers
 # 1-vs-8 explicitly; the env override makes the default-pool paths match
 # too).

@@ -21,8 +21,8 @@ use std::time::Instant;
 use frappe::{AppFeatures, FrappeModel};
 use frappe_jobs::JobPool;
 use frappe_lifecycle::{
-    retrain_on, write_model, DriftConfig, DriftDetector, LifecycleManager, ModelRegistry,
-    ModelSource, PromotionGate, RetrainConfig,
+    retrain_on, write_model, DriftConfig, DriftDetector, LifecycleManager, ModelSource,
+    PromotionGate, RetrainConfig,
 };
 use frappe_serve::{serve_events, FrappeService, ServeConfig};
 use serde::{Deserialize, Serialize};
@@ -160,9 +160,8 @@ pub fn run(quick: bool) -> LifecycleBenchReport {
         None,
     ));
     let main = Arc::new(serial.model.clone());
-    let registry = ModelRegistry::new(serial.model.clone(), serial.source(None));
-    let service = Arc::new(FrappeService::with_shared_model(
-        registry.handle(),
+    let service = Arc::new(FrappeService::new(
+        serial.model.clone(),
         lab.known_malicious_names(),
         lab.world.shortener.clone(),
         ServeConfig::default(),
@@ -177,7 +176,7 @@ pub fn run(quick: bool) -> LifecycleBenchReport {
     // sweeps with the candidate mirroring every query.
     let manager = LifecycleManager::new(
         Arc::clone(&service),
-        registry,
+        serial.source(None),
         PromotionGate::default(),
         DriftDetector::new(DriftConfig::default()),
     );

@@ -196,6 +196,11 @@ impl FrappeModel {
     pub fn warm(&self) {
         self.model.warm();
     }
+
+    /// Whether the packed scoring representation is already built.
+    pub fn is_warm(&self) -> bool {
+        self.model.is_warm()
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -257,8 +262,9 @@ struct SharedModelInner {
 }
 
 impl SharedModel {
-    /// Installs `model` as `version` at epoch 0.
+    /// Installs `model` as `version` at epoch 0, packed for scoring.
     pub fn new(model: FrappeModel, version: u64) -> Self {
+        model.warm();
         SharedModel {
             inner: Arc::new(SharedModelInner {
                 current: RwLock::new(Arc::new(VersionedModel {
@@ -295,9 +301,12 @@ impl SharedModel {
     }
 
     /// Atomically installs `model` as `version`, returning the triple it
-    /// replaced. The epoch bumps under the write lock, so `current()`
-    /// never observes a torn `(version, epoch)` pair.
+    /// replaced. The model is packed before the write lock is taken, so
+    /// neither readers nor the first verdict wait on the flatten. The
+    /// epoch bumps under the write lock, so `current()` never observes a
+    /// torn `(version, epoch)` pair.
     pub fn swap(&self, model: Arc<FrappeModel>, version: u64) -> Arc<VersionedModel> {
+        model.warm();
         let mut slot = self
             .inner
             .current
@@ -310,13 +319,6 @@ impl SharedModel {
         });
         self.inner.epoch.store(next.epoch, Ordering::Release);
         std::mem::replace(&mut *slot, next)
-    }
-
-    /// Whether two handles share the same slot (clones of one
-    /// `SharedModel`). A lifecycle layer uses this to refuse wiring a
-    /// registry to a service that scores through a *different* handle.
-    pub fn ptr_eq(&self, other: &SharedModel) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
     }
 }
 
@@ -641,13 +643,16 @@ mod tests {
         let a = FrappeModel::train(&samples, &labels, FeatureSet::Full, None);
         let b = FrappeModel::train(&samples, &labels, FeatureSet::Robust, None);
 
+        assert!(!b.is_warm(), "a freshly trained model is not packed yet");
         let shared = SharedModel::new(a, 1);
+        assert!(shared.current().model().is_warm(), "new() installs packed");
         let other_handle = shared.clone();
         assert_eq!(shared.epoch(), 0);
         assert_eq!(shared.version(), 1);
         assert_eq!(shared.current().model().feature_set(), FeatureSet::Full);
 
         let old = shared.swap(Arc::new(b), 2);
+        assert!(shared.current().model().is_warm(), "swap() installs packed");
         assert_eq!(old.version(), 1);
         assert_eq!(old.epoch(), 0);
         assert_eq!(other_handle.epoch(), 1, "clones share the slot");

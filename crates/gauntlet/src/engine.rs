@@ -29,8 +29,7 @@ use frappe::features::aggregation::KnownMaliciousNames;
 use frappe::AppFeatures;
 use frappe_jobs::JobPool;
 use frappe_lifecycle::{
-    retrain_on, DriftConfig, DriftDetector, LifecycleManager, ModelRegistry, PromotionOutcome,
-    RetrainConfig,
+    retrain_on, DriftConfig, DriftDetector, LifecycleManager, PromotionOutcome, RetrainConfig,
 };
 use frappe_serve::{FeatureStore, FrappeService, ServeConfig, ServeEvent};
 use osn_types::ids::AppId;
@@ -79,9 +78,8 @@ pub fn run_spec_on(pool: &JobPool, spec: &ScenarioSpec) -> ScenarioReport {
             ..RetrainConfig::default()
         },
     );
-    let registry = ModelRegistry::new(incumbent.model.clone(), incumbent.source(None));
-    let service = Arc::new(FrappeService::with_shared_model(
-        registry.handle(),
+    let service = Arc::new(FrappeService::new(
+        incumbent.model.clone(),
         known,
         shortener,
         ServeConfig::default(),
@@ -98,7 +96,7 @@ pub fn run_spec_on(pool: &JobPool, spec: &ScenarioSpec) -> ScenarioReport {
     }
     let manager = LifecycleManager::new(
         Arc::clone(&service),
-        registry,
+        incumbent.source(None),
         g.gate,
         DriftDetector::new(DriftConfig {
             psi_threshold: g.psi_threshold,

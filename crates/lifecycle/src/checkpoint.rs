@@ -482,7 +482,7 @@ pub fn load_model(path: &Path) -> Result<FrappeModel, CheckpointError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use frappe::{AggregationFeatures, AppFeatures, OnDemandFeatures};
     use osn_types::ids::AppId;
@@ -506,7 +506,7 @@ mod tests {
         }
     }
 
-    fn tiny_model(set: FeatureSet) -> FrappeModel {
+    pub(crate) fn tiny_model(set: FeatureSet) -> FrappeModel {
         let samples: Vec<AppFeatures> =
             (0..4).flat_map(|i| [row(false, i), row(true, i)]).collect();
         let labels: Vec<bool> = (0..4).flat_map(|_| [false, true]).collect();

@@ -15,10 +15,12 @@
 //!   lane order or membership changed (a silent mismatch would mis-wire
 //!   every SVM weight).
 //! * [`registry`] — versioned models with lineage metadata (training-set
-//!   size, seed, cross-validation metrics, parent version) around the
-//!   [`frappe::SharedModel`] epoch-pointer that `frappe-serve` scores
-//!   through. Promote and rollback are one pointer swap; the epoch bump
-//!   lazily invalidates every cached verdict.
+//!   size, seed, cross-validation metrics, parent version): the history
+//!   only. The served pointer belongs to the deployment's control plane
+//!   in `frappe-serve`; the [`LifecycleManager`], the registry's only
+//!   writer, promotes and rolls back through
+//!   [`frappe_serve::Deployment::swap_model`], one pointer swap whose
+//!   epoch bump lazily invalidates every cached verdict.
 //! * [`shadow`] + [`manager`] — a candidate model rides along as a
 //!   *shadow*: it scores the same live traffic as the incumbent while
 //!   `frappe-obs` counters accumulate the disagreement rate and labelled

@@ -101,25 +101,18 @@ pub struct LifecycleManager {
 
 impl LifecycleManager {
     /// Wires the pieces together around an `Arc<FrappeService>`, an
-    /// `Arc<ShardRouter>`, or a [`Deployment`].
-    ///
-    /// # Panics
-    /// Panics unless `service` scores through the registry's own handle
-    /// (build it with [`frappe_serve::FrappeService::with_shared_model`]
-    /// — or, for a router, a [`frappe_serve::ControlPlane`] wrapping —
-    /// [`ModelRegistry::handle`]); with separate handles, "promote"
-    /// would silently swap a model nobody serves.
+    /// `Arc<ShardRouter>`, or a [`Deployment`]. The registry is seeded
+    /// with the model the deployment serves right now — the entry shares
+    /// its `Arc` and keeps its version — and `source` is that model's
+    /// lineage.
     pub fn new(
         service: impl Into<Deployment>,
-        registry: ModelRegistry,
+        source: ModelSource,
         gate: PromotionGate,
         drift: DriftDetector,
     ) -> Self {
         let service = service.into();
-        assert!(
-            service.model_handle().ptr_eq(&registry.handle()),
-            "the service must score through the registry's SharedModel handle"
-        );
+        let registry = ModelRegistry::new(&service.current_model(), source);
         let obs = service.obs_registry();
         let metrics = LifecycleMetrics {
             shadow_scored: obs.counter("lifecycle_shadow_scored"),
@@ -258,7 +251,7 @@ impl LifecycleManager {
         }
         self.fenced_swap(|| {
             self.registry
-                .promote_with(version, |model, v| self.service.swap_model(model, v))
+                .promote(version, |model, v| self.service.swap_model(model, v))
         })
         .expect("a shadow slot always holds a registered, non-active version");
         *slot = None;
@@ -285,7 +278,7 @@ impl LifecycleManager {
         }
         let version = self.fenced_swap(|| {
             self.registry
-                .rollback_with(|model, v| self.service.swap_model(model, v))
+                .rollback(|model, v| self.service.swap_model(model, v))
         })?;
         self.metrics.rollbacks.inc();
         self.metrics

@@ -1,33 +1,34 @@
-//! Versioned model registry with an atomic epoch-pointer handle.
+//! Versioned model registry: the deployment's model history.
 //!
-//! The registry owns the lineage of every model a deployment has ever
+//! The registry keeps the lineage of every model a deployment has ever
 //! considered — who trained it, on how much data, with what seed, how it
-//! cross-validated, and which version it was retrained from — and wraps
-//! the [`frappe::SharedModel`] handle that `frappe-serve` scores through.
-//! Promotion and rollback are therefore *one pointer swap*: the handle's
-//! epoch bump lazily invalidates every cached verdict (the serve cache
-//! stamps entries with the model epoch), so no swap can serve a verdict
-//! computed by a previous model.
+//! cross-validated, and which version it was retrained from — plus the
+//! promote/retire state machine and the rollback stack. It is pure
+//! bookkeeping: it never holds the served model pointer. Promotion and
+//! rollback hand the chosen model to a caller-supplied install closure,
+//! which the [`LifecycleManager`](crate::manager::LifecycleManager) (the
+//! registry's only writer) routes to the deployment's one install path,
+//! `frappe_serve::Deployment::swap_model`.
 //!
 //! Two counters with different jobs:
 //!
 //! * **version** — registry identity. Assigned once at registration,
 //!   stable forever: rolling back to v1 serves v1, not "v3 that happens
 //!   to equal v1". Verdicts and audit records carry it.
-//! * **epoch** — the handle's swap counter. Strictly increasing on every
-//!   install, *including* rollbacks, so cache entries from before a
-//!   rollback stay dead.
+//! * **epoch** — the served pointer's swap counter. Strictly increasing
+//!   on every install, *including* rollbacks, so cache entries from
+//!   before a rollback stay dead.
 //!
 //! The registry persists to a directory: one [`crate::checkpoint`] file
 //! per version plus a `lineage.json` manifest, so a restarted deployment
 //! reloads its full history and resumes at the same active version.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
 
-use frappe::{FrappeModel, SharedModel, VersionedModel};
+use frappe::{FrappeModel, VersionedModel};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use svm::CrossValReport;
@@ -156,12 +157,33 @@ struct Inner {
     history: Vec<u64>,
 }
 
+impl Inner {
+    /// Marks `version` active and the displaced version retired,
+    /// returning the model to install.
+    fn activate(&mut self, version: u64) -> Result<Arc<FrappeModel>, LifecycleError> {
+        let model = self
+            .entries
+            .get(&version)
+            .map(|e| Arc::clone(&e.model))
+            .ok_or(LifecycleError::UnknownVersion(version))?;
+        for (v, status) in [
+            (self.active, ModelStatus::Retired),
+            (version, ModelStatus::Active),
+        ] {
+            if let Some(entry) = self.entries.get_mut(&v) {
+                entry.status = status;
+            }
+        }
+        self.active = version;
+        Ok(model)
+    }
+}
+
 /// The versioned model registry.
 ///
-/// Thread-safe; the scoring handle it wraps is lock-free on the read
-/// path (serve probes the epoch with one atomic load).
+/// Thread-safe. Readers and persistence are public; every mutation goes
+/// through the [`LifecycleManager`](crate::manager::LifecycleManager).
 pub struct ModelRegistry {
-    handle: SharedModel,
     inner: Mutex<Inner>,
 }
 
@@ -184,43 +206,39 @@ fn checkpoint_name(version: u64) -> String {
     format!("model-v{version}.ckpt")
 }
 
+fn lineage(version: u64, source: ModelSource) -> ModelLineage {
+    ModelLineage {
+        version,
+        parent: source.parent,
+        seed: source.seed,
+        training_size: source.training_size,
+        schema_hash: frappe::catalog::schema_hash(),
+        cv: source.cv,
+    }
+}
+
 impl ModelRegistry {
-    /// Creates a registry with `seed_model` installed as version 1.
-    pub fn new(seed_model: FrappeModel, source: ModelSource) -> Self {
-        let model = Arc::new(seed_model);
-        let lineage = ModelLineage {
-            version: 1,
-            parent: source.parent,
-            seed: source.seed,
-            training_size: source.training_size,
-            schema_hash: frappe::catalog::schema_hash(),
-            cv: source.cv,
-        };
+    /// Creates a registry whose active entry is the installed `seed`:
+    /// the entry shares the served model's `Arc` and keeps its version.
+    pub(crate) fn new(seed: &VersionedModel, source: ModelSource) -> Self {
+        let version = seed.version();
         let mut entries = BTreeMap::new();
         entries.insert(
-            1,
+            version,
             Entry {
-                model: Arc::clone(&model),
-                lineage,
+                model: Arc::clone(seed.model()),
+                lineage: lineage(version, source),
                 status: ModelStatus::Active,
             },
         );
         ModelRegistry {
-            handle: SharedModel::new(Arc::try_unwrap(model).unwrap_or_else(|m| (*m).clone()), 1),
             inner: Mutex::new(Inner {
                 entries,
-                next_version: 2,
-                active: 1,
+                next_version: version.saturating_add(1),
+                active: version,
                 history: Vec::new(),
             }),
         }
-    }
-
-    /// The scoring handle; give this to
-    /// [`frappe_serve::FrappeService::with_shared_model`] so promotions
-    /// here swap the model the service scores with.
-    pub fn handle(&self) -> SharedModel {
-        self.handle.clone()
     }
 
     /// The currently-active version.
@@ -229,141 +247,88 @@ impl ModelRegistry {
     }
 
     /// Registers a candidate model (status [`ModelStatus::Shadow`]) and
-    /// returns its assigned version.
-    pub fn register(&self, model: Arc<FrappeModel>, source: ModelSource) -> u64 {
+    /// returns its assigned version. The counter saturates instead of
+    /// overflowing; [`load_from_dir`](Self::load_from_dir) keeps it
+    /// within `i64`, some 2^63 registrations short of saturation.
+    pub(crate) fn register(&self, model: Arc<FrappeModel>, source: ModelSource) -> u64 {
         let mut inner = self.inner.lock();
         let version = inner.next_version;
-        inner.next_version += 1;
-        let lineage = ModelLineage {
-            version,
-            parent: source.parent,
-            seed: source.seed,
-            training_size: source.training_size,
-            schema_hash: frappe::catalog::schema_hash(),
-            cv: source.cv,
-        };
+        inner.next_version = version.saturating_add(1);
         inner.entries.insert(
             version,
             Entry {
                 model,
-                lineage,
+                lineage: lineage(version, source),
                 status: ModelStatus::Shadow,
             },
         );
         version
     }
 
-    /// Promotes `version` to active through the registry's own handle.
-    pub fn promote(&self, version: u64) -> Result<Arc<VersionedModel>, LifecycleError> {
-        self.promote_with(version, |model, v| self.handle.swap(model, v))
-    }
-
-    /// Promotes `version`, routing the pointer swap through `swap` — a
-    /// [`LifecycleManager`](crate::manager::LifecycleManager) passes the
-    /// service's [`swap_model`](frappe_serve::FrappeService::swap_model)
-    /// here so serve's swap counter and version gauge fire too.
+    /// Promotes `version` to active, handing its model to `install` —
+    /// the manager passes the deployment's
+    /// [`swap_model`](frappe_serve::Deployment::swap_model) here.
     ///
     /// Returns the displaced [`VersionedModel`] (the previous pointer).
-    pub fn promote_with(
+    pub(crate) fn promote(
         &self,
         version: u64,
-        swap: impl FnOnce(Arc<FrappeModel>, u64) -> Arc<VersionedModel>,
+        install: impl FnOnce(Arc<FrappeModel>, u64) -> Arc<VersionedModel>,
     ) -> Result<Arc<VersionedModel>, LifecycleError> {
         let mut inner = self.inner.lock();
         if inner.active == version {
             return Err(LifecycleError::AlreadyActive(version));
         }
-        let model = Arc::clone(
-            &inner
-                .entries
-                .get(&version)
-                .ok_or(LifecycleError::UnknownVersion(version))?
-                .model,
-        );
         let previous = inner.active;
-        if let Some(entry) = inner.entries.get_mut(&previous) {
-            entry.status = ModelStatus::Retired;
-        }
-        inner
-            .entries
-            .get_mut(&version)
-            .expect("looked up above")
-            .status = ModelStatus::Active;
+        let model = inner.activate(version)?;
         inner.history.push(previous);
-        inner.active = version;
-        Ok(swap(model, version))
+        Ok(install(model, version))
     }
 
-    /// Rolls back to the previously-active version through the registry's
-    /// own handle. Returns the version rolled back *to*.
-    pub fn rollback(&self) -> Result<u64, LifecycleError> {
-        self.rollback_with(|model, v| self.handle.swap(model, v))
-    }
-
-    /// Rolls back to the previously-active version, routing the pointer
-    /// swap through `swap` (see [`Self::promote_with`]).
+    /// Rolls back to the previously-active version, handing its model to
+    /// `install` (see [`Self::promote`]). Returns the version rolled back
+    /// *to*.
     ///
     /// The restored model is re-installed at a **new epoch**, so verdicts
     /// cached before the rollback are still invalidated — serving "the
     /// same model as before" is not the same as serving its stale cache.
-    pub fn rollback_with(
+    pub(crate) fn rollback(
         &self,
-        swap: impl FnOnce(Arc<FrappeModel>, u64) -> Arc<VersionedModel>,
+        install: impl FnOnce(Arc<FrappeModel>, u64) -> Arc<VersionedModel>,
     ) -> Result<u64, LifecycleError> {
         let mut inner = self.inner.lock();
-        let target = inner
+        let target = *inner
             .history
-            .pop()
+            .last()
             .ok_or(LifecycleError::NoPreviousVersion)?;
-        let model = Arc::clone(
-            &inner
-                .entries
-                .get(&target)
-                .ok_or(LifecycleError::UnknownVersion(target))?
-                .model,
-        );
-        let displaced = inner.active;
-        if let Some(entry) = inner.entries.get_mut(&displaced) {
-            entry.status = ModelStatus::Retired;
-        }
+        let model = inner.activate(target)?;
+        inner.history.pop();
+        install(model, target);
+        Ok(target)
+    }
+
+    fn read<T>(&self, version: u64, f: impl FnOnce(&Entry) -> T) -> Result<T, LifecycleError> {
+        let inner = self.inner.lock();
         inner
             .entries
-            .get_mut(&target)
-            .expect("looked up above")
-            .status = ModelStatus::Active;
-        inner.active = target;
-        swap(model, target);
-        Ok(target)
+            .get(&version)
+            .map(f)
+            .ok_or(LifecycleError::UnknownVersion(version))
     }
 
     /// The model registered under `version`.
     pub fn model(&self, version: u64) -> Result<Arc<FrappeModel>, LifecycleError> {
-        self.inner
-            .lock()
-            .entries
-            .get(&version)
-            .map(|e| Arc::clone(&e.model))
-            .ok_or(LifecycleError::UnknownVersion(version))
+        self.read(version, |e| Arc::clone(&e.model))
     }
 
     /// Lineage of `version`.
     pub fn lineage(&self, version: u64) -> Result<ModelLineage, LifecycleError> {
-        self.inner
-            .lock()
-            .entries
-            .get(&version)
-            .map(|e| e.lineage.clone())
-            .ok_or(LifecycleError::UnknownVersion(version))
+        self.read(version, |e| e.lineage.clone())
     }
 
     /// Status of `version`.
     pub fn status(&self, version: u64) -> Result<ModelStatus, LifecycleError> {
-        self.inner
-            .lock()
-            .entries
-            .get(&version)
-            .map(|e| e.status)
-            .ok_or(LifecycleError::UnknownVersion(version))
+        self.read(version, |e| e.status)
     }
 
     /// All registered versions, ascending.
@@ -403,20 +368,19 @@ impl ModelRegistry {
 
     /// Reloads a registry saved by [`Self::save_to_dir`]. Every
     /// checkpoint is schema-checked on load, so a registry written under
-    /// a different feature catalog is refused rather than mis-wired.
+    /// a different feature catalog is refused rather than mis-wired. An
+    /// inconsistent manifest is a [`LifecycleError::Manifest`] (see
+    /// `Manifest::check`), so the next `register` is always a new version.
     pub fn load_from_dir(dir: &Path) -> Result<Self, LifecycleError> {
         let manifest_text =
             std::fs::read_to_string(dir.join("lineage.json")).map_err(CheckpointError::Io)?;
         let manifest: Manifest = serde_json::from_str(&manifest_text)
             .map_err(|e| LifecycleError::Manifest(e.to_string()))?;
+        manifest.check().map_err(LifecycleError::Manifest)?;
         let mut entries = BTreeMap::new();
-        let mut active_model: Option<Arc<FrappeModel>> = None;
         for row in manifest.entries {
             let version = row.lineage.version;
             let model = Arc::new(checkpoint::load_model(&dir.join(checkpoint_name(version)))?);
-            if version == manifest.active {
-                active_model = Some(Arc::clone(&model));
-            }
             entries.insert(
                 version,
                 Entry {
@@ -426,17 +390,7 @@ impl ModelRegistry {
                 },
             );
         }
-        let active_model = active_model.ok_or_else(|| {
-            LifecycleError::Manifest(format!(
-                "active version {} has no manifest entry",
-                manifest.active
-            ))
-        })?;
         Ok(ModelRegistry {
-            handle: SharedModel::new(
-                Arc::try_unwrap(active_model).unwrap_or_else(|m| (*m).clone()),
-                manifest.active,
-            ),
             inner: Mutex::new(Inner {
                 entries,
                 next_version: manifest.next_version,
@@ -447,132 +401,144 @@ impl ModelRegistry {
     }
 }
 
+impl Manifest {
+    /// What [`ModelRegistry::save_to_dir`] always writes: unique
+    /// versions, `active` and `history` versions with entries, and a
+    /// `next_version` above every version that fits the `i64` gauges.
+    fn check(&self) -> Result<(), String> {
+        let mut versions = BTreeSet::new();
+        for version in self.entries.iter().map(|row| row.lineage.version) {
+            if !versions.insert(version) {
+                return Err(format!("version {version} is listed twice"));
+            }
+        }
+        if let Some(v) = std::iter::once(&self.active)
+            .chain(&self.history)
+            .find(|v| !versions.contains(v))
+        {
+            return Err(format!("version {v} has no manifest entry"));
+        }
+        let top = versions.last().copied().unwrap_or(0);
+        if self.next_version <= top || self.next_version > i64::MAX as u64 {
+            return Err(format!(
+                "next_version {} is not in ({top}, i64::MAX]",
+                self.next_version
+            ));
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::tests::tiny_model;
     use crate::checkpoint::write_model;
-    use frappe::{AggregationFeatures, AppFeatures, FeatureSet, OnDemandFeatures};
-    use osn_types::ids::AppId;
+    use frappe::features::aggregation::KnownMaliciousNames;
+    use frappe::FeatureSet;
+    use frappe_serve::ControlPlane;
 
-    fn row(malicious: bool, app: u64) -> AppFeatures {
-        AppFeatures {
-            app: AppId(app),
-            on_demand: OnDemandFeatures {
-                has_category: Some(!malicious),
-                has_company: Some(!malicious),
-                has_description: Some(!malicious),
-                has_profile_posts: Some(!malicious),
-                permission_count: Some(if malicious { 1 } else { 6 }),
-                client_id_mismatch: Some(malicious),
-                redirect_wot_score: Some(if malicious { -1.0 } else { 94.0 }),
-            },
-            aggregation: AggregationFeatures {
-                name_matches_known_malicious: malicious,
-                external_link_ratio: Some(if malicious { 1.0 } else { 0.0 }),
-            },
-        }
+    /// The deployment's install path (a control plane serving v1) and a
+    /// registry seeded from what it serves.
+    fn deployed() -> (ControlPlane, ModelRegistry) {
+        let plane = ControlPlane::new(tiny_model(FeatureSet::Full), KnownMaliciousNames::default());
+        let source = ModelSource {
+            seed: 7,
+            training_size: 8,
+            ..ModelSource::default()
+        };
+        let reg = ModelRegistry::new(&plane.current_model(), source);
+        (plane, reg)
     }
 
-    fn model(invert: bool) -> FrappeModel {
-        let samples: Vec<AppFeatures> =
-            (0..4).flat_map(|i| [row(false, i), row(true, i)]).collect();
-        let labels: Vec<bool> = (0..4)
-            .flat_map(|_| if invert { [true, false] } else { [false, true] })
-            .collect();
-        FrappeModel::train(&samples, &labels, FeatureSet::Full, None)
+    fn register_candidate(reg: &ModelRegistry) -> u64 {
+        let cv = CvMetrics {
+            accuracy: 0.99,
+            false_positive_rate: 0.01,
+            false_negative_rate: 0.02,
+        };
+        let source = ModelSource {
+            parent: Some(1),
+            seed: 8,
+            training_size: 8,
+            cv: Some(cv),
+        };
+        reg.register(Arc::new(tiny_model(FeatureSet::Robust)), source)
     }
 
-    fn registry() -> ModelRegistry {
-        ModelRegistry::new(
-            model(false),
-            ModelSource {
-                seed: 7,
-                training_size: 8,
-                ..ModelSource::default()
-            },
-        )
+    /// A registry with v2 promoted over v1, saved under a fresh temp dir.
+    fn saved(name: &str) -> (ModelRegistry, std::path::PathBuf) {
+        let dir =
+            std::env::temp_dir().join(format!("frappe-registry-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (plane, reg) = deployed();
+        let v2 = register_candidate(&reg);
+        reg.promote(v2, |m, v| plane.swap_model(m, v)).unwrap();
+        reg.save_to_dir(&dir).unwrap();
+        (reg, dir)
     }
 
     #[test]
     fn register_promote_rollback_walks_the_state_machine() {
-        let reg = registry();
+        let (plane, reg) = deployed();
+        let install = |m, v| plane.swap_model(m, v);
         assert_eq!(reg.active_version(), 1);
         assert_eq!(reg.status(1).unwrap(), ModelStatus::Active);
-
-        let v2 = reg.register(
-            Arc::new(model(true)),
-            ModelSource {
-                parent: Some(1),
-                seed: 8,
-                training_size: 8,
-                cv: None,
-            },
+        assert!(
+            Arc::ptr_eq(&reg.model(1).unwrap(), plane.current_model().model()),
+            "the seed entry is the served model, not a copy"
         );
+
+        let v2 = register_candidate(&reg);
         assert_eq!(v2, 2);
         assert_eq!(reg.status(2).unwrap(), ModelStatus::Shadow);
         assert_eq!(reg.lineage(2).unwrap().parent, Some(1));
 
-        let displaced = reg.promote(2).unwrap();
+        let displaced = reg.promote(2, install).unwrap();
         assert_eq!(displaced.version(), 1);
         assert_eq!(reg.active_version(), 2);
         assert_eq!(reg.status(1).unwrap(), ModelStatus::Retired);
-        assert_eq!(reg.handle().version(), 2);
-        let epoch_after_promote = reg.handle().epoch();
+        assert_eq!(plane.current_model().version(), 2);
+        let epoch_after_promote = plane.current_model().epoch();
 
-        let back = reg.rollback().unwrap();
+        let back = reg.rollback(install).unwrap();
         assert_eq!(back, 1);
         assert_eq!(reg.active_version(), 1);
         assert_eq!(reg.status(1).unwrap(), ModelStatus::Active);
         assert_eq!(reg.status(2).unwrap(), ModelStatus::Retired);
-        assert_eq!(reg.handle().version(), 1);
+        assert_eq!(plane.current_model().version(), 1);
         assert!(
-            reg.handle().epoch() > epoch_after_promote,
+            plane.current_model().epoch() > epoch_after_promote,
             "rollback re-installs at a NEW epoch so pre-rollback verdicts stay dead"
         );
     }
 
     #[test]
     fn bad_transitions_are_typed_errors() {
-        let reg = registry();
+        let (plane, reg) = deployed();
+        let install = |m, v| plane.swap_model(m, v);
         assert!(matches!(
-            reg.promote(1),
+            reg.promote(1, install),
             Err(LifecycleError::AlreadyActive(1))
         ));
         assert!(matches!(
-            reg.promote(9),
+            reg.promote(9, install),
             Err(LifecycleError::UnknownVersion(9))
         ));
         assert!(matches!(
-            reg.rollback(),
+            reg.rollback(install),
             Err(LifecycleError::NoPreviousVersion)
         ));
         assert!(matches!(
             reg.model(9),
             Err(LifecycleError::UnknownVersion(9))
         ));
+        assert_eq!(plane.current_model().epoch(), 0, "no failed call installed");
     }
 
     #[test]
     fn save_and_reload_preserve_models_lineage_and_active_pointer() {
-        let reg = registry();
-        let v2 = reg.register(
-            Arc::new(model(true)),
-            ModelSource {
-                parent: Some(1),
-                seed: 8,
-                training_size: 8,
-                cv: Some(CvMetrics {
-                    accuracy: 0.99,
-                    false_positive_rate: 0.01,
-                    false_negative_rate: 0.02,
-                }),
-            },
-        );
-        reg.promote(v2).unwrap();
-
-        let dir = std::env::temp_dir().join(format!("frappe-registry-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        reg.save_to_dir(&dir).unwrap();
+        let (reg, dir) = saved("roundtrip");
         let reloaded = ModelRegistry::load_from_dir(&dir).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
 
@@ -587,6 +553,79 @@ mod tests {
                 "reloaded v{v} is byte-identical"
             );
         }
-        assert_eq!(reloaded.rollback().unwrap(), 1, "history survives reload");
+        let plane = ControlPlane::new(
+            tiny_model(FeatureSet::Robust),
+            KnownMaliciousNames::default(),
+        );
+        let back = reloaded.rollback(|m, v| plane.swap_model(m, v));
+        assert_eq!(back.unwrap(), 1, "history survives reload");
+    }
+
+    #[test]
+    fn inconsistent_manifests_are_refused() {
+        let (_, dir) = saved("forged");
+        let path = dir.join("lineage.json");
+        let pristine = std::fs::read_to_string(&path).unwrap();
+        let load = |edit: fn(&mut Manifest)| {
+            let mut manifest: Manifest = serde_json::from_str(&pristine).unwrap();
+            edit(&mut manifest);
+            std::fs::write(&path, serde_json::to_string_pretty(&manifest).unwrap()).unwrap();
+            ModelRegistry::load_from_dir(&dir)
+        };
+        assert!(load(|_| {}).is_ok(), "the pristine manifest loads");
+        let forgeries: [fn(&mut Manifest); 6] = [
+            |m| {
+                let lineage = m.entries[0].lineage.clone(); // a second v1
+                m.entries.push(ManifestEntry {
+                    lineage,
+                    status: ModelStatus::Retired,
+                });
+            },
+            |m| m.active = 9,
+            |m| m.history.push(9),
+            |m| m.next_version = 2, // would overwrite v2
+            |m| m.next_version = 0,
+            |m| m.next_version = u64::MAX,
+        ];
+        for (i, edit) in forgeries.into_iter().enumerate() {
+            let loaded = load(edit);
+            assert!(
+                matches!(loaded, Err(LifecycleError::Manifest(_))),
+                "forgery {i} must be refused"
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn truncated_or_bit_flipped_manifests_never_panic_or_reuse_a_version() {
+        let (_, dir) = saved("mutated");
+        let path = dir.join("lineage.json");
+        let pristine = std::fs::read(&path).unwrap();
+        let truncations = (0..pristine.len()).map(|n| pristine[..n].to_vec());
+        let flips = (0..pristine.len() * 8).map(|bit| {
+            let mut bytes = pristine.clone();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            bytes
+        });
+        let model = Arc::new(tiny_model(FeatureSet::Robust));
+        let (mut loaded, mut refused) = (0, 0);
+        for bytes in truncations.chain(flips) {
+            std::fs::write(&path, &bytes).unwrap();
+            let Ok(reg) = ModelRegistry::load_from_dir(&dir) else {
+                refused += 1;
+                continue;
+            };
+            let before = reg.versions();
+            let fresh = reg.register(Arc::clone(&model), ModelSource::default());
+            assert!(!before.contains(&fresh), "register reused v{fresh}");
+            assert_eq!(reg.versions().len(), before.len() + 1);
+            loaded += 1;
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(
+            loaded > 0 && refused > 0,
+            "{loaded} loaded, {refused} refused"
+        );
     }
 }

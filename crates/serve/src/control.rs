@@ -13,7 +13,9 @@
 //!
 //! * the **model epoch pointer** ([`frappe::SharedModel`]) — one atomic
 //!   swap is observed by every group simultaneously, because every
-//!   group's scorer pins the *same* `Arc` cell;
+//!   group's scorer pins the *same* `Arc` cell. Every deployment owns
+//!   one control plane, and [`ControlPlane::swap_model`] is the only way
+//!   a model is installed;
 //! * the **known-malicious names** ([`frappe::SharedKnownNames`]) — one
 //!   insert bumps the one generation every group stamps verdicts with;
 //! * a monotonically increasing **revision** counting control mutations
@@ -36,13 +38,15 @@ use serde::{Deserialize, Serialize};
 
 /// Versioned serving-control state shared by every shard group.
 ///
-/// Constructed once, wrapped in an `Arc`, and handed to each group (and
-/// to the lifecycle layer): clones of the inner handles *share state*,
-/// so mutations through the control plane are visible to all groups at
-/// the same instant.
+/// Constructed once per deployment, wrapped in an `Arc`, and handed to
+/// each group: clones of the inner handles *share state*, so mutations
+/// through the control plane are visible to all groups at the same
+/// instant.
 pub struct ControlPlane {
-    model: SharedModel,
-    known: SharedKnownNames,
+    // Crate-visible so scorers read the pointer and the name set in
+    // place; outside the crate, `swap_model` is the only writer.
+    pub(crate) model: SharedModel,
+    pub(crate) known: SharedKnownNames,
     revision: AtomicU64,
 }
 
@@ -66,23 +70,16 @@ pub struct ControlStamp {
 impl ControlPlane {
     /// A control plane seeded with a freshly trained model at version 1.
     pub fn new(model: FrappeModel, known: KnownMaliciousNames) -> Self {
-        Self::with_shared_model(SharedModel::new(model, 1), known)
-    }
-
-    /// Wraps an externally owned model handle (the lifecycle registry's
-    /// entry point — the registry keeps a clone and swaps through it).
-    pub fn with_shared_model(model: SharedModel, known: KnownMaliciousNames) -> Self {
         ControlPlane {
-            model,
+            model: SharedModel::new(model, 1),
             known: SharedKnownNames::new(known),
             revision: AtomicU64::new(0),
         }
     }
 
-    /// The shared model handle every group scores through. Clones share
-    /// the epoch pointer: a swap through any clone is a swap for all.
-    pub fn model_handle(&self) -> SharedModel {
-        self.model.clone()
+    /// The installed `(version, epoch, model)` triple.
+    pub fn current_model(&self) -> Arc<VersionedModel> {
+        self.model.current()
     }
 
     /// The shared known-malicious name set. Clones share the list and
@@ -92,10 +89,11 @@ impl ControlPlane {
     }
 
     /// Hot-swaps the scoring model for **every** group at once (the
-    /// epoch pointer is shared), returning the displaced model. The
-    /// epoch bump lazily invalidates every cached verdict in every
-    /// group's cache; in-flight scores finish on whichever model they
-    /// pinned but can never satisfy a post-swap lookup.
+    /// epoch pointer is shared; the model is packed before it flips),
+    /// returning the displaced model. The epoch bump lazily invalidates
+    /// every cached verdict in every group's cache; in-flight scores
+    /// finish on whichever model they pinned but can never satisfy a
+    /// post-swap lookup.
     pub fn swap_model(&self, model: Arc<FrappeModel>, version: u64) -> Arc<VersionedModel> {
         let old = self.model.swap(model, version);
         self.revision.fetch_add(1, Ordering::Release);
@@ -154,47 +152,7 @@ impl ControlPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tiny_model() -> FrappeModel {
-        use frappe::features::aggregation::AggregationFeatures;
-        use frappe::{AppFeatures, OnDemandFeatures};
-        use osn_types::ids::AppId;
-        let benign = AppFeatures {
-            app: AppId(1),
-            on_demand: OnDemandFeatures {
-                has_category: Some(true),
-                has_company: Some(true),
-                has_description: Some(true),
-                has_profile_posts: Some(true),
-                permission_count: Some(6),
-                client_id_mismatch: Some(false),
-                redirect_wot_score: Some(94.0),
-            },
-            aggregation: AggregationFeatures {
-                name_matches_known_malicious: false,
-                external_link_ratio: Some(0.0),
-            },
-        };
-        let malicious = AppFeatures {
-            app: AppId(2),
-            on_demand: OnDemandFeatures {
-                has_category: Some(false),
-                has_company: Some(false),
-                has_description: Some(false),
-                has_profile_posts: Some(false),
-                permission_count: Some(1),
-                client_id_mismatch: Some(true),
-                redirect_wot_score: Some(-1.0),
-            },
-            aggregation: AggregationFeatures {
-                name_matches_known_malicious: true,
-                external_link_ratio: Some(1.0),
-            },
-        };
-        let samples: Vec<AppFeatures> = (0..4).flat_map(|_| [benign, malicious]).collect();
-        let labels: Vec<bool> = (0..4).flat_map(|_| [false, true]).collect();
-        FrappeModel::train(&samples, &labels, frappe::FeatureSet::Full, None)
-    }
+    use crate::service::tests::tiny_model;
 
     #[test]
     fn mutations_bump_the_revision_monotonically() {
@@ -222,7 +180,7 @@ mod tests {
     #[test]
     fn handles_share_state_with_the_plane() {
         let cp = ControlPlane::new(tiny_model(), KnownMaliciousNames::default());
-        let model = cp.model_handle();
+        let model = cp.model.clone();
         let known = cp.known_names();
         cp.swap_model(Arc::new(tiny_model()), 7);
         assert_eq!(model.version(), 7, "clone observes the swap");

@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use frappe::{AppFeatures, FrappeModel, SharedModel, VersionedModel};
+use frappe::{AppFeatures, FrappeModel, VersionedModel};
 use frappe_obs::{Registry, RegistrySnapshot, SpanId, TraceCollector, TraceHandle};
 use osn_types::ids::AppId;
 
@@ -94,11 +94,12 @@ impl Deployment {
         }
     }
 
-    /// The shared model handle the deployment scores through.
-    pub fn model_handle(&self) -> SharedModel {
+    /// The installed `(version, epoch, model)` triple the deployment
+    /// scores with.
+    pub fn current_model(&self) -> Arc<VersionedModel> {
         match self {
-            Deployment::Service(s) => s.model_handle(),
-            Deployment::Router(r) => r.model_handle(),
+            Deployment::Service(s) => s.current_model(),
+            Deployment::Router(r) => r.current_model(),
         }
     }
 

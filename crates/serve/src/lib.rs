@@ -35,11 +35,12 @@
 //! into an [`frappe_obs::AuditLog`]
 //! (see [`FrappeService::set_audit_log`]).
 //!
-//! The service scores through a [`frappe::SharedModel`] epoch-pointer,
-//! so a lifecycle layer (`frappe-lifecycle`) can retrain, hot-swap,
-//! and roll back models behind a running instance
-//! ([`FrappeService::swap_model`]); every verdict is stamped with the
-//! model version that produced it, and the cache's model-epoch stamp
+//! Each deployment owns one [`ControlPlane`] holding the
+//! [`frappe::SharedModel`] epoch-pointer it scores through;
+//! [`ControlPlane::swap_model`] is the only install path, so a lifecycle
+//! layer (`frappe-lifecycle`) hot-swaps models through
+//! [`Deployment::swap_model`]. Every verdict is stamped with the model
+//! version that produced it, and the cache's model-epoch stamp
 //! guarantees no swap ever serves a stale verdict.
 //!
 //! ## Scale-out: shard groups

@@ -45,7 +45,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use frappe::features::aggregation::KnownMaliciousNames;
-use frappe::{AppFeatures, FrappeModel, SharedModel, VersionedModel};
+use frappe::{AppFeatures, FrappeModel, VersionedModel};
 use frappe_obs::{
     Counter, Gauge, HistogramSnapshot, MetricSnapshot, MetricValue, Registry, RegistrySnapshot,
     SpanId, TraceCollector, TraceHandle,
@@ -168,36 +168,8 @@ impl ShardRouter {
         shortener: Shortener,
         config: ShardConfig,
     ) -> Self {
-        Self::with_shared_model(SharedModel::new(model, 1), known, shortener, config)
-    }
-
-    /// Builds a router that scores through an externally owned
-    /// [`SharedModel`] handle — the lifecycle layer's entry point,
-    /// mirroring [`FrappeService::with_shared_model`].
-    pub fn with_shared_model(
-        model: SharedModel,
-        known: KnownMaliciousNames,
-        shortener: Shortener,
-        config: ShardConfig,
-    ) -> Self {
-        Self::with_control_plane(
-            Arc::new(ControlPlane::with_shared_model(model, known)),
-            shortener,
-            config,
-        )
-    }
-
-    /// Builds a router whose groups replicate an existing control plane.
-    ///
-    /// # Panics
-    /// Panics if `config.groups` is zero (the other knobs are checked by
-    /// the per-group constructors).
-    pub fn with_control_plane(
-        control: Arc<ControlPlane>,
-        shortener: Shortener,
-        config: ShardConfig,
-    ) -> Self {
         assert!(config.groups > 0, "a router needs at least one group");
+        let control = Arc::new(ControlPlane::new(model, known));
         let groups = (0..config.groups)
             .map(|index| {
                 let service =
@@ -276,13 +248,8 @@ impl ShardRouter {
         self.classify_traced(app, None)?.wait()
     }
 
-    /// Submits a classification to the owner group without waiting.
-    pub fn classify_nonblocking(&self, app: AppId) -> Result<PendingVerdict, ServeError> {
-        self.classify_traced(app, None)
-    }
-
-    /// [`classify_nonblocking`](Self::classify_nonblocking) with
-    /// explicit trace plumbing, mirroring
+    /// Submits a classification to the owner group without waiting,
+    /// with explicit trace plumbing, mirroring
     /// [`FrappeService::classify_traced`].
     ///
     /// The forwarded request keeps its edge-minted trace across the
@@ -351,9 +318,10 @@ impl ShardRouter {
         old
     }
 
-    /// The shared model handle the groups score through.
-    pub fn model_handle(&self) -> SharedModel {
-        self.control.model_handle()
+    /// The installed `(version, epoch, model)` triple every group
+    /// scores with.
+    pub fn current_model(&self) -> Arc<VersionedModel> {
+        self.control.current_model()
     }
 
     /// Eagerly drops every cached verdict in every group, returning the

@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, RecvTimeoutError};
 use frappe::features::aggregation::KnownMaliciousNames;
-use frappe::{AppFeatures, FrappeModel, SharedKnownNames, SharedModel, VersionedModel};
+use frappe::{AppFeatures, FrappeModel, SharedKnownNames, VersionedModel};
 use frappe_obs::{
     AuditLog, AuditSource, Registry, Span, SpanId, TraceCollector, TraceFlag, TraceHandle,
 };
@@ -177,10 +177,9 @@ pub(crate) struct TraceCtx {
 
 /// Everything a scorer worker needs, shared once behind an `Arc`.
 pub(crate) struct ScoreEngine {
-    model: SharedModel,
+    control: Arc<ControlPlane>,
     store: FeatureStore,
     cache: VerdictCache,
-    known: SharedKnownNames,
     shortener: Shortener,
     metrics: Metrics,
     audit: RwLock<Option<Arc<AuditLog>>>,
@@ -210,8 +209,8 @@ impl ScoreEngine {
             .store
             .generation_of(app)
             .ok_or(ServeError::UnknownApp(app))?;
-        let known_gen = self.known.generation();
-        let model_epoch = self.model.epoch();
+        let known_gen = self.control.known.generation();
+        let model_epoch = self.control.model.epoch();
         match self.cache.lookup(app, app_gen, known_gen, model_epoch) {
             CacheLookup::Hit(hit) => {
                 self.metrics.cache_hit();
@@ -258,8 +257,9 @@ impl ScoreEngine {
             "serve/model_eval",
             trace.map(|ctx| (&ctx.handle, score.id())),
         );
-        let vm = self.model.current();
+        let vm = self.control.model.current();
         let (snapshot, known_gen) = self
+            .control
             .known
             .with(|known, known_gen| (self.store.snapshot(app, known), known_gen));
         let FeatureSnapshot {
@@ -436,26 +436,9 @@ impl FrappeService {
     ///
     /// `known` seeds the name-collision list (it grows via
     /// [`flag_name`](Self::flag_name)); `shortener` resolves shortened
-    /// links at ingest, exactly as the batch extractor does.
-    ///
-    /// # Panics
-    /// Panics if `config` has zero shards, queue capacity, or batch size
-    /// (zero workers is allowed; see
-    /// [`with_shared_model`](Self::with_shared_model)).
-    pub fn new(
-        model: FrappeModel,
-        known: KnownMaliciousNames,
-        shortener: Shortener,
-        config: ServeConfig,
-    ) -> Self {
-        Self::with_shared_model(SharedModel::new(model, 1), known, shortener, config)
-    }
-
-    /// Builds a service that scores through an externally owned
-    /// [`SharedModel`] handle — the lifecycle layer's entry point. A
-    /// registry keeps a clone of the handle and promotes or rolls back by
-    /// swapping it; the service observes every swap through the epoch
-    /// stamp, so no cached verdict survives a swap.
+    /// links at ingest, exactly as the batch extractor does. The service
+    /// owns its [`ControlPlane`]; the model is installed (and packed for
+    /// scoring) as version 1.
     ///
     /// `workers == 0` is allowed as a deliberately *stalled* pool:
     /// requests queue but are never drained, which is the deterministic
@@ -464,59 +447,43 @@ impl FrappeService {
     ///
     /// # Panics
     /// Panics if `config` has zero shards, queue capacity, or batch size.
-    pub fn with_shared_model(
-        model: SharedModel,
+    pub fn new(
+        model: FrappeModel,
         known: KnownMaliciousNames,
         shortener: Shortener,
         config: ServeConfig,
     ) -> Self {
-        Self::with_shared_state(model, SharedKnownNames::new(known), shortener, config)
-    }
-
-    /// Builds a service whose **entire control surface** — the model
-    /// epoch pointer *and* the known-malicious name set — is externally
-    /// owned. This is how a [`ControlPlane`] replicates itself into
-    /// every shard group: each group's service scores through the same
-    /// shared handles, so one swap (or one flagged name) is observed by
-    /// all groups at the same instant and every group's cached verdicts
-    /// die together. [`with_shared_model`](Self::with_shared_model)
-    /// wraps a *private* name set instead, which is only correct for a
-    /// single-instance deployment.
-    pub fn with_control_plane(
-        control: &ControlPlane,
-        shortener: Shortener,
-        config: ServeConfig,
-    ) -> Self {
-        Self::with_shared_state(
-            control.model_handle(),
-            control.known_names(),
+        Self::with_control_plane(
+            &Arc::new(ControlPlane::new(model, known)),
             shortener,
             config,
         )
     }
 
-    fn with_shared_state(
-        model: SharedModel,
-        known: SharedKnownNames,
+    /// Builds a service that scores through `control`'s model pointer
+    /// and name set. This is how a router replicates its one control
+    /// plane into every shard group: one swap (or one flagged name) is
+    /// observed by all groups at the same instant and every group's
+    /// cached verdicts die together.
+    pub(crate) fn with_control_plane(
+        control: &Arc<ControlPlane>,
         shortener: Shortener,
         config: ServeConfig,
     ) -> Self {
         assert!(config.queue_capacity > 0, "need a non-empty queue");
         assert!(config.batch_size > 0, "batches hold at least one request");
-        // Pack the scoring representation now, not on the first verdict:
-        // the hot path (`score_traced`) should only ever see a warmed model.
-        model.current().model().warm();
         let engine = Arc::new(ScoreEngine {
-            model,
+            control: Arc::clone(control),
             store: FeatureStore::new(config.shards),
             cache: VerdictCache::new(config.shards),
-            known,
             shortener,
             metrics: Metrics::default(),
             audit: RwLock::new(None),
             trace: RwLock::new(None),
         });
-        engine.metrics.set_model_version(engine.model.version());
+        engine
+            .metrics
+            .set_model_version(engine.control.model.version());
         let pool = ScorerPool::new(
             config.workers,
             config.queue_capacity,
@@ -548,23 +515,20 @@ impl FrappeService {
     /// Returns [`ServeError::Overloaded`] *without blocking* when the
     /// scoring queue is full — the caller owns the retry policy.
     pub fn classify(&self, app: AppId) -> Result<Verdict, ServeError> {
-        self.classify_nonblocking(app)?.wait()
+        self.classify_traced(app, None)?.wait()
     }
 
     /// Submits a classification without waiting for the answer.
     ///
-    /// This is the entry point for callers that bound their wait — the
-    /// network edge's connection threads submit here and wait on the
-    /// returned [`PendingVerdict`] with a timeout. Queue-full rejection is
-    /// identical to [`classify`](Self::classify): immediate
-    /// [`ServeError::Overloaded`] with the retry hint, counted in the
-    /// rejected metric.
-    pub fn classify_nonblocking(&self, app: AppId) -> Result<PendingVerdict, ServeError> {
-        self.classify_traced(app, None)
-    }
-
-    /// [`classify_nonblocking`](Self::classify_nonblocking) with explicit
-    /// trace plumbing. The edge passes its own `(handle, parent span)` so
+    /// This is the entry point for callers that bound their wait: the
+    /// network edge's connection threads submit through
+    /// [`Deployment::classify_traced`](crate::Deployment::classify_traced)
+    /// and wait on the returned [`PendingVerdict`] with a timeout.
+    /// Queue-full rejection is identical to [`classify`](Self::classify):
+    /// immediate [`ServeError::Overloaded`] with the retry hint, counted
+    /// in the rejected metric.
+    ///
+    /// The edge passes its own `(handle, parent span)` so
     /// serve-side spans (`serve/queue`, `serve/score`, `serve/model_eval`)
     /// land causally under the edge's request span; with `None` and a
     /// collector attached (see
@@ -632,7 +596,7 @@ impl FrappeService {
     /// Bumps the known-generation, so every cached verdict is invalidated
     /// lazily — a new name can flip any app's collision feature.
     pub fn flag_name(&self, name: &str) -> bool {
-        self.engine.known.insert(name)
+        self.engine.control.flag_name(name)
     }
 
     /// Hot-swaps the scoring model (a promotion or a rollback), returning
@@ -642,10 +606,7 @@ impl FrappeService {
     /// satisfy a post-swap lookup. Also republishes the model-version
     /// gauge and bumps the swap counter.
     pub fn swap_model(&self, model: Arc<FrappeModel>, version: u64) -> Arc<VersionedModel> {
-        // Pack before the pointer flip: the first post-swap verdict must
-        // not pay the flatten while a burst is in flight.
-        model.warm();
-        let old = self.engine.model.swap(model, version);
+        let old = self.engine.control.swap_model(model, version);
         self.engine.metrics.model_swapped(version);
         old
     }
@@ -659,11 +620,9 @@ impl FrappeService {
         self.engine.metrics.model_swapped(version);
     }
 
-    /// The shared model handle the service scores through. A lifecycle
-    /// registry holds a clone and swaps it; swaps through either handle
-    /// are observed identically.
-    pub fn model_handle(&self) -> SharedModel {
-        self.engine.model.clone()
+    /// The installed `(version, epoch, model)` triple.
+    pub fn current_model(&self) -> Arc<VersionedModel> {
+        self.engine.control.current_model()
     }
 
     /// Eagerly drops every cached verdict (fresh or stale), returning the
@@ -681,13 +640,14 @@ impl FrappeService {
     /// flips the collision feature identically on both paths — the
     /// asymmetry `tests/serve_parity.rs` guards against.
     pub fn known_names(&self) -> SharedKnownNames {
-        self.engine.known.clone()
+        self.engine.control.known_names()
     }
 
     /// Current feature row for one app, bypassing the scorer pool.
     /// This is the parity-test window into the incremental store.
     pub fn features(&self, app: AppId) -> Option<AppFeatures> {
         self.engine
+            .control
             .known
             .with(|known, _| self.engine.store.snapshot(app, known))
             .map(|s| s.features)
@@ -724,11 +684,10 @@ impl FrappeService {
     }
 
     /// Attach a trace collector: every in-process
-    /// [`classify`](Self::classify) /
-    /// [`classify_nonblocking`](Self::classify_nonblocking) call mints a
-    /// `classify` trace (edges pass their own trace through
-    /// [`classify_traced`](Self::classify_traced) instead and are
-    /// unaffected). Tracing only observes — verdicts are bit-identical
+    /// [`classify`](Self::classify) call, and every
+    /// [`classify_traced`](Self::classify_traced) call without an edge
+    /// trace, mints a `classify` trace (edges pass their own trace
+    /// instead and are unaffected). Tracing only observes — verdicts are bit-identical
     /// with and without a collector attached.
     pub fn set_trace_collector(&self, collector: TraceCollector) {
         *self.engine.trace.write() = Some(collector);
@@ -746,7 +705,7 @@ impl FrappeService {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use frappe::features::aggregation::AggregationFeatures;
     use frappe::{FeatureSet, OnDemandFeatures};
@@ -788,7 +747,7 @@ mod tests {
         (benign, malicious)
     }
 
-    fn tiny_model() -> FrappeModel {
+    pub(crate) fn tiny_model() -> FrappeModel {
         let (benign, malicious) = prototypes();
         let samples: Vec<AppFeatures> = (0..4).flat_map(|_| [benign, malicious]).collect();
         let labels: Vec<bool> = (0..4).flat_map(|_| [false, true]).collect();
@@ -1038,7 +997,7 @@ mod tests {
         let app = AppId(61);
         feed_malicious(&svc, app);
         let blocking = svc.classify(app).unwrap();
-        let mut pending = svc.classify_nonblocking(app).unwrap();
+        let mut pending = svc.classify_traced(app, None).unwrap();
         let polled = pending
             .wait_timeout(Duration::from_secs(30))
             .expect("the worker's reply wakes the waiter")
@@ -1051,13 +1010,13 @@ mod tests {
     fn zero_workers_is_a_stalled_pool() {
         let app = AppId(71);
         let svc = stalled_service(app);
-        let mut first = svc.classify_nonblocking(app).expect("one slot admits");
+        let mut first = svc.classify_traced(app, None).expect("one slot admits");
         assert!(
             first.wait_timeout(Duration::from_millis(20)).is_none(),
             "nothing ever drains a 0-worker pool"
         );
         assert_eq!(
-            svc.classify_nonblocking(app).err(),
+            svc.classify_traced(app, None).err(),
             Some(ServeError::Overloaded { retry_after_ms: 9 }),
             "the queue saturates deterministically"
         );
@@ -1130,9 +1089,9 @@ mod tests {
         let app = AppId(91);
         let svc = stalled_service(app); // the second submit must shed
         svc.set_trace_collector(tc.clone());
-        let first = svc.classify_nonblocking(app).expect("one slot admits");
+        let first = svc.classify_traced(app, None).expect("one slot admits");
         assert_eq!(
-            svc.classify_nonblocking(app).err(),
+            svc.classify_traced(app, None).err(),
             Some(ServeError::Overloaded { retry_after_ms: 9 })
         );
         let kept = tc.snapshot();

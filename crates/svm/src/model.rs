@@ -78,6 +78,11 @@ impl SvmModel {
         let _ = self.packed();
     }
 
+    /// Whether the packed representation is already built.
+    pub fn is_warm(&self) -> bool {
+        self.packed.is_packed()
+    }
+
     /// The kernel the model was trained with.
     pub fn kernel(&self) -> Kernel {
         self.kernel

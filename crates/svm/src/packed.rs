@@ -181,6 +181,11 @@ impl PackedCache {
     pub fn get_or_pack(&self, pack: impl FnOnce() -> PackedModel) -> &Arc<PackedModel> {
         self.0.get_or_init(|| Arc::new(pack()))
     }
+
+    /// Whether the model has been packed yet.
+    pub fn is_packed(&self) -> bool {
+        self.0.get().is_some()
+    }
 }
 
 impl PartialEq for PackedCache {

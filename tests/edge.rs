@@ -25,8 +25,7 @@ use std::time::Duration;
 use frappe::features::aggregation::{AggregationFeatures, KnownMaliciousNames};
 use frappe::{AppFeatures, FeatureSet, FrappeModel, OnDemandFeatures};
 use frappe_lifecycle::{
-    DriftConfig, DriftDetector, LifecycleManager, ModelRegistry, ModelSource, PromotionGate,
-    PromotionOutcome,
+    DriftConfig, DriftDetector, LifecycleManager, ModelSource, PromotionGate, PromotionOutcome,
 };
 use frappe_net::client::Client;
 use frappe_net::{NetConfig, Server};
@@ -408,12 +407,11 @@ fn router_read_pause_holds_while_the_shedding_group_is_full() {
 
 #[test]
 fn fenced_hot_swap_under_load_drops_and_stales_nothing() {
-    // Registry-backed service: promotions swap the model the edge serves.
+    // Lifecycle-managed service: promotions swap the model the edge serves.
     let incumbent = tiny_model();
     let candidate = Arc::new(tiny_model()); // identical weights, new version
-    let registry = ModelRegistry::new(incumbent, ModelSource::default());
-    let service = Arc::new(FrappeService::with_shared_model(
-        registry.handle(),
+    let service = Arc::new(FrappeService::new(
+        incumbent,
         KnownMaliciousNames::from_names(["profile viewer"]),
         Shortener::bitly(),
         ServeConfig::default(),
@@ -427,7 +425,7 @@ fn fenced_hot_swap_under_load_drops_and_stales_nothing() {
     let addr = server.local_addr();
     let manager = LifecycleManager::new(
         Arc::clone(&service),
-        registry,
+        ModelSource::default(),
         PromotionGate {
             min_scored: 100,
             ..PromotionGate::default()

@@ -24,8 +24,7 @@ use frappe::{AppFeatures, FrappeModel};
 use frappe_jobs::JobPool;
 use frappe_lifecycle::{
     load_model, parse_model, retrain_on, save_model, write_model, CheckpointError, DriftConfig,
-    DriftDetector, LifecycleManager, ModelRegistry, ModelSource, PromotionGate, PromotionOutcome,
-    RetrainConfig,
+    DriftDetector, LifecycleManager, ModelSource, PromotionGate, PromotionOutcome, RetrainConfig,
 };
 use frappe_serve::{serve_events, FeatureStore, FrappeService, ServeConfig};
 use osn_types::ids::AppId;
@@ -66,23 +65,20 @@ fn labelled_rows(
     (samples, labels)
 }
 
-/// Stands up a registry-backed service over a world: the service scores
-/// through the registry's handle, so promotions swap the live model.
+/// Stands up a service over a world, returning it with the incumbent's
+/// lineage for the manager's registry.
 fn lifecycle_stack(
     world: &ScenarioWorld,
     incumbent: FrappeModel,
     known: KnownMaliciousNames,
-) -> (Arc<FrappeService>, ModelRegistry) {
-    let registry = ModelRegistry::new(
+) -> (Arc<FrappeService>, ModelSource) {
+    let source = ModelSource {
+        seed: world.config.seed,
+        training_size: 0,
+        ..ModelSource::default()
+    };
+    let service = Arc::new(FrappeService::new(
         incumbent,
-        ModelSource {
-            seed: world.config.seed,
-            training_size: 0,
-            ..ModelSource::default()
-        },
-    );
-    let service = Arc::new(FrappeService::with_shared_model(
-        registry.handle(),
         known,
         world.shortener.clone(),
         ServeConfig::default(),
@@ -90,7 +86,7 @@ fn lifecycle_stack(
     for event in serve_events(world) {
         service.ingest(&event);
     }
-    (service, registry)
+    (service, source)
 }
 
 #[test]
@@ -108,10 +104,10 @@ fn shadow_promote_and_rollback_serve_no_stale_verdicts() {
     let half_samples: Vec<AppFeatures> = samples.iter().step_by(2).cloned().collect();
     let half_labels: Vec<bool> = labels.iter().step_by(2).copied().collect();
     let incumbent = FrappeModel::train(&half_samples, &half_labels, frappe::FeatureSet::Full, None);
-    let (service, registry) = lifecycle_stack(&world, incumbent, known);
+    let (service, source) = lifecycle_stack(&world, incumbent, known);
     let manager = LifecycleManager::new(
         Arc::clone(&service),
-        registry,
+        source,
         PromotionGate {
             min_scored: 100,
             ..PromotionGate::default()
@@ -377,7 +373,7 @@ fn lifecycle_transitions_flag_in_flight_traces_and_drift_alarms_carry_exemplars(
     let (samples, labels) = labelled_rows(&world, &known);
     let apps: Vec<AppId> = samples.iter().map(|s| s.app).collect();
     let incumbent = FrappeModel::train(&samples, &labels, frappe::FeatureSet::Full, None);
-    let (service, registry) = lifecycle_stack(&world, incumbent.clone(), known);
+    let (service, source) = lifecycle_stack(&world, incumbent.clone(), known);
 
     // Tail-only sampling: nothing is kept unless something flags it.
     let collector = TraceCollector::new(TraceConfig {
@@ -389,7 +385,7 @@ fn lifecycle_transitions_flag_in_flight_traces_and_drift_alarms_carry_exemplars(
 
     let manager = LifecycleManager::new(
         Arc::clone(&service),
-        registry,
+        source,
         // The gate is not under test here — let everything through.
         PromotionGate {
             min_scored: 10,
@@ -410,11 +406,11 @@ fn lifecycle_transitions_flag_in_flight_traces_and_drift_alarms_carry_exemplars(
 
     // A query whose verdict is still unsettled when the promote lands is
     // flagged (and therefore tail-sampled) even with head sampling off.
-    let in_flight = service.classify_nonblocking(apps[0]).expect("accepted");
+    let in_flight = service.classify_traced(apps[0], None).expect("accepted");
     assert_eq!(manager.try_promote(), PromotionOutcome::Promoted(2));
     in_flight.wait().expect("scored across the swap");
 
-    let in_flight = service.classify_nonblocking(apps[1]).expect("accepted");
+    let in_flight = service.classify_traced(apps[1], None).expect("accepted");
     let rolled = manager.rollback().expect("history has v1");
     assert_eq!(rolled, 1);
     in_flight.wait().expect("scored across the rollback");

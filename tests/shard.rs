@@ -15,6 +15,9 @@
 //!   after it (warm caches invalidated everywhere), and over the rest of
 //!   the stream.
 //!
+//! A third pins the one install path for a service and for routers: the
+//! registry's v1 *is* the served model, and every install is packed.
+//!
 //! Each test sweeps the group counts in [`GROUP_COUNTS`] in-process: the
 //! degenerate single group, three (so apps genuinely span a group
 //! boundary), and four.
@@ -26,11 +29,12 @@ use std::time::{Duration, Instant};
 use frappe::features::aggregation::KnownMaliciousNames;
 use frappe::{AppFeatures, FrappeModel};
 use frappe_lifecycle::{
-    DriftConfig, DriftDetector, LifecycleManager, ModelRegistry, ModelSource, PromotionGate,
-    PromotionOutcome, SwapFence,
+    DriftConfig, DriftDetector, LifecycleManager, ModelSource, PromotionGate, PromotionOutcome,
+    SwapFence,
 };
 use frappe_serve::{
-    serve_events, FeatureStore, FrappeService, ServeConfig, ServeEvent, ShardConfig, ShardRouter,
+    serve_events, Deployment, FeatureStore, FrappeService, ServeConfig, ServeEvent, ShardConfig,
+    ShardRouter,
 };
 use osn_types::ids::AppId;
 use synth_workload::scenario::ScenarioWorld;
@@ -125,9 +129,8 @@ fn fenced_promote_and_rollback_are_atomic_across_groups_under_load() {
     let candidate = FrappeModel::train(&samples, &labels, frappe::FeatureSet::Full, None);
 
     for groups in GROUP_COUNTS {
-        let registry = ModelRegistry::new(incumbent.clone(), ModelSource::default());
-        let router = Arc::new(ShardRouter::with_shared_model(
-            registry.handle(),
+        let router = Arc::new(ShardRouter::new(
+            incumbent.clone(),
             known.clone(),
             world.shortener.clone(),
             shard_config(groups),
@@ -146,7 +149,7 @@ fn fenced_promote_and_rollback_are_atomic_across_groups_under_load() {
 
         let manager = LifecycleManager::new(
             Arc::clone(&router),
-            registry,
+            ModelSource::default(),
             // The gate is not under test — let the shadow through.
             PromotionGate {
                 min_scored: 10,
@@ -343,5 +346,66 @@ fn a_mid_stream_name_flip_reaches_every_group_exactly_like_a_single_service() {
         }
         router.flush();
         parity("post-flip, stream complete");
+    }
+}
+
+#[test]
+fn registry_seed_is_the_served_model_and_every_install_is_packed() {
+    let world = run_scenario(&ScenarioConfig::small());
+    let known = known_names(&world);
+    let (samples, labels) = labelled_rows(&world, &known);
+    // Never installed itself, so this model and its clones are unpacked.
+    let model = FrappeModel::train(&samples, &labels, frappe::FeatureSet::Full, None);
+    let service = Arc::new(FrappeService::new(
+        model.clone(),
+        known.clone(),
+        world.shortener.clone(),
+        ServeConfig::default(),
+    ));
+    let routers = GROUP_COUNTS.map(|groups| {
+        Deployment::from(Arc::new(ShardRouter::new(
+            model.clone(),
+            known.clone(),
+            world.shortener.clone(),
+            shard_config(groups),
+        )))
+    });
+    for deployment in std::iter::once(Deployment::from(service)).chain(routers) {
+        let shape = format!("{} group(s)", deployment.group_count());
+        let manager = LifecycleManager::new(
+            deployment.clone(),
+            ModelSource::default(),
+            // The gate is not under test — let an unscored shadow through.
+            PromotionGate {
+                min_scored: 0,
+                ..PromotionGate::default()
+            },
+            DriftDetector::new(DriftConfig::default()),
+        );
+        let seed = deployment.current_model();
+        assert!(
+            Arc::ptr_eq(&manager.registry().model(1).unwrap(), seed.model()),
+            "{shape}: the registry's v1 is the served model, not a copy"
+        );
+        assert!(
+            seed.model().is_warm(),
+            "{shape}: construction installs packed"
+        );
+
+        let candidate = Arc::new(model.clone());
+        assert!(!candidate.is_warm());
+        manager.begin_shadow(Arc::clone(&candidate), ModelSource::default());
+        assert_eq!(manager.try_promote(), PromotionOutcome::Promoted(2));
+        let promoted = deployment.current_model();
+        assert!(Arc::ptr_eq(promoted.model(), &candidate), "{shape}");
+        assert!(candidate.is_warm(), "{shape}: promote installs packed");
+
+        assert_eq!(manager.rollback().unwrap(), 1);
+        let restored = deployment.current_model();
+        assert!(
+            Arc::ptr_eq(restored.model(), seed.model()),
+            "{shape}: rollback reinstalls the seed entry itself"
+        );
+        assert_eq!((restored.version(), restored.epoch()), (1, 2), "{shape}");
     }
 }

@@ -21,8 +21,7 @@ use std::time::Duration;
 use frappe::features::aggregation::{AggregationFeatures, KnownMaliciousNames};
 use frappe::{AppFeatures, FeatureSet, FrappeModel, OnDemandFeatures};
 use frappe_lifecycle::{
-    DriftConfig, DriftDetector, LifecycleManager, ModelRegistry, ModelSource, PromotionGate,
-    PromotionOutcome,
+    DriftConfig, DriftDetector, LifecycleManager, ModelSource, PromotionGate, PromotionOutcome,
 };
 use frappe_net::client::Client;
 use frappe_net::{NetConfig, Server};
@@ -220,9 +219,8 @@ fn shed_429_is_always_tail_sampled_from_accept_to_response_write() {
 
 #[test]
 fn requests_in_flight_across_a_fenced_promote_are_tail_sampled() {
-    let registry = ModelRegistry::new(tiny_model(), ModelSource::default());
-    let service = Arc::new(FrappeService::with_shared_model(
-        registry.handle(),
+    let service = Arc::new(FrappeService::new(
+        tiny_model(),
         KnownMaliciousNames::from_names(["profile viewer"]),
         Shortener::bitly(),
         ServeConfig::default(),
@@ -238,7 +236,7 @@ fn requests_in_flight_across_a_fenced_promote_are_tail_sampled() {
 
     let manager = LifecycleManager::new(
         Arc::clone(&service),
-        registry,
+        ModelSource::default(),
         // The gate is exercised elsewhere; here it should never hold.
         PromotionGate {
             min_scored: 1,
@@ -418,9 +416,8 @@ fn feed_app_routed(router: &ShardRouter, app: AppId, shady: bool, posts: usize) 
 /// time the promote returns.
 #[test]
 fn forwarded_requests_keep_the_edge_trace_across_a_multi_group_promote() {
-    let registry = ModelRegistry::new(tiny_model(), ModelSource::default());
-    let router = Arc::new(ShardRouter::with_shared_model(
-        registry.handle(),
+    let router = Arc::new(ShardRouter::new(
+        tiny_model(),
         KnownMaliciousNames::from_names(["profile viewer"]),
         Shortener::bitly(),
         ShardConfig {
@@ -449,7 +446,7 @@ fn forwarded_requests_keep_the_edge_trace_across_a_multi_group_promote() {
 
     let manager = LifecycleManager::new(
         Arc::clone(&router),
-        registry,
+        ModelSource::default(),
         PromotionGate {
             min_scored: 1,
             max_disagreement_rate: 1.0,

@@ -3,6 +3,14 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+echo "==> every crate forbids unsafe code"
+# No crate needs `unsafe`; the attribute keeps it that way.
+missing=$(grep -L '^#!\[forbid(unsafe_code)\]' crates/*/src/lib.rs || true)
+if [ -n "$missing" ]; then
+    echo "missing #![forbid(unsafe_code)]:" $missing
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -59,19 +67,12 @@ cargo test -q -p frappe-lifecycle --test shard
 FRAPPE_JOBS=1 cargo test -q -p frappe-lifecycle --test shard
 FRAPPE_JOBS=8 cargo test -q -p frappe-lifecycle --test shard
 
-echo "==> scoring suite with the detected engine, FRAPPE_SIMD=0 and FRAPPE_SIMD=fused"
-# The SIMD engine swap must be invisible: the svm suite (packed kernels,
-# scalar/AVX2 bit-identity properties) and the serve parity suite run
-# once with runtime ISA detection live and once pinned to the portable
-# scalar fallback. Identical results are the contract. What ties the
-# passes together is the scoring test's pinned training digest (support
-# vectors, rho, dual coefficients, decision values): the auto, =0 and
-# =fused runs must all land on the same constants, so no FRAPPE_SIMD
-# value can fork a trained model.
+echo "==> scoring suite (packed kernels, pinned arithmetic and training digests)"
+# One engine, one arithmetic: the scoring test pins a digest over the
+# scalar primitives and packed decisions, plus a trained model's
+# support-vector count, rho, dual coefficients and decision values. Any
+# change to the lane order or the exponential moves them.
 cargo test -q -p svm
-FRAPPE_SIMD=0 cargo test -q -p svm
-FRAPPE_SIMD=fused cargo test -q -p svm --test scoring
-FRAPPE_SIMD=0 cargo test -q -p frappe-serve
 
 echo "==> gauntlet suite (adversarial scenarios, FRAPPE_JOBS=1 and FRAPPE_JOBS=8)"
 # The adaptive adversarial engine: all five built-in scenarios must pass
@@ -100,7 +101,7 @@ cargo test -q -p frappe-net --test trace
 
 # The quick benches below must run and succeed, but their numbers are
 # quick-mode throwaways: they land in target/ci-bench/, never over the
-# committed BENCH_*.json records (BENCH_scoring.json is a full-mode run).
+# committed BENCH_*.json records.
 CI_BENCH=target/ci-bench
 mkdir -p "$CI_BENCH"
 
@@ -112,9 +113,6 @@ cargo run --release -p frappe-bench --bin repro -- --small --lifecycle-bench-out
 
 echo "==> shard bench, quick mode (group scaling + zero-stale swap leg, $CI_BENCH/BENCH_shard.json)"
 cargo run --release -p frappe-bench --bin repro -- --small --shard-bench-out "$CI_BENCH/BENCH_shard.json"
-
-echo "==> scoring bench, quick mode (scalar/SIMD kernels, $CI_BENCH/BENCH_scoring.json)"
-cargo run --release -p frappe-bench --bin repro -- --small --scoring-bench-out "$CI_BENCH/BENCH_scoring.json"
 
 echo "==> gauntlet bench, quick mode (adversarial scenarios, $CI_BENCH/BENCH_gauntlet.json)"
 cargo run --release -p frappe-bench --bin repro -- --small --gauntlet-bench-out "$CI_BENCH/BENCH_gauntlet.json"

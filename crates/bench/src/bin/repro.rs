@@ -11,8 +11,6 @@
 //!                             # time retrain / hot-swap / shadow, write JSON
 //! repro --shard-bench-out FILE
 //!                             # time shard-group scaling at K in {1,2,4,8}
-//! repro --scoring-bench-out FILE
-//!                             # time scalar/SIMD kernel scoring, write JSON
 //! repro --gauntlet-bench-out FILE
 //!                             # time the adversarial gauntlet scenarios, write JSON
 //! ```
@@ -39,7 +37,7 @@ fn pretty(report: &impl Serialize) -> String {
     serde_json::to_string_pretty(report).expect("report serializes")
 }
 
-const BENCHES: [Bench; 5] = [
+const BENCHES: [Bench; 4] = [
     Bench {
         flag: "--bench-out",
         banner: "timing serial vs parallel training",
@@ -61,14 +59,6 @@ const BENCHES: [Bench; 5] = [
         banner: "timing shard-group scaling at K in {1, 2, 4, 8}",
         run: |quick| {
             let r = frappe_bench::shardbench::run(quick);
-            (r.render(), pretty(&r))
-        },
-    },
-    Bench {
-        flag: "--scoring-bench-out",
-        banner: "timing scalar vs SIMD kernel scoring",
-        run: |quick| {
-            let r = frappe_bench::scoringbench::run(quick);
             (r.render(), pretty(&r))
         },
     },

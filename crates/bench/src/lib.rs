@@ -23,7 +23,6 @@ pub mod gauntletbench;
 pub mod lab;
 pub mod lifebench;
 pub mod render;
-pub mod scoringbench;
 pub mod shardbench;
 pub mod trainbench;
 
@@ -31,6 +30,5 @@ pub use experiments::{registry, ExpResult};
 pub use gauntletbench::GauntletBenchReport;
 pub use lab::Lab;
 pub use lifebench::LifecycleBenchReport;
-pub use scoringbench::ScoringBenchReport;
 pub use shardbench::ShardBenchReport;
 pub use trainbench::TrainingBenchReport;

@@ -1,8 +1,7 @@
 //! Training-pipeline wall-clock benchmark: serial vs parallel grid search
 //! and SMO solver throughput.
 //!
-//! Unlike the Criterion micro-benchmarks (statistical, report-oriented),
-//! this module produces one machine-readable [`TrainingBenchReport`] that
+//! This module produces one machine-readable [`TrainingBenchReport`] that
 //! `repro --bench-out` serializes to `BENCH_training.json`: one timed
 //! pass of the serial path and one of the `frappe-jobs` fan-out, an
 //! explicit bit-identity verdict between the two, and the SMO
@@ -81,8 +80,7 @@ pub struct TrainingBenchReport {
     pub smo: SmoBench,
 }
 
-/// Paper-shaped, 7-dimensional, noisily-separable data (same generator as
-/// the Criterion benches, so numbers are comparable across harnesses).
+/// Paper-shaped, 7-dimensional, noisily-separable data.
 pub fn synth_dataset(n: usize, seed: u64) -> Dataset {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut xs = Vec::with_capacity(n);

@@ -79,7 +79,7 @@ impl FrappeModel {
 
     /// Raw SVM decision value (positive ⇒ malicious); useful for ranking.
     ///
-    /// Evaluated by the packed SIMD engine.
+    /// Evaluated by the packed engine.
     pub fn decision_value(&self, features: &AppFeatures) -> f64 {
         let x = self
             .scaler

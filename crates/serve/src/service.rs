@@ -267,8 +267,7 @@ impl ScoreEngine {
             generation,
         } = snapshot.ok_or(ServeError::UnknownApp(app))?;
         self.metrics.lanes_unobserved(&features);
-        // Scores on the packed SIMD engine (warmed at install/swap time);
-        // the engine is fixed per process, see `frappe::scoring`.
+        // Scores on the packed engine (warmed at install/swap time).
         let decision_value = vm.model().decision_value(&features);
         drop(eval);
         let verdict = Verdict {

@@ -66,14 +66,12 @@ impl Kernel {
         }
     }
 
-    /// Evaluates `K(x, y)` on the active SIMD engine ([`simd::active`]):
-    /// one dispatched code path shared with the packed scorer and the SMO
-    /// solver's kernel rows.
+    /// Evaluates `K(x, y)` on the [`simd`] primitives: the one arithmetic
+    /// shared with the packed scorer and the SMO solver's kernel rows.
     ///
     /// # Panics
     /// Panics (release builds included) if `x` and `y` have different
-    /// lengths — the vectorized primitives read through raw pointers, so
-    /// the old debug-only zip-and-truncate behaviour is gone.
+    /// lengths, instead of zip-truncating the longer one.
     pub fn compute(&self, x: &[f64], y: &[f64]) -> f64 {
         match *self {
             Kernel::Linear => simd::dot(x, y),

@@ -13,11 +13,11 @@
 //!   row cache, and libsvm's two-variable analytic subproblem update.
 //! * [`model`] — the trained model: support vectors, dual coefficients and
 //!   the bias term, with decision values and sign prediction.
-//! * [`simd`] — runtime-dispatched scoring primitives: AVX2 intrinsics
-//!   with a bit-identical unrolled-scalar fallback, plus a deterministic
-//!   vectorizable exponential. One arithmetic: `FRAPPE_SIMD` picks the
-//!   instructions, never the results, so training and scoring produce the
-//!   same bits under every setting.
+//! * [`simd`] — the scoring math primitives: four-lane unrolled dot
+//!   products, squared distances and block kernels, plus a deterministic
+//!   Cody–Waite exponential. One engine and one arithmetic, in safe
+//!   portable code, so training and scoring produce the same bits on
+//!   every machine.
 //! * [`packed`] — the model flattened into contiguous lane-transposed
 //!   arrays; all scoring runs here, including a fused single-dot-product
 //!   path for linear kernels.
@@ -50,10 +50,7 @@
 //! assert_eq!(model.predict(&[0.95, 0.9]), 1.0);
 //! ```
 
-// Unsafe code is denied crate-wide and allowed back in exactly one place:
-// the `simd` module's AVX2 intrinsics, each behind runtime ISA detection
-// with a bit-identical safe scalar fallback.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod crossval;
@@ -75,5 +72,4 @@ pub use metrics::ConfusionMatrix;
 pub use model::SvmModel;
 pub use packed::PackedModel;
 pub use scale::Scaler;
-pub use simd::Engine;
 pub use smo::{train, CacheStats, SvmParams};

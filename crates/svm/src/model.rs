@@ -4,7 +4,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::kernel::Kernel;
 use crate::packed::{PackedCache, PackedModel};
-use crate::simd::Engine;
 
 /// A trained C-SVC model.
 ///
@@ -57,7 +56,7 @@ impl SvmModel {
         }
     }
 
-    /// The SIMD-packed form of this model, flattening on first use.
+    /// The packed form of this model, flattening on first use.
     ///
     /// All scoring goes through this representation; the row-major
     /// `Vec<Vec<f64>>` form is kept as the canonical serialized shape.
@@ -127,9 +126,9 @@ impl SvmModel {
 
     /// Raw decision value `f(x)`; positive means class `+1`.
     ///
-    /// Evaluated by the packed SIMD engine on the [`crate::simd::active`]
-    /// engine: a single fused dot product for linear kernels, blocked
-    /// lane-parallel kernel sums otherwise.
+    /// Evaluated by the packed engine ([`crate::packed`]): a single fused
+    /// dot product for linear kernels, blocked lane-parallel kernel sums
+    /// otherwise.
     ///
     /// # Panics
     /// Panics (release builds included) if `x.len()` differs from the
@@ -137,13 +136,6 @@ impl SvmModel {
     /// silently in release builds.
     pub fn decision_value(&self, x: &[f64]) -> f64 {
         self.packed().decision_value(x)
-    }
-
-    /// [`Self::decision_value`] on an explicit engine; used by
-    /// tests and benches to compare engines side by side without touching
-    /// the process-wide selection.
-    pub fn decision_value_with(&self, engine: Engine, x: &[f64]) -> f64 {
-        self.packed().decision_value_with(engine, x)
     }
 
     /// Predicted label: `+1.0` if `f(x) ≥ 0`, else `-1.0`.

@@ -1,4 +1,4 @@
-//! The packed scoring engine: a trained model flattened for SIMD.
+//! The packed scoring engine: a trained model flattened into lane blocks.
 //!
 //! [`SvmModel`](crate::SvmModel) stores support vectors the way the solver
 //! produces them — `Vec<Vec<f64>>`, one heap allocation per vector, row
@@ -8,8 +8,8 @@
 //!
 //! * `data` — the support vectors in the lane-transposed block layout of
 //!   [`simd::pack_lanes`]: groups of four vectors interleaved
-//!   feature-major, so one 256-bit load fetches feature `j` of four
-//!   vectors. The last block is zero-padded.
+//!   feature-major, so feature `j` of four vectors sits contiguously.
+//!   The last block is zero-padded.
 //! * `coefs` — dual coefficients, zero-padded to the same block count
 //!   (a zero coefficient contributes exactly `0.0` to every kernel sum).
 //! * `linear_w` — for linear kernels only, the primal weight vector
@@ -26,9 +26,9 @@ use std::sync::{Arc, OnceLock};
 use serde::{Deserialize, Error, Serialize, Value};
 
 use crate::kernel::Kernel;
-use crate::simd::{self, Engine, LANES};
+use crate::simd::{self, LANES};
 
-/// A trained model flattened into contiguous SIMD-friendly arrays.
+/// A trained model flattened into contiguous lane-blocked arrays.
 #[derive(Debug, Clone)]
 pub struct PackedModel {
     kernel: Kernel,
@@ -63,9 +63,9 @@ impl PackedModel {
         let blocks = n_sv.div_ceil(LANES);
         let mut coefs = vec![0.0; blocks * LANES];
         coefs[..n_sv].copy_from_slice(dual_coefs);
-        // The primal fold runs in fixed sequential scalar order, independent
-        // of the active engine: `explain` and every checkpoint must see the
-        // same weight bytes on every machine.
+        // The primal fold runs in fixed sequential order, not lane order:
+        // `explain` and every checkpoint must see the same weight bytes on
+        // every machine.
         let linear_w = (kernel == Kernel::Linear).then(|| {
             let mut w = vec![0.0; dim];
             for (sv, &coef) in support_vectors.iter().zip(dual_coefs) {
@@ -111,18 +111,13 @@ impl PackedModel {
         self.linear_w.as_deref()
     }
 
-    /// Decision value `f(x)` on the [`simd::active`] engine.
-    pub fn decision_value(&self, x: &[f64]) -> f64 {
-        self.decision_value_with(simd::active(), x)
-    }
-
-    /// Decision value `f(x)` on an explicit engine.
+    /// Decision value `f(x)`.
     ///
     /// # Panics
     /// Panics — in release builds too — if `x.len()` differs from the
     /// model's feature dimension (unless the model has no support vectors,
     /// in which case `f(x) = −rho` for any input).
-    pub fn decision_value_with(&self, engine: Engine, x: &[f64]) -> f64 {
+    pub fn decision_value(&self, x: &[f64]) -> f64 {
         if self.n_sv == 0 {
             return -self.rho;
         }
@@ -136,31 +131,27 @@ impl PackedModel {
         match self.kernel {
             Kernel::Linear => {
                 let w = self.linear_w.as_deref().expect("linear weights packed");
-                simd::dot_with(engine, w, x) - self.rho
+                simd::dot(w, x) - self.rho
             }
             Kernel::Rbf { gamma } => {
-                simd::rbf_sum_with(engine, &self.data, self.dim, &self.coefs, gamma, x) - self.rho
+                simd::rbf_sum(&self.data, self.dim, &self.coefs, gamma, x) - self.rho
             }
             Kernel::Polynomial {
                 degree,
                 gamma,
                 coef0,
-            } => {
-                self.transformed_sum(engine, x, |t| (gamma * t + coef0).powi(degree as i32))
-                    - self.rho
-            }
+            } => self.transformed_sum(x, |t| (gamma * t + coef0).powi(degree as i32)) - self.rho,
             Kernel::Sigmoid { gamma, coef0 } => {
-                self.transformed_sum(engine, x, |t| (gamma * t + coef0).tanh()) - self.rho
+                self.transformed_sum(x, |t| (gamma * t + coef0).tanh()) - self.rho
             }
         }
     }
 
     // Dot-based kernels without a primal form: blocked dot products, then a
-    // per-lane transform accumulated in the canonical lane order (identical
-    // in both engines, so bit-identity is preserved end to end).
-    fn transformed_sum(&self, engine: Engine, x: &[f64], f: impl Fn(f64) -> f64) -> f64 {
+    // per-lane transform accumulated in the canonical lane order.
+    fn transformed_sum(&self, x: &[f64], f: impl Fn(f64) -> f64) -> f64 {
         let mut dots = vec![0.0; self.coefs.len()];
-        simd::dots_into_with(engine, &self.data, self.dim, x, &mut dots);
+        simd::dots_into(&self.data, self.dim, x, &mut dots);
         let mut lanes = [0.0; LANES];
         for (i, (&t, &c)) in dots.iter().zip(&self.coefs).enumerate() {
             lanes[i % LANES] += c * f(t);
@@ -242,7 +233,7 @@ mod tests {
                 .map(|(sv, &c)| c * kernel.compute(sv, &x))
                 .sum::<f64>()
                 - 0.125;
-            let got = packed.decision_value_with(Engine::Scalar, &x);
+            let got = packed.decision_value(&x);
             assert!(
                 (got - naive).abs() < 1e-9,
                 "{kernel:?}: packed {got} vs naive {naive}"

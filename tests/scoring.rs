@@ -1,23 +1,22 @@
-//! Scoring-engine equivalence suite: the properties that make the SIMD
-//! engine swap invisible.
+//! Scoring arithmetic suite: the properties that keep every trained and
+//! served bit fixed.
 //!
-//! * The portable 4-lane scalar engine and the AVX2 engine produce
-//!   **bit-identical** results — dots, squared distances, full decision
-//!   values, every kernel, every ragged tail. This is the property that
-//!   lets checkpoint byte-determinism and serve parity hold regardless of
-//!   which engine a machine dispatches.
+//! * The packed engine computes the textbook decision function
+//!   `Σᵢ coefᵢ·K(svᵢ, x) − ρ` for every kernel and every ragged shape
+//!   (within floating-point tolerance: it sums in lane order).
+//! * The one arithmetic is pinned: a digest over the scalar primitives
+//!   (`dot`, `squared_distance`, `exp`) and over packed decisions at
+//!   ragged shapes must land on recorded constants. Any change to the
+//!   4-lane accumulation order, the reduction tree or the Cody–Waite
+//!   `exp` moves it.
 //! * A trained model's bits are pinned: SMO evaluates its kernel on the
-//!   active engine, and the pinned digest must come out the same under
-//!   every `FRAPPE_SIMD` setting the suite is run with.
-//!
-//! On a machine without AVX2 both engines resolve to the scalar path and
-//! the cross-engine assertions hold trivially — the suite still exercises
-//! the lane-mirrored scalar path.
+//!   same primitives, so `rho`, the dual coefficients and every decision
+//!   value must land on recorded constants.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use svm::simd::{self, Engine};
+use svm::simd;
 use svm::{train, Dataset, Kernel, PackedModel, SvmParams};
 
 /// Paper-shaped, noisily-separable data at an arbitrary dimension.
@@ -38,76 +37,64 @@ fn synth(n: usize, dim: usize, seed: u64) -> Dataset {
     Dataset::new(xs, ys).expect("generated data is valid")
 }
 
-proptest! {
-    /// Primitive agreement at the acceptance dims {3, 8, 19, 32} plus
-    /// every ragged length in between is bit-exact.
-    #[test]
-    fn dot_and_squared_distance_agree_across_engines(
-        seed in 0u64..1_000_000,
-        dim in 1usize..40,
-    ) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let x: Vec<f64> = (0..dim).map(|_| rng.gen::<f64>() * 20.0 - 10.0).collect();
-        let y: Vec<f64> = (0..dim).map(|_| rng.gen::<f64>() * 20.0 - 10.0).collect();
-        prop_assert_eq!(
-            simd::dot_with(Engine::Scalar, &x, &y).to_bits(),
-            simd::dot_with(Engine::best(), &x, &y).to_bits()
-        );
-        prop_assert_eq!(
-            simd::squared_distance_with(Engine::Scalar, &x, &y).to_bits(),
-            simd::squared_distance_with(Engine::best(), &x, &y).to_bits()
-        );
-    }
-
-    /// Full packed decision values are bit-identical across engines for
-    /// every kernel, including ragged
-    /// support-vector counts that leave partial lane blocks.
-    #[test]
-    fn packed_decision_values_are_bit_identical_across_engines(
-        seed in 0u64..1_000_000,
-        n_sv in 1usize..23,
-        dim in 1usize..24,
-    ) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let svs: Vec<Vec<f64>> = (0..n_sv)
-            .map(|_| (0..dim).map(|_| rng.gen::<f64>() * 4.0 - 2.0).collect())
-            .collect();
-        let coefs: Vec<f64> = (0..n_sv).map(|_| rng.gen::<f64>() * 2.0 - 1.0).collect();
-        let x: Vec<f64> = (0..dim).map(|_| rng.gen::<f64>() * 4.0 - 2.0).collect();
-        let gamma = 1.0 / dim as f64;
-        for kernel in [
-            Kernel::Linear,
-            Kernel::Rbf { gamma },
-            Kernel::Polynomial { degree: 3, gamma, coef0: 0.0 },
-            Kernel::Sigmoid { gamma, coef0: 0.0 },
-        ] {
-            let packed = PackedModel::pack(kernel, &svs, &coefs, 0.25);
-            let a = packed.decision_value_with(Engine::Scalar, &x);
-            let b = packed.decision_value_with(Engine::best(), &x);
-            prop_assert_eq!(a.to_bits(), b.to_bits(), "kernel {:?}", kernel);
-        }
-    }
+/// A random packed-model shape: `n_sv` support vectors of dimension `dim`,
+/// their dual coefficients and one query.
+fn ragged(rng: &mut SmallRng, n_sv: usize, dim: usize) -> (Vec<Vec<f64>>, Vec<f64>, Vec<f64>) {
+    let svs: Vec<Vec<f64>> = (0..n_sv)
+        .map(|_| (0..dim).map(|_| rng.gen::<f64>() * 4.0 - 2.0).collect())
+        .collect();
+    let coefs: Vec<f64> = (0..n_sv).map(|_| rng.gen::<f64>() * 2.0 - 1.0).collect();
+    let x: Vec<f64> = (0..dim).map(|_| rng.gen::<f64>() * 4.0 - 2.0).collect();
+    (svs, coefs, x)
 }
 
-/// A trained model's decision surface is bit-identical between the
-/// fallback and the best engine at the paper's dimensionality — the
-/// exact path serve parity and checkpoints rely on.
-#[test]
-fn trained_model_decisions_are_engine_independent() {
-    for dim in [3usize, 8, 19, 32] {
-        let data = synth(160, dim, 42 + dim as u64);
-        let model = train(&data, &SvmParams::paper_defaults(dim));
-        for q in synth(64, dim, 7).features() {
-            let a = model.decision_value_with(Engine::Scalar, q);
-            let b = model.decision_value_with(Engine::best(), q);
-            assert_eq!(a.to_bits(), b.to_bits(), "dim {dim}");
+/// The four kernels the packed engine scores, at libsvm's default gamma.
+fn kernels(dim: usize) -> [Kernel; 4] {
+    let gamma = 1.0 / dim as f64;
+    [
+        Kernel::Linear,
+        Kernel::Rbf { gamma },
+        Kernel::Polynomial {
+            degree: 3,
+            gamma,
+            coef0: 0.0,
+        },
+        Kernel::Sigmoid { gamma, coef0: 0.0 },
+    ]
+}
+
+proptest! {
+    /// Packed decision values equal the naive per-support-vector kernel
+    /// sum for every kernel, including ragged support-vector counts that
+    /// leave partial lane blocks.
+    #[test]
+    fn packed_decision_values_match_the_naive_kernel_sum(
+        seed in 0u64..1_000_000,
+        n_sv in 1usize..=23,
+        dim in 1usize..=24,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let (svs, coefs, x) = ragged(&mut rng, n_sv, dim);
+        for kernel in kernels(dim) {
+            let packed = PackedModel::pack(kernel, &svs, &coefs, 0.25);
+            let terms: Vec<f64> = svs
+                .iter()
+                .zip(&coefs)
+                .map(|(sv, &c)| c * kernel.compute(sv, &x))
+                .collect();
+            let naive = terms.iter().sum::<f64>() - 0.25;
+            let scale = 1.0 + terms.iter().map(|t| t.abs()).sum::<f64>();
+            let got = packed.decision_value(&x);
+            prop_assert!(
+                (got - naive).abs() <= 1e-12 * scale,
+                "kernel {:?}: packed {} vs naive {}", kernel, got, naive
+            );
         }
     }
 }
 
 /// The fused linear path folds the support-vector expansion into one
-/// weight vector: its decision must equal `dot(w, x) − rho` bit-for-bit,
-/// on both engines.
+/// weight vector: its decision must equal `dot(w, x) − rho` bit-for-bit.
 #[test]
 fn fused_linear_decision_is_one_dot_product() {
     let data = synth(200, 9, 44);
@@ -116,11 +103,9 @@ fn fused_linear_decision_is_one_dot_product() {
     let w = packed.fused_weights().expect("linear models fold weights");
     assert_eq!(w.len(), 9);
     for q in synth(64, 9, 8).features() {
-        for engine in [Engine::Scalar, Engine::best()] {
-            let direct = simd::dot_with(engine, w, q) - packed.rho();
-            let through = packed.decision_value_with(engine, q);
-            assert_eq!(direct.to_bits(), through.to_bits());
-        }
+        let direct = simd::dot(w, q) - packed.rho();
+        let through = packed.decision_value(q);
+        assert_eq!(direct.to_bits(), through.to_bits());
     }
     // And `linear_weights` (what `explain` reads) is the same vector.
     assert_eq!(model.linear_weights().as_deref(), Some(w));
@@ -148,13 +133,47 @@ fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
     h
 }
 
-/// The trained model itself is engine-independent: SMO evaluates its
-/// kernel on the active engine, so a second arithmetic anywhere would
-/// fork `rho`, the dual coefficients and every decision value. The
-/// constants pin one training run; the suite runs once per `FRAPPE_SIMD`
-/// setting, and every run must land on the same bits.
+/// The scoring arithmetic itself is pinned. The primitives digest covers
+/// `dot`, `squared_distance` and `exp` at every dimension 1..=40 (every
+/// ragged lane tail); the packed digest covers all four kernels at every
+/// shape n_sv 1..=23 × dim 1..=24. A change to the lane order, the
+/// reduction tree or the exponential moves a digest even where the
+/// result stays within tolerance of the naive sum.
 #[test]
-fn trained_model_bits_are_pinned_under_every_engine() {
+fn scalar_primitives_and_packed_decisions_are_pinned() {
+    let mut rng = SmallRng::seed_from_u64(0x5CA1_A2F0);
+    let mut primitives = Vec::new();
+    for dim in 1..=40 {
+        let x: Vec<f64> = (0..dim).map(|_| rng.gen::<f64>() * 20.0 - 10.0).collect();
+        let y: Vec<f64> = (0..dim).map(|_| rng.gen::<f64>() * 20.0 - 10.0).collect();
+        let d2 = simd::squared_distance(&x, &y);
+        primitives.push(simd::dot(&x, &y).to_bits());
+        primitives.push(d2.to_bits());
+        primitives.push(simd::exp(-d2 / dim as f64).to_bits());
+        primitives.push(simd::exp(rng.gen::<f64>() * 80.0 - 40.0).to_bits());
+    }
+    let mut decisions = Vec::new();
+    for n_sv in 1..=23 {
+        for dim in 1..=24 {
+            let (svs, coefs, x) = ragged(&mut rng, n_sv, dim);
+            for kernel in kernels(dim) {
+                let packed = PackedModel::pack(kernel, &svs, &coefs, 0.25);
+                decisions.push(packed.decision_value(&x).to_bits());
+            }
+        }
+    }
+    assert_eq!(
+        (fnv1a(primitives), fnv1a(decisions)),
+        (0x621e_f563_0b35_378e, 0xdd6f_7353_6011_947b),
+        "(primitives digest, packed digest)"
+    );
+}
+
+/// The trained model's bits are pinned: SMO evaluates its kernel on the
+/// scoring primitives, so any change to their arithmetic would fork
+/// `rho`, the dual coefficients and every decision value.
+#[test]
+fn trained_model_bits_are_pinned() {
     let data = synth(400, 7, 17);
     let model = train(&data, &SvmParams::paper_defaults(7));
     let decisions = data.features().iter().map(|q| model.decision_value(q));

@@ -42,9 +42,11 @@ echo "==> determinism suite under FRAPPE_JOBS=1 and FRAPPE_JOBS=8"
 FRAPPE_JOBS=1 cargo test -q -p frappe --test determinism
 FRAPPE_JOBS=8 cargo test -q -p frappe --test determinism
 
-echo "==> lifecycle suite (FRAPPE_JOBS=1 and FRAPPE_JOBS=8)"
-# Shadow-evaluated hot swap, drift detection, and the checkpoint
-# roundtrip on a fresh temp dir; the crate's unit tests include the
+echo "==> lifecycle suite, audit included (FRAPPE_JOBS=1 and FRAPPE_JOBS=8)"
+# Shadow-evaluated hot swap, drift detection, the checkpoint roundtrip
+# on a fresh temp dir, and the audit suite (tests/audit.rs: online
+# records, fed through the manager's observer, reconstruct every fresh
+# verdict); the crate's unit tests include the
 # lineage hardening test
 # (registry::tests::truncated_or_bit_flipped_manifests_never_panic_or_reuse_a_version,
 # every truncation and single-bit flip of a saved lineage.json is refused
@@ -74,15 +76,16 @@ echo "==> scoring suite (packed kernels, pinned arithmetic and training digests)
 # change to the lane order or the exponential moves them.
 cargo test -q -p svm
 
-echo "==> gauntlet suite (adversarial scenarios, FRAPPE_JOBS=1 and FRAPPE_JOBS=8)"
+echo "==> gauntlet suite (adversarial scenarios, reports pinned by digest, FRAPPE_JOBS=1 and FRAPPE_JOBS=8)"
 # The adaptive adversarial engine: all five built-in scenarios must pass
-# their declared then-criteria, and a whole scenario report must be
-# byte-identical at both pool extremes.
+# their declared then-criteria, a whole scenario report must be
+# byte-identical at both pool extremes, and each report's canonical JSON
+# is pinned by an FNV-1a digest (builtin_reports_are_pinned).
 cargo test -q -p frappe-gauntlet
 FRAPPE_JOBS=1 cargo test -q -p frappe-gauntlet --test gauntlet
 FRAPPE_JOBS=8 cargo test -q -p frappe-gauntlet --test gauntlet
 
-echo "==> network edge suite (thread per connection, HTTP routes, 429/503 shed, fenced hot swap)"
+echo "==> network edge suite (thread per connection, HTTP routes, 429/503 shed, fenced hot swap, socket-only lifecycle observation)"
 # Real sockets on an ephemeral loopback port: byte-identical verdicts
 # vs in-process classify, the deterministic 429 + Retry-After contract,
 # the accept gate's canned 503 with its always-kept trace,
@@ -90,7 +93,10 @@ echo "==> network edge suite (thread per connection, HTTP routes, 429/503 shed, 
 # a promote/rollback under concurrent socket load fenced by the
 # drain protocol (zero drops, zero stale bodies), a drain beside a
 # half-sent request, and a server drop that joins every connection
-# thread wherever it is blocked.
+# thread wherever it is blocked. socket_traffic_alone_feeds_drift_shadow_and_audit
+# drives a drifting world only through /v1/events and /v1/classify, behind
+# a single service and a 4-group router, and checks that drift fires, a
+# shadow is tallied and promoted, and every fresh score is audited.
 cargo test -q -p frappe-net --test edge
 
 echo "==> end-to-end trace suite (socket accept to verdict, shed/swap tail sampling)"
@@ -108,7 +114,7 @@ mkdir -p "$CI_BENCH"
 echo "==> training bench, quick mode (serial vs parallel, $CI_BENCH/BENCH_training.json)"
 cargo run --release -p frappe-bench --bin repro -- --small --bench-out "$CI_BENCH/BENCH_training.json"
 
-echo "==> lifecycle bench, quick mode (retrain/swap/shadow, $CI_BENCH/BENCH_lifecycle.json)"
+echo "==> lifecycle bench, quick mode (retrain/shadow, $CI_BENCH/BENCH_lifecycle.json)"
 cargo run --release -p frappe-bench --bin repro -- --small --lifecycle-bench-out "$CI_BENCH/BENCH_lifecycle.json"
 
 echo "==> shard bench, quick mode (group scaling + zero-stale swap leg, $CI_BENCH/BENCH_shard.json)"

@@ -8,7 +8,7 @@
 //! repro --profile <ids|all>   # also print the per-stage span profile
 //! repro --bench-out FILE      # time serial-vs-parallel training, write JSON
 //! repro --lifecycle-bench-out FILE
-//!                             # time retrain / hot-swap / shadow, write JSON
+//!                             # time retrain / shadow, write JSON
 //! repro --shard-bench-out FILE
 //!                             # time shard-group scaling at K in {1,2,4,8}
 //! repro --gauntlet-bench-out FILE
@@ -48,7 +48,7 @@ const BENCHES: [Bench; 4] = [
     },
     Bench {
         flag: "--lifecycle-bench-out",
-        banner: "timing retrain / hot-swap / shadow",
+        banner: "timing retrain / shadow",
         run: |quick| {
             let r = frappe_bench::lifebench::run(quick);
             (r.render(), pretty(&r))

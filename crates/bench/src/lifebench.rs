@@ -1,19 +1,18 @@
-//! Lifecycle wall-clock benchmark: retraining, hot-swap latency, and the
-//! cost of shadow-scoring live traffic.
+//! Lifecycle wall-clock benchmark: retraining, and the cost of
+//! shadow-scoring live traffic.
 //!
 //! Like [`crate::trainbench`], this module produces one machine-readable
 //! [`LifecycleBenchReport`] that `repro --lifecycle-bench-out` serializes
 //! to `BENCH_lifecycle.json`: the wall-clock of a full retraining pass
-//! (CV included) at one and many threads, the latency distribution of
-//! the epoch-pointer model swap itself, the price of the first rescoring
-//! sweep after a swap (every verdict is a cache miss), and the per-query
-//! overhead a riding shadow candidate adds to a warm serving path.
+//! (CV included) at one and many threads, and the per-query cost of a
+//! warm classify through a service with a [`LifecycleManager`] attached,
+//! without and with a shadow candidate riding along.
 //!
-//! Honesty note: all numbers are whatever *this machine* delivers in one
-//! unrepeated pass, so the report carries no ratio between them; the
-//! swap itself is a pointer store behind an `ArcSwap`-style cell, so its
-//! latency is reported in nanosecond-scale microseconds and dominated by
-//! clock overhead. `threads_available` is recorded alongside everything.
+//! Honesty note: the retrain numbers are one unrepeated pass on *this
+//! machine*. The shadow leg is repeated and reports each side's median
+//! and interquartile range; it names an overhead only when the two
+//! ranges do not overlap. `threads_available` is recorded alongside
+//! everything.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -56,39 +55,54 @@ pub struct RetrainBench {
     pub cv_accuracy: f64,
 }
 
-/// Hot-swap latency: the epoch-pointer store itself, and the rescoring
-/// sweep the cache invalidation forces afterwards.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SwapBench {
-    /// Number of swaps timed.
-    pub swaps: usize,
-    /// Mean per-swap latency, microseconds.
-    pub mean_us: f64,
-    /// 99th-percentile per-swap latency, microseconds.
-    pub p99_us: f64,
-    /// Worst per-swap latency, microseconds.
-    pub max_us: f64,
-    /// Full classify sweep right after a swap (every app a cache miss),
-    /// milliseconds.
-    pub cold_sweep_ms: f64,
-    /// The same sweep again with the cache warm, milliseconds.
-    pub warm_sweep_ms: f64,
-    /// Apps per sweep.
-    pub apps: usize,
+/// Median and interquartile range of a repeated measurement.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct Spread {
+    /// First quartile.
+    pub q1: f64,
+    /// Median.
+    pub median: f64,
+    /// Third quartile.
+    pub q3: f64,
 }
 
-/// Shadow-scoring overhead: a warm classify sweep with no shadow vs the
-/// same sweep with a candidate mirroring every query.
+impl Spread {
+    /// The spread of `values` (nearest-rank quartiles); all zero when
+    /// empty.
+    pub fn of(values: &[f64]) -> Spread {
+        let mut sorted = values.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        Spread {
+            q1: quantile_us(&sorted, 0.25),
+            median: quantile_us(&sorted, 0.5),
+            q3: quantile_us(&sorted, 0.75),
+        }
+    }
+
+    /// Whether the two interquartile ranges share any value.
+    pub fn overlaps(&self, other: &Spread) -> bool {
+        self.q1 <= other.q3 && other.q1 <= self.q3
+    }
+}
+
+/// Shadow-scoring overhead: warm classify sweeps through one service
+/// with a lifecycle manager attached, with no shadow and with a
+/// candidate mirroring every query. Repeats alternate between the two
+/// sides; each times `queries` classifies.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ShadowBench {
-    /// Queries per timed sweep.
+    /// Queries per timed repeat.
     pub queries: usize,
-    /// Warm sweep with no shadow riding, milliseconds.
-    pub baseline_ms: f64,
-    /// Warm sweep with the shadow mirroring every query, milliseconds.
-    pub shadowed_ms: f64,
-    /// `(shadowed_ms - baseline_ms) / queries`, microseconds per query.
-    pub overhead_us_per_query: f64,
+    /// Timed repeats per side.
+    pub repeats: usize,
+    /// Warm classify with no shadow riding, microseconds per query.
+    pub plain_us_per_query: Spread,
+    /// Warm classify with the shadow mirroring every query,
+    /// microseconds per query.
+    pub shadowed_us_per_query: Spread,
+    /// Median shadowed minus median plain, microseconds per query; `None`
+    /// when the two interquartile ranges overlap (no measurable cost).
+    pub overhead_us_per_query: Option<f64>,
 }
 
 /// The full lifecycle benchmark report (`BENCH_lifecycle.json`).
@@ -101,23 +115,17 @@ pub struct LifecycleBenchReport {
     pub quick: bool,
     /// Retraining wall-clock.
     pub retrain: RetrainBench,
-    /// Hot-swap latency and post-swap rescoring cost.
-    pub swap: SwapBench,
     /// Shadow-evaluation overhead on the serving path.
     pub shadow: ShadowBench,
 }
 
 /// Runs the lifecycle benchmark on the small deterministic world.
-/// `quick` shrinks sweep and swap counts to CI size; the retraining
-/// batch (the small world's full labelled population) is the same in
-/// both modes.
+/// `quick` shrinks the shadow leg to CI size; the retraining batch (the
+/// small world's full labelled population) is the same in both modes.
 pub fn run(quick: bool) -> LifecycleBenchReport {
     let threads_available = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let (sweeps, swaps) = if quick {
-        (2usize, 200usize)
-    } else {
-        (20, 2000)
-    };
+    // (classify sweeps per timed repeat, repeats per side)
+    let (sweeps, repeats) = if quick { (1usize, 5usize) } else { (10, 11) };
 
     let lab = Lab::build(&ScenarioConfig::small());
     let (samples, labels) = lab.labelled_features(
@@ -149,8 +157,8 @@ pub fn run(quick: bool) -> LifecycleBenchReport {
         cv_accuracy: serial.cv.accuracy,
     };
 
-    // A registry-backed service over the same world, plus a second model
-    // (trained on every other row) to alternate swaps against.
+    // A service over the same world, plus a candidate (trained on every
+    // other row) to shadow.
     let alt_samples: Vec<AppFeatures> = samples.iter().step_by(2).cloned().collect();
     let alt_labels: Vec<bool> = labels.iter().step_by(2).copied().collect();
     let alt = Arc::new(FrappeModel::train(
@@ -159,7 +167,6 @@ pub fn run(quick: bool) -> LifecycleBenchReport {
         frappe::FeatureSet::Full,
         None,
     ));
-    let main = Arc::new(serial.model.clone());
     let service = Arc::new(FrappeService::new(
         serial.model.clone(),
         lab.known_malicious_names(),
@@ -170,85 +177,66 @@ pub fn run(quick: bool) -> LifecycleBenchReport {
         service.ingest(&event);
     }
     let apps = service.tracked_apps();
-
-    // Shadow overhead first (while the service's verdict cache maps the
-    // incumbent): warm the cache, time plain sweeps, then time the same
-    // sweeps with the candidate mirroring every query.
-    let manager = LifecycleManager::new(
-        Arc::clone(&service),
-        serial.source(None),
-        PromotionGate::default(),
-        DriftDetector::new(DriftConfig::default()),
-    );
-    for &app in &apps {
-        manager.classify(app).expect("tracked app");
-    }
-    let t = Instant::now();
-    for _ in 0..sweeps {
-        for &app in &apps {
-            manager.classify(app).expect("tracked app");
-        }
-    }
-    let baseline_ms = t.elapsed().as_secs_f64() * 1e3;
-    manager.begin_shadow(Arc::clone(&alt), ModelSource::default());
-    let t = Instant::now();
-    for _ in 0..sweeps {
-        for &app in &apps {
-            manager.classify(app).expect("tracked app");
-        }
-    }
-    let shadowed_ms = t.elapsed().as_secs_f64() * 1e3;
     let queries = sweeps * apps.len();
-    let shadow = ShadowBench {
-        queries,
-        baseline_ms,
-        shadowed_ms,
-        overhead_us_per_query: (shadowed_ms - baseline_ms) * 1e3 / queries.max(1) as f64,
+    let sweep = || {
+        for &app in &apps {
+            service.classify(app).expect("tracked app");
+        }
+    };
+    // One repeat: a fresh manager observes the service (with the
+    // candidate riding along when `with_shadow`) while `sweeps` warm sweeps
+    // are timed; dropping it detaches its observer again.
+    let time = |with_shadow: bool| {
+        let manager = LifecycleManager::new(
+            Arc::clone(&service),
+            serial.source(None),
+            PromotionGate::default(),
+            DriftDetector::new(DriftConfig::default()),
+        );
+        if with_shadow {
+            manager.begin_shadow(Arc::clone(&alt), ModelSource::default());
+        }
+        let t = Instant::now();
+        for _ in 0..sweeps {
+            sweep();
+        }
+        t.elapsed().as_secs_f64() * 1e6 / queries.max(1) as f64
     };
 
-    // Swap latency: alternate the two models through the live handle,
-    // timing each pointer swap, then price the rescoring sweep the final
-    // swap's cache invalidation forces.
-    let mut latencies_us = Vec::with_capacity(swaps);
-    for i in 0..swaps {
-        let model = if i % 2 == 0 {
-            Arc::clone(&alt)
+    // Warm the cache, then interleave the two sides on the same service
+    // and workers, alternating which goes first, so drift in the
+    // machine's speed lands on both.
+    sweep();
+    let (mut plain, mut shadowed) = (Vec::new(), Vec::new());
+    for repeat in 0..repeats {
+        let order = if repeat % 2 == 0 {
+            [false, true]
         } else {
-            Arc::clone(&main)
+            [true, false]
         };
-        let t = Instant::now();
-        service.swap_model(model, 1000 + i as u64);
-        latencies_us.push(t.elapsed().as_secs_f64() * 1e6);
+        for with_shadow in order {
+            let us = time(with_shadow);
+            if with_shadow {
+                shadowed.push(us);
+            } else {
+                plain.push(us);
+            }
+        }
     }
-    latencies_us.sort_by(|a, b| a.total_cmp(b));
-    let mean_us = latencies_us.iter().sum::<f64>() / swaps.max(1) as f64;
-    let p99_us = quantile_us(&latencies_us, 0.99);
-    let max_us = *latencies_us.last().unwrap_or(&0.0);
-    let t = Instant::now();
-    for &app in &apps {
-        service.classify(app).expect("tracked app");
-    }
-    let cold_sweep_ms = t.elapsed().as_secs_f64() * 1e3;
-    let t = Instant::now();
-    for &app in &apps {
-        service.classify(app).expect("tracked app");
-    }
-    let warm_sweep_ms = t.elapsed().as_secs_f64() * 1e3;
-    let swap = SwapBench {
-        swaps,
-        mean_us,
-        p99_us,
-        max_us,
-        cold_sweep_ms,
-        warm_sweep_ms,
-        apps: apps.len(),
+    let (plain, shadowed) = (Spread::of(&plain), Spread::of(&shadowed));
+    let shadow = ShadowBench {
+        queries,
+        repeats,
+        plain_us_per_query: plain,
+        shadowed_us_per_query: shadowed,
+        overhead_us_per_query: (!plain.overlaps(&shadowed))
+            .then_some(shadowed.median - plain.median),
     };
 
     LifecycleBenchReport {
         threads_available,
         quick,
         retrain,
-        swap,
         shadow,
     }
 }
@@ -256,14 +244,17 @@ pub fn run(quick: bool) -> LifecycleBenchReport {
 impl LifecycleBenchReport {
     /// Human-readable summary (what `repro --lifecycle-bench-out` prints).
     pub fn render(&self) -> String {
+        let shadow = &self.shadow;
+        let overhead = match shadow.overhead_us_per_query {
+            Some(us) => format!("{us:.2} us/query overhead"),
+            None => "ranges overlap: no measurable overhead".to_string(),
+        };
         format!(
             "lifecycle bench ({} mode, {} threads available)\n\
              retrain      {} examples x {} folds: serial {:.0} ms, \
              {} {:.0} ms, identical: {}, cv acc {:.3}\n\
-             hot swap     {} swaps: mean {:.2} us, p99 {:.2} us, max {:.2} us; \
-             post-swap rescore of {} apps {:.1} ms cold vs {:.1} ms warm\n\
-             shadow       {} queries: {:.1} ms plain vs {:.1} ms shadowed \
-             ({:.1} us/query overhead)",
+             shadow       {} repeats x {} queries, us/query median [IQR]: \
+             {:.2} [{:.2}, {:.2}] plain vs {:.2} [{:.2}, {:.2}] shadowed ({overhead})",
             if self.quick { "quick" } else { "full" },
             self.threads_available,
             self.retrain.examples,
@@ -273,17 +264,14 @@ impl LifecycleBenchReport {
             self.retrain.parallel_ms,
             self.retrain.identical,
             self.retrain.cv_accuracy,
-            self.swap.swaps,
-            self.swap.mean_us,
-            self.swap.p99_us,
-            self.swap.max_us,
-            self.swap.apps,
-            self.swap.cold_sweep_ms,
-            self.swap.warm_sweep_ms,
-            self.shadow.queries,
-            self.shadow.baseline_ms,
-            self.shadow.shadowed_ms,
-            self.shadow.overhead_us_per_query,
+            shadow.repeats,
+            shadow.queries,
+            shadow.plain_us_per_query.median,
+            shadow.plain_us_per_query.q1,
+            shadow.plain_us_per_query.q3,
+            shadow.shadowed_us_per_query.median,
+            shadow.shadowed_us_per_query.q1,
+            shadow.shadowed_us_per_query.q3,
         )
     }
 }
@@ -297,9 +285,14 @@ mod tests {
         let report = run(true);
         assert!(report.retrain.identical, "retrains must be bit-identical");
         assert!(report.retrain.cv_accuracy > 0.8);
-        assert!(report.swap.swaps > 0);
-        assert!(report.swap.cold_sweep_ms > 0.0);
         assert!(report.shadow.queries > 0);
+        assert!(report.shadow.repeats >= 5);
+        let plain = report.shadow.plain_us_per_query;
+        assert!(plain.q1 <= plain.median && plain.median <= plain.q3);
+        assert_eq!(
+            report.shadow.overhead_us_per_query.is_some(),
+            !plain.overlaps(&report.shadow.shadowed_us_per_query)
+        );
         assert!(
             report.retrain.parallel_mode == "serial"
                 || report.retrain.parallel_mode
@@ -307,7 +300,15 @@ mod tests {
         );
         let json = serde_json::to_string_pretty(&report).unwrap();
         let back: LifecycleBenchReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.swap.swaps, report.swap.swaps);
+        assert_eq!(back.shadow.plain_us_per_query, plain);
         assert!(!report.render().is_empty());
+    }
+
+    #[test]
+    fn spreads_overlap_only_when_their_ranges_meet() {
+        let low = Spread::of(&[1.0, 2.0, 3.0, 4.0, 5.0]);
+        assert_eq!((low.q1, low.median, low.q3), (2.0, 3.0, 4.0));
+        assert!(low.overlaps(&Spread::of(&[3.0, 4.0, 5.0])));
+        assert!(!low.overlaps(&Spread::of(&[6.0, 7.0, 8.0])));
     }
 }

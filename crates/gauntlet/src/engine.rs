@@ -8,7 +8,8 @@
 //! ```text
 //! feedback (last round's verdicts on the attacker's own apps)
 //!   → strategy.plan_round → expand to events (ordered pool fan-out)
-//!   → ingest → labelled classification sweep (sorted app order)
+//!   → ingest → classification sweep (sorted app order; labels were
+//!     recorded once, so every query feeds drift and the shadow tally)
 //!   → verified name flagging → check_drift
 //!   → [drifted?] retrain on tracked rows → begin_shadow
 //!   → try_promote → [promoted?] drift baseline ← candidate's rows
@@ -104,11 +105,17 @@ pub fn run_spec_on(pool: &JobPool, spec: &ScenarioSpec) -> ScenarioReport {
         }),
     );
     manager.refit_drift_baseline(&samples);
+    // Ground truth is recorded once per app: the benign population now,
+    // each attacker app when it registers. The shadow tally reads it on
+    // every query the service answers.
+    let benign: Vec<AppId> = (1..=g.benign_apps as u64).map(AppId).collect();
+    for &app in &benign {
+        manager.record_label(app, false);
+    }
 
     // --- When: the adaptive rounds.
     let first_attacker_id = (g.benign_apps + g.training_malicious + 1) as u64;
     let mut strategy = strategy_for(&spec.when.attack, g.seed, first_attacker_id);
-    let benign: Vec<AppId> = (1..=g.benign_apps as u64).map(AppId).collect();
     let mut live: BTreeSet<AppId> = BTreeSet::new();
     let mut names: BTreeMap<AppId, String> = BTreeMap::new();
     let mut prev_verdicts: BTreeMap<AppId, bool> = BTreeMap::new();
@@ -134,6 +141,7 @@ pub fn run_spec_on(pool: &JobPool, spec: &ScenarioSpec) -> ScenarioReport {
         for action in &plan.actions {
             match action {
                 AppAction::Register { app, spec } => {
+                    manager.record_label(*app, true);
                     live.insert(*app);
                     names.insert(*app, spec.name.clone());
                 }
@@ -159,14 +167,12 @@ pub fn run_spec_on(pool: &JobPool, spec: &ScenarioSpec) -> ScenarioReport {
             service.ingest(event);
         }
 
-        // 3. Labelled classification sweep, sorted order: benign
-        // population first, then the attacker's live apps. Every query
-        // feeds the drift window and (when riding) the shadow.
+        // 3. Classification sweep, sorted order: benign population
+        // first, then the attacker's live apps. Every query feeds the
+        // drift window and (when riding) the shadow.
         let mut false_positives = 0usize;
         for &app in &benign {
-            let verdict = manager
-                .classify_labelled(app, Some(false))
-                .expect("bootstrap apps stay tracked");
+            let verdict = service.classify(app).expect("bootstrap apps stay tracked");
             if verdict.malicious {
                 false_positives += 1;
             }
@@ -174,8 +180,8 @@ pub fn run_spec_on(pool: &JobPool, spec: &ScenarioSpec) -> ScenarioReport {
         let mut attacker_flagged = 0usize;
         let mut names_flagged = 0usize;
         for &app in &live {
-            let verdict = manager
-                .classify_labelled(app, Some(true))
+            let verdict = service
+                .classify(app)
                 .expect("registered attacker apps are tracked");
             prev_verdicts.insert(app, verdict.malicious);
             if verdict.malicious {

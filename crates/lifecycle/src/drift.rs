@@ -22,6 +22,14 @@
 //! attack is precisely a present/absent shift — an attacker *filling in*
 //! a field moves mass out of the missing bin even before the filled
 //! values look unusual.
+//!
+//! Bin counts are integer atomics, so [`DriftDetector::observe`] takes
+//! `&self` and any number of scorer threads feed one window at once.
+//! Integer addition is order-free: the window's counts, and so every
+//! PSI, are identical whatever the interleaving, the pool size or the
+//! number of shard groups.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use frappe::{AppFeatures, FeatureId, CATALOG};
 
@@ -63,52 +71,58 @@ fn edges(id: FeatureId) -> &'static [f64] {
 
 /// One lane's histogram: `edges.len() + 1` value bins plus a missing bin
 /// at the end.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Histogram {
     id: FeatureId,
-    counts: Vec<u64>,
-    total: u64,
+    counts: Vec<AtomicU64>,
+    total: AtomicU64,
 }
 
 impl Histogram {
     fn new(id: FeatureId) -> Self {
         Histogram {
             id,
-            counts: vec![0; edges(id).len() + 2],
-            total: 0,
+            counts: (0..edges(id).len() + 2)
+                .map(|_| AtomicU64::new(0))
+                .collect(),
+            total: AtomicU64::new(0),
         }
     }
 
-    fn missing_bin(&self) -> usize {
-        self.counts.len() - 1
-    }
-
-    fn observe(&mut self, row: &AppFeatures) {
+    fn observe(&self, row: &AppFeatures) {
         let bin = match self.id.def().raw_value(row) {
-            None => self.missing_bin(),
+            None => self.counts.len() - 1,
             Some(v) => edges(self.id).iter().take_while(|&&e| v > e).count(),
         };
-        self.counts[bin] += 1;
-        self.total += 1;
+        self.counts[bin].fetch_add(1, Ordering::Relaxed);
+        self.total.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn reset(&mut self) {
-        self.counts.iter_mut().for_each(|c| *c = 0);
-        self.total = 0;
+    fn reset(&self) {
+        self.counts
+            .iter()
+            .for_each(|c| c.store(0, Ordering::Relaxed));
+        self.total.store(0, Ordering::Relaxed);
     }
 
-    /// Laplace-smoothed bin probability.
-    fn p(&self, bin: usize) -> f64 {
-        (self.counts[bin] as f64 + 0.5) / (self.total as f64 + 0.5 * self.counts.len() as f64)
+    fn total(&self) -> u64 {
+        self.total.load(Ordering::Relaxed)
+    }
+
+    /// Laplace-smoothed bin probabilities.
+    fn probabilities(&self) -> Vec<f64> {
+        let denominator = self.total() as f64 + 0.5 * self.counts.len() as f64;
+        self.counts
+            .iter()
+            .map(|c| (c.load(Ordering::Relaxed) as f64 + 0.5) / denominator)
+            .collect()
     }
 
     fn psi_against(&self, baseline: &Histogram) -> f64 {
-        (0..self.counts.len())
-            .map(|bin| {
-                let p = self.p(bin);
-                let q = baseline.p(bin);
-                (p - q) * (p / q).ln()
-            })
+        self.probabilities()
+            .into_iter()
+            .zip(baseline.probabilities())
+            .map(|(p, q)| (p - q) * (p / q).ln())
             .sum()
     }
 }
@@ -163,8 +177,9 @@ impl DriftReport {
 }
 
 /// Per-feature rolling histograms compared against a training-time
-/// baseline.
-#[derive(Debug, Clone)]
+/// baseline. The live window is fed through `&self` (see the module
+/// docs); freezing a new baseline takes `&mut self`.
+#[derive(Debug)]
 pub struct DriftDetector {
     config: DriftConfig,
     baseline: Vec<Histogram>,
@@ -186,11 +201,11 @@ impl DriftDetector {
     /// Freezes the baseline from the training rows (call at train or
     /// retrain time) and clears the live window.
     pub fn fit_baseline(&mut self, rows: &[AppFeatures]) {
-        for h in &mut self.baseline {
+        for h in &self.baseline {
             h.reset();
         }
         for row in rows {
-            for h in &mut self.baseline {
+            for h in &self.baseline {
                 h.observe(row);
             }
         }
@@ -198,22 +213,22 @@ impl DriftDetector {
     }
 
     /// Folds one live row into the rolling window.
-    pub fn observe(&mut self, row: &AppFeatures) {
-        for h in &mut self.window {
+    pub fn observe(&self, row: &AppFeatures) {
+        for h in &self.window {
             h.observe(row);
         }
     }
 
     /// Empties the live window (e.g. after a retrain consumed it).
     pub fn reset_window(&mut self) {
-        for h in &mut self.window {
+        for h in &self.window {
             h.reset();
         }
     }
 
     /// Live-window sample count.
     pub fn window_samples(&self) -> u64 {
-        self.window.first().map_or(0, |h| h.total)
+        self.window.first().map_or(0, Histogram::total)
     }
 
     /// Computes the per-lane PSI report. Lanes only land in `drifted`
@@ -287,7 +302,7 @@ mod tests {
 
     #[test]
     fn same_distribution_stays_quiet() {
-        let mut d = detector_with_baseline(500);
+        let d = detector_with_baseline(500);
         // Same generator, different phase — a fresh draw from the same
         // population must not fire.
         for i in 0..300usize {
@@ -309,7 +324,7 @@ mod tests {
 
     #[test]
     fn summary_filling_shift_fires_on_the_filled_lanes() {
-        let mut d = detector_with_baseline(500);
+        let d = detector_with_baseline(500);
         // §7: attackers start filling the summary fields (80% filled
         // instead of 20%). Robust lanes keep their distribution.
         for i in 0..300usize {
@@ -332,7 +347,7 @@ mod tests {
 
     #[test]
     fn small_windows_never_fire() {
-        let mut d = detector_with_baseline(500);
+        let d = detector_with_baseline(500);
         for i in 0..10usize {
             d.observe(&row(true, 95.0, i as u64)); // wildly shifted, but tiny
         }

@@ -24,7 +24,12 @@
 //! * [`shadow`] + [`manager`] — a candidate model rides along as a
 //!   *shadow*: it scores the same live traffic as the incumbent while
 //!   `frappe-obs` counters accumulate the disagreement rate and labelled
-//!   FP/FN deltas. A configurable [`PromotionGate`] decides when the
+//!   FP/FN deltas. The manager sees that traffic at the one place
+//!   verdicts are produced: it attaches a
+//!   [`frappe_serve::VerdictObserver`] to the deployment's scorers, so
+//!   every answered query — in process, over the socket edge, through a
+//!   router group — feeds drift and the shadow, and every fresh score
+//!   feeds the audit log. A configurable [`PromotionGate`] decides when the
 //!   shadow may take over; explicit rollback restores the previous
 //!   version at a *new* epoch, so pre-rollback verdicts can never be
 //!   served again.

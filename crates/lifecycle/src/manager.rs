@@ -2,20 +2,31 @@
 //! a running serving [`Deployment`] together.
 //!
 //! The manager owns the deployment loop the rest of the crate only
-//! provides parts for:
+//! provides parts for. It observes traffic at the one place verdicts
+//! are produced: [`LifecycleManager::new`] attaches an observer to the
+//! deployment's scorers (one service, or all K shard groups), so every
+//! answered query — in-process, over the socket edge, through a router
+//! — feeds it, whoever asked:
 //!
 //! ```text
-//!  classify(app) ──► incumbent verdict (served)
-//!        │                 │
-//!        ├── drift.observe(features)      every query feeds the window
-//!        └── shadow.predict(features) ──► tallies only, never served
-//!                                          │
+//!  any classify ──► scorer ──► verdict (served)
+//!                     │  observe(row, verdict), before the reply
+//!                     ├── drift.observe(row)        every answered query
+//!                     ├── shadow.predict(row) ──►   tallies only, never
+//!                     │     (+ label from record_label)       served
+//!                     └── audit.record(..)          fresh scores only
+//!
 //!  check_drift() ► PSI over threshold ► retrain ► begin_shadow(candidate)
 //!                                          │
 //!  try_promote() ► gate passes ► registry.promote ► service.swap_model
 //!                                          │ (one pointer swap; epoch
 //!  rollback()  ◄───────────────────────────┘  bump kills cached verdicts)
 //! ```
+//!
+//! Drift bins and shadow tallies are integer atomics, so their totals
+//! are order-free — the same at any pool size and group count — and no
+//! lock on the per-query path is exclusive. Dropping the manager detaches
+//! the observer.
 //!
 //! Everything observable is a `frappe-obs` metric on the service's own
 //! registry, so one Prometheus scrape shows serving *and* lifecycle
@@ -24,13 +35,14 @@
 //! (`lifecycle_max_psi_milli`), and the full per-lane PSI map
 //! (`lifecycle_psi_milli{lane=…}`).
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use frappe::FrappeModel;
-use frappe_obs::{Counter, Gauge, LifecycleEvent};
-use frappe_serve::{Deployment, ServeError, Verdict};
+use frappe::{AppFeatures, FrappeModel, VersionedModel};
+use frappe_obs::{AuditLog, AuditSource, Counter, Gauge, LifecycleEvent};
+use frappe_serve::{Deployment, Verdict, VerdictObserver};
 use osn_types::ids::AppId;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 
 use crate::drift::{DriftDetector, DriftReport};
 use crate::registry::{LifecycleError, ModelRegistry, ModelSource};
@@ -68,9 +80,50 @@ struct ShadowSlot {
     model: Arc<FrappeModel>,
 }
 
-struct LifecycleMetrics {
+/// What the manager attaches to the deployment's scorers: every
+/// answered query feeds the drift window and, while a candidate rides
+/// along, the shadow tally; fresh scores also feed the audit sink.
+struct Observer {
+    drift: RwLock<DriftDetector>,
+    shadow: RwLock<Option<Arc<ShadowSlot>>>,
+    labels: RwLock<HashMap<AppId, bool>>,
+    audit: RwLock<Option<Arc<AuditLog>>>,
     shadow_scored: Arc<Counter>,
     shadow_disagreements: Arc<Counter>,
+}
+
+impl VerdictObserver for Observer {
+    fn observe(&self, row: &AppFeatures, verdict: &Verdict, model: &VersionedModel, fresh: bool) {
+        self.drift.read().observe(row);
+        // The shadow predicts outside the slot's lock, so `begin_shadow`
+        // and `try_promote` never wait on a prediction.
+        let shadow = self.shadow.read().clone();
+        if let Some(slot) = shadow {
+            let shadow_verdict = slot.model.predict(row);
+            let label = self.labels.read().get(&verdict.app).copied();
+            slot.state.record(verdict.malicious, shadow_verdict, label);
+            self.shadow_scored.inc();
+            if shadow_verdict != verdict.malicious {
+                self.shadow_disagreements.inc();
+            }
+        }
+        // Fresh scores are auditable: linear models decompose into
+        // per-feature contributions (cache hits replay an already-audited
+        // score, so they do not re-emit).
+        if fresh {
+            if let Some(log) = self.audit.read().clone() {
+                if let Some(explanation) = model.model().explain(row) {
+                    let mut record = explanation
+                        .into_audit_record(AuditSource::Online, Some(verdict.generation));
+                    record.model_version = Some(model.version());
+                    log.record(record);
+                }
+            }
+        }
+    }
+}
+
+struct LifecycleMetrics {
     promotions: Arc<Counter>,
     rollbacks: Arc<Counter>,
     drift_triggers: Arc<Counter>,
@@ -89,12 +142,15 @@ struct LifecycleMetrics {
 /// [`frappe_serve::ShardRouter`] over K shard groups; see the module
 /// docs for the loop it runs. Either shape feeds one drift window, so a
 /// sharded deployment produces exactly one PSI verdict.
+///
+/// A deployment has one observer slot, so it has one manager at a time:
+/// a second manager's construction takes the slot over, and dropping
+/// either empties it.
 pub struct LifecycleManager {
     service: Deployment,
     registry: ModelRegistry,
     gate: PromotionGate,
-    shadow: Mutex<Option<ShadowSlot>>,
-    drift: Mutex<DriftDetector>,
+    observer: Arc<Observer>,
     fence: Mutex<Option<Arc<dyn SwapFence>>>,
     metrics: LifecycleMetrics,
 }
@@ -104,7 +160,8 @@ impl LifecycleManager {
     /// `Arc<ShardRouter>`, or a [`Deployment`]. The registry is seeded
     /// with the model the deployment serves right now — the entry shares
     /// its `Arc` and keeps its version — and `source` is that model's
-    /// lineage.
+    /// lineage. The manager's observer is attached to the deployment's
+    /// scorers before this returns.
     pub fn new(
         service: impl Into<Deployment>,
         source: ModelSource,
@@ -115,8 +172,6 @@ impl LifecycleManager {
         let registry = ModelRegistry::new(&service.current_model(), source);
         let obs = service.obs_registry();
         let metrics = LifecycleMetrics {
-            shadow_scored: obs.counter("lifecycle_shadow_scored"),
-            shadow_disagreements: obs.counter("lifecycle_shadow_disagreements"),
             promotions: obs.counter("lifecycle_promotions"),
             rollbacks: obs.counter("lifecycle_rollbacks"),
             drift_triggers: obs.counter("lifecycle_drift_triggers"),
@@ -131,12 +186,20 @@ impl LifecycleManager {
         metrics
             .active_version
             .set(registry.active_version().min(i64::MAX as u64) as i64);
+        let observer = Arc::new(Observer {
+            drift: RwLock::new(drift),
+            shadow: RwLock::new(None),
+            labels: RwLock::new(HashMap::new()),
+            audit: RwLock::new(None),
+            shadow_scored: obs.counter("lifecycle_shadow_scored"),
+            shadow_disagreements: obs.counter("lifecycle_shadow_disagreements"),
+        });
+        service.set_observer(Some(Arc::clone(&observer) as Arc<dyn VerdictObserver>));
         LifecycleManager {
             service,
             registry,
             gate,
-            shadow: Mutex::new(None),
-            drift: Mutex::new(drift),
+            observer,
             fence: Mutex::new(None),
             metrics,
         }
@@ -175,34 +238,21 @@ impl LifecycleManager {
         &self.registry
     }
 
-    /// Classifies unlabelled traffic; see [`Self::classify_labelled`].
-    pub fn classify(&self, app: AppId) -> Result<Verdict, ServeError> {
-        self.classify_labelled(app, None)
+    /// Records ground truth for `app` (a PageKeeper-style label). While a
+    /// shadow rides along, every later query for the app counts toward
+    /// the shadow's and the incumbent's labelled FP/FN tallies.
+    pub fn record_label(&self, app: AppId, malicious: bool) {
+        self.observer.labels.write().insert(app, malicious);
     }
 
-    /// Classifies `app` through the service (the verdict actually
-    /// served), then feeds the same feature row to the drift window and —
-    /// when a shadow is riding along — mirrors the query to it, tallying
-    /// agreement and, if `label` carries ground truth, FP/FN evidence.
-    pub fn classify_labelled(
-        &self,
-        app: AppId,
-        label: Option<bool>,
-    ) -> Result<Verdict, ServeError> {
-        let verdict = self.service.classify(app)?;
-        if let Some(features) = self.service.features(app) {
-            self.drift.lock().observe(&features);
-            let mut slot = self.shadow.lock();
-            if let Some(slot) = slot.as_mut() {
-                let shadow_verdict = slot.model.predict(&features);
-                slot.state.record(verdict.malicious, shadow_verdict, label);
-                self.metrics.shadow_scored.inc();
-                if shadow_verdict != verdict.malicious {
-                    self.metrics.shadow_disagreements.inc();
-                }
-            }
-        }
-        Ok(verdict)
+    /// Attaches an audit sink: every *freshly scored* verdict (cache
+    /// misses only, from every group of the deployment) emits a
+    /// per-feature contribution record, provided the serving model has
+    /// a linear kernel. Non-linear models (the paper's RBF default) emit
+    /// nothing — their decision values have no exact per-feature
+    /// decomposition. Returns the previously attached sink, if any.
+    pub fn set_audit_log(&self, log: Arc<AuditLog>) -> Option<Arc<AuditLog>> {
+        self.observer.audit.write().replace(log)
     }
 
     /// Registers `model` as a candidate and starts mirroring live traffic
@@ -210,10 +260,10 @@ impl LifecycleManager {
     /// Returns the assigned version.
     pub fn begin_shadow(&self, model: Arc<FrappeModel>, source: ModelSource) -> u64 {
         let version = self.registry.register(Arc::clone(&model), source);
-        *self.shadow.lock() = Some(ShadowSlot {
+        *self.observer.shadow.write() = Some(Arc::new(ShadowSlot {
             state: ShadowState::new(version),
             model,
-        });
+        }));
         self.metrics
             .shadow_version
             .set(version.min(i64::MAX as u64) as i64);
@@ -222,7 +272,11 @@ impl LifecycleManager {
 
     /// Tallies of the current shadow run, if one is riding along.
     pub fn shadow_report(&self) -> Option<ShadowReport> {
-        self.shadow.lock().as_ref().map(|s| s.state.report())
+        self.observer
+            .shadow
+            .read()
+            .as_ref()
+            .map(|s| s.state.report())
     }
 
     /// Evaluates the shadow against the promotion gate; on pass, promotes
@@ -230,16 +284,22 @@ impl LifecycleManager {
     /// and version gauge fire, and the epoch bump invalidates every
     /// cached verdict).
     pub fn try_promote(&self) -> PromotionOutcome {
-        let mut slot = self.shadow.lock();
-        let Some(shadow) = slot.as_ref() else {
-            return PromotionOutcome::NoShadow;
+        // Empty the slot and release its lock before the fenced swap:
+        // the fence waits for in-flight queries, and their scorers take
+        // the slot's read lock as they are observed.
+        let version = {
+            let mut slot = self.observer.shadow.write();
+            let Some(shadow) = slot.as_ref() else {
+                return PromotionOutcome::NoShadow;
+            };
+            let decision = self.gate.evaluate(&shadow.state.report());
+            if !decision.promote {
+                return PromotionOutcome::Held(decision.holds);
+            }
+            let version = shadow.state.version();
+            *slot = None;
+            version
         };
-        let report = shadow.state.report();
-        let decision = self.gate.evaluate(&report);
-        if !decision.promote {
-            return PromotionOutcome::Held(decision.holds);
-        }
-        let version = report.version;
         // Announce before the fence runs: every request still in flight
         // while the edge drains for the swap gets flagged (and therefore
         // tail-sampled) by the trace collector.
@@ -254,7 +314,6 @@ impl LifecycleManager {
                 .promote(version, |model, v| self.service.swap_model(model, v))
         })
         .expect("a shadow slot always holds a registered, non-active version");
-        *slot = None;
         self.metrics.promotions.inc();
         self.metrics
             .active_version
@@ -289,8 +348,8 @@ impl LifecycleManager {
 
     /// Re-freezes the drift baseline (call when a model trained on fresh
     /// rows takes over) and clears the live window.
-    pub fn refit_drift_baseline(&self, rows: &[frappe::AppFeatures]) {
-        self.drift.lock().fit_baseline(rows);
+    pub fn refit_drift_baseline(&self, rows: &[AppFeatures]) {
+        self.observer.drift.write().fit_baseline(rows);
     }
 
     /// Computes the drift report over the live window, publishes the
@@ -298,7 +357,7 @@ impl LifecycleManager {
     /// trigger when any lane is over threshold. The caller decides what a
     /// trigger means — typically: retrain and [`Self::begin_shadow`].
     pub fn check_drift(&self) -> DriftReport {
-        let report = self.drift.lock().report();
+        let report = self.observer.drift.read().report();
         self.metrics
             .max_psi_milli
             .set((report.max_psi() * 1000.0).round().min(i64::MAX as f64) as i64);
@@ -326,5 +385,67 @@ impl LifecycleManager {
             }
         }
         report
+    }
+}
+
+impl Drop for LifecycleManager {
+    /// Detaches the observer: the deployment's scorers stop feeding it.
+    fn drop(&mut self) {
+        self.service.set_observer(None);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::checkpoint::tests::tiny_model;
+    use crate::drift::DriftConfig;
+    use frappe::features::aggregation::KnownMaliciousNames;
+    use frappe::FeatureSet;
+    use frappe_serve::{FrappeService, ServeConfig, ServeEvent};
+    use url_services::shortener::Shortener;
+
+    fn managed_service() -> (Arc<FrappeService>, LifecycleManager) {
+        let service = Arc::new(FrappeService::new(
+            tiny_model(FeatureSet::Full),
+            KnownMaliciousNames::default(),
+            Shortener::bitly(),
+            ServeConfig::default(),
+        ));
+        service.ingest(&ServeEvent::Registered {
+            app: AppId(21),
+            name: "quiz of the day".into(),
+        });
+        let manager = LifecycleManager::new(
+            Arc::clone(&service),
+            ModelSource::default(),
+            PromotionGate::default(),
+            DriftDetector::new(DriftConfig::default()),
+        );
+        (service, manager)
+    }
+
+    #[test]
+    fn rbf_incumbent_emits_no_audit_records() {
+        // tiny_model trains the paper-default RBF kernel, which has no
+        // per-feature decomposition — the sink must stay silent.
+        let (service, manager) = managed_service();
+        let log = Arc::new(AuditLog::default());
+        assert!(manager.set_audit_log(Arc::clone(&log)).is_none());
+        service.classify(AppId(21)).unwrap();
+        assert!(log.is_empty());
+        assert!(manager.set_audit_log(Arc::default()).is_some());
+    }
+
+    #[test]
+    fn dropping_the_manager_detaches_its_observer() {
+        let (service, manager) = managed_service();
+        service.classify(AppId(21)).unwrap();
+        assert_eq!(manager.check_drift().window_samples, 1);
+        drop(manager);
+        assert!(
+            Deployment::from(service).set_observer(None).is_none(),
+            "the slot is empty once the manager is gone"
+        );
     }
 }

@@ -17,10 +17,14 @@
 //!   paper's explicit worry — "flagging a benign app hurts developers" —
 //!   which is why the default FP margin is as tight as the FN margin.
 //!
-//! The tallies are plain counters; [`ShadowState`] is the mutable
-//! accumulator (the [`LifecycleManager`](crate::manager::LifecycleManager)
-//! holds it behind its lock) and [`ShadowReport`] the frozen view the
-//! gate evaluates.
+//! The tallies are integer atomics: [`ShadowState`] is the accumulator
+//! every scorer thread records into through `&self` (the
+//! [`LifecycleManager`](crate::manager::LifecycleManager)'s observer
+//! does, on every answered query), and [`ShadowReport`] the frozen view
+//! the gate evaluates. Addition is order-free, so a report is the same
+//! whatever the interleaving of the queries it counted.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
 
@@ -59,18 +63,24 @@ pub struct GateDecision {
     pub holds: Vec<String>,
 }
 
-/// Mutable tally of a shadow run.
-#[derive(Debug, Clone, Copy)]
+/// Live tally of a shadow run, fed concurrently.
+#[derive(Debug, Default)]
 pub struct ShadowState {
     version: u64,
-    scored: u64,
-    disagreements: u64,
-    labelled_benign: u64,
-    labelled_malicious: u64,
-    incumbent_fp: u64,
-    incumbent_fn: u64,
-    shadow_fp: u64,
-    shadow_fn: u64,
+    scored: AtomicU64,
+    disagreements: AtomicU64,
+    labelled_benign: AtomicU64,
+    labelled_malicious: AtomicU64,
+    incumbent_fp: AtomicU64,
+    incumbent_fn: AtomicU64,
+    shadow_fp: AtomicU64,
+    shadow_fn: AtomicU64,
+}
+
+fn bump(counter: &AtomicU64, when: bool) {
+    if when {
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 impl ShadowState {
@@ -78,14 +88,7 @@ impl ShadowState {
     pub fn new(version: u64) -> Self {
         ShadowState {
             version,
-            scored: 0,
-            disagreements: 0,
-            labelled_benign: 0,
-            labelled_malicious: 0,
-            incumbent_fp: 0,
-            incumbent_fn: 0,
-            shadow_fp: 0,
-            shadow_fn: 0,
+            ..ShadowState::default()
         }
     }
 
@@ -96,29 +99,19 @@ impl ShadowState {
 
     /// Records one mirrored query: both verdicts, plus ground truth when
     /// a label has arrived for the app (`None` = unlabelled traffic).
-    pub fn record(&mut self, incumbent: bool, shadow: bool, label: Option<bool>) {
-        self.scored += 1;
-        if incumbent != shadow {
-            self.disagreements += 1;
-        }
+    pub fn record(&self, incumbent: bool, shadow: bool, label: Option<bool>) {
+        bump(&self.scored, true);
+        bump(&self.disagreements, incumbent != shadow);
         match label {
             Some(true) => {
-                self.labelled_malicious += 1;
-                if !incumbent {
-                    self.incumbent_fn += 1;
-                }
-                if !shadow {
-                    self.shadow_fn += 1;
-                }
+                bump(&self.labelled_malicious, true);
+                bump(&self.incumbent_fn, !incumbent);
+                bump(&self.shadow_fn, !shadow);
             }
             Some(false) => {
-                self.labelled_benign += 1;
-                if incumbent {
-                    self.incumbent_fp += 1;
-                }
-                if shadow {
-                    self.shadow_fp += 1;
-                }
+                bump(&self.labelled_benign, true);
+                bump(&self.incumbent_fp, incumbent);
+                bump(&self.shadow_fp, shadow);
             }
             None => {}
         }
@@ -126,16 +119,17 @@ impl ShadowState {
 
     /// Frozen view for the gate (and for metrics export).
     pub fn report(&self) -> ShadowReport {
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         ShadowReport {
             version: self.version,
-            scored: self.scored,
-            disagreements: self.disagreements,
-            labelled_benign: self.labelled_benign,
-            labelled_malicious: self.labelled_malicious,
-            incumbent_fp: self.incumbent_fp,
-            incumbent_fn: self.incumbent_fn,
-            shadow_fp: self.shadow_fp,
-            shadow_fn: self.shadow_fn,
+            scored: load(&self.scored),
+            disagreements: load(&self.disagreements),
+            labelled_benign: load(&self.labelled_benign),
+            labelled_malicious: load(&self.labelled_malicious),
+            incumbent_fp: load(&self.incumbent_fp),
+            incumbent_fn: load(&self.incumbent_fn),
+            shadow_fp: load(&self.shadow_fp),
+            shadow_fn: load(&self.shadow_fn),
         }
     }
 }
@@ -242,7 +236,7 @@ mod tests {
 
     #[test]
     fn agreeing_shadow_with_enough_traffic_passes() {
-        let mut state = ShadowState::new(2);
+        let state = ShadowState::new(2);
         for i in 0..20 {
             let malicious = i % 2 == 0;
             state.record(malicious, malicious, Some(malicious));
@@ -253,7 +247,7 @@ mod tests {
 
     #[test]
     fn too_little_traffic_holds() {
-        let mut state = ShadowState::new(2);
+        let state = ShadowState::new(2);
         state.record(true, true, None);
         let decision = gate().evaluate(&state.report());
         assert!(!decision.promote);
@@ -263,7 +257,7 @@ mod tests {
 
     #[test]
     fn disagreement_over_ceiling_holds() {
-        let mut state = ShadowState::new(2);
+        let state = ShadowState::new(2);
         for i in 0..20 {
             // 10% disagreement against a 5% ceiling.
             state.record(false, i % 10 == 0, None);
@@ -279,7 +273,7 @@ mod tests {
     fn regressed_error_rates_hold_independently() {
         // Shadow flags 2 of 10 labelled-benign apps the incumbent cleared,
         // and misses 2 of 10 labelled-malicious apps the incumbent caught.
-        let mut state = ShadowState::new(2);
+        let state = ShadowState::new(2);
         for i in 0..10 {
             state.record(false, i < 2, Some(false));
             state.record(true, i >= 2, Some(true));
@@ -295,7 +289,7 @@ mod tests {
 
     #[test]
     fn unlabelled_traffic_never_counts_toward_error_deltas() {
-        let mut state = ShadowState::new(2);
+        let state = ShadowState::new(2);
         for _ in 0..50 {
             state.record(true, false, None); // disagree, but no labels
         }

@@ -48,4 +48,4 @@ mod conn;
 pub mod http;
 pub mod server;
 
-pub use server::{EdgeHandle, NetConfig, Server};
+pub use server::{EdgeHandle, NetConfig, Server, MAX_APP_NAME_BYTES};

@@ -7,7 +7,7 @@
 //!
 //! | route | verb | body | answer |
 //! |---|---|---|---|
-//! | `/v1/events` | POST | NDJSON [`ServeEvent`] lines | `202 {"ingested":n}` (parse is all-or-nothing) |
+//! | `/v1/events` | POST | NDJSON [`ServeEvent`] lines | `202 {"ingested":n}` (parse is all-or-nothing; a `Registered` name over [`MAX_APP_NAME_BYTES`] is a `400`) |
 //! | `/v1/classify/{app_id}` | GET | — | `200` [`frappe_serve::Verdict`] JSON |
 //! | `/metrics` | GET | — | `200` Prometheus text |
 //! | `/healthz` | GET | — | `200 {"status":"ok"}` |
@@ -66,6 +66,14 @@ use frappe_serve::{Deployment, ErrorEnvelope, PendingVerdict, ServeError, ServeE
 use osn_types::ids::AppId;
 
 use crate::http::{Method, Request, Response};
+
+/// The longest app name a `Registered` event may carry over
+/// `POST /v1/events`. Names are attacker-authored and each app's name
+/// is kept in its feature state, so without this bound one event could
+/// park a string as large as the whole request body per app. Real names
+/// (the paper's fake-app and look-alike names included) are a few dozen
+/// bytes.
+pub const MAX_APP_NAME_BYTES: usize = 256;
 
 /// Edge tuning knobs. Request byte budgets are
 /// [`crate::http::Limits::default`] (`431`/`413` beyond).
@@ -420,8 +428,9 @@ impl Edge {
     }
 
     /// `POST /v1/events`: NDJSON. Parsing is all-or-nothing — every line
-    /// must parse before any event is forwarded, so a *malformed* batch
-    /// moves no feature. Forwarding can still shed on a router (a full
+    /// must parse, and every `Registered` name fit in
+    /// [`MAX_APP_NAME_BYTES`], before any event is forwarded, so a
+    /// *malformed* batch moves no feature. Forwarding can still shed on a router (a full
     /// group mailbox answers 429 with `Retry-After`). Events before the
     /// shed point stay applied, and the 429 envelope carries no count of
     /// them: the client cannot tell from the answer which events landed.
@@ -435,16 +444,23 @@ impl Edge {
             if line.is_empty() {
                 continue;
             }
+            let bad_line = |what: String| {
+                let msg = format!("line {}: {what}", lineno + 1);
+                let body = format!(
+                    "{{\"error\":{}}}",
+                    serde_json::to_string(&msg).expect("strings serialize")
+                );
+                Response::json(400, body.into_bytes())
+            };
             match serde_json::from_str::<ServeEvent>(line) {
-                Ok(event) => events.push(event),
-                Err(err) => {
-                    let msg = format!("line {}: {err}", lineno + 1);
-                    let body = format!(
-                        "{{\"error\":{}}}",
-                        serde_json::to_string(&msg).expect("strings serialize")
-                    );
-                    return Response::json(400, body.into_bytes());
+                Ok(ServeEvent::Registered { name, .. }) if name.len() > MAX_APP_NAME_BYTES => {
+                    return bad_line(format!(
+                        "app name is {} bytes, over the {MAX_APP_NAME_BYTES}-byte limit",
+                        name.len()
+                    ));
                 }
+                Ok(event) => events.push(event),
+                Err(err) => return bad_line(err.to_string()),
             }
         }
         for event in &events {

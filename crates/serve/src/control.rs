@@ -20,7 +20,11 @@
 //!   insert bumps the one generation every group stamps verdicts with;
 //! * a monotonically increasing **revision** counting control mutations
 //!   (swaps + name flags), exported for dashboards and used by tests to
-//!   assert "the groups saw the same control history".
+//!   assert "the groups saw the same control history";
+//! * the one **verdict observer** slot ([`VerdictObserver`]): every
+//!   group's scorer hands each answered query to whatever is attached
+//!   here, so a lifecycle layer sees a single service's traffic and all
+//!   K groups' traffic through the same hook.
 //!
 //! Because every group's [`crate::cache::VerdictCache`] stamps entries
 //! with `(app generation, known generation, model epoch)` read through
@@ -28,13 +32,33 @@
 //! verdicts *everywhere* — globally atomic invalidation with zero
 //! cross-group coordination.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use frappe::features::aggregation::KnownMaliciousNames;
-use frappe::{FrappeModel, SharedKnownNames, SharedModel, VersionedModel};
+use frappe::{AppFeatures, FrappeModel, SharedKnownNames, SharedModel, VersionedModel};
 use frappe_obs::Registry;
+use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
+
+use crate::service::Verdict;
+
+/// Sees every verdict the deployment answers, at the one place verdicts
+/// are produced: the scorer, for a single service and for every shard
+/// group alike.
+///
+/// The scorer calls [`observe`](Self::observe) on the worker thread
+/// before it replies, so a blocking `classify` returns only after its
+/// query was observed. A fresh score hands over the exact row it just
+/// scored; a cache hit hands over the row re-read from the store, and
+/// only when that row still carries the stamps the hit matched (so the
+/// row is the one the cached verdict was scored on).
+pub trait VerdictObserver: Send + Sync {
+    /// One answered query: the feature row behind `verdict`, the model
+    /// installed when it was answered, and whether the verdict was
+    /// freshly scored (`false` for a cache hit).
+    fn observe(&self, row: &AppFeatures, verdict: &Verdict, model: &VersionedModel, fresh: bool);
+}
 
 /// Versioned serving-control state shared by every shard group.
 ///
@@ -48,6 +72,10 @@ pub struct ControlPlane {
     pub(crate) model: SharedModel,
     pub(crate) known: SharedKnownNames,
     revision: AtomicU64,
+    observer: RwLock<Option<Arc<dyn VerdictObserver>>>,
+    // mirror of `observer.is_some()`, so a deployment with nothing
+    // attached pays one load per query, never the lock
+    observed: AtomicBool,
 }
 
 /// A consistent-enough reading of the control plane's version vector.
@@ -74,7 +102,30 @@ impl ControlPlane {
             model: SharedModel::new(model, 1),
             known: SharedKnownNames::new(known),
             revision: AtomicU64::new(0),
+            observer: RwLock::new(None),
+            observed: AtomicBool::new(false),
         }
+    }
+
+    /// Attaches `observer` to every scorer of the deployment (or, with
+    /// `None`, detaches whatever is attached), returning the previous
+    /// occupant of the slot. [`crate::Deployment::set_observer`] is the
+    /// public verb.
+    pub(crate) fn set_observer(
+        &self,
+        observer: Option<Arc<dyn VerdictObserver>>,
+    ) -> Option<Arc<dyn VerdictObserver>> {
+        let mut slot = self.observer.write();
+        self.observed.store(observer.is_some(), Ordering::Release);
+        std::mem::replace(&mut *slot, observer)
+    }
+
+    /// The attached observer, if any.
+    pub(crate) fn observer(&self) -> Option<Arc<dyn VerdictObserver>> {
+        if !self.observed.load(Ordering::Acquire) {
+            return None;
+        }
+        self.observer.read().clone()
     }
 
     /// The installed `(version, epoch, model)` triple.

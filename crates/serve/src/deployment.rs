@@ -11,13 +11,14 @@
 
 use std::sync::Arc;
 
-use frappe::{AppFeatures, FrappeModel, VersionedModel};
+use frappe::{FrappeModel, VersionedModel};
 use frappe_obs::{Registry, RegistrySnapshot, SpanId, TraceCollector, TraceHandle};
 use osn_types::ids::AppId;
 
+use crate::control::{ControlPlane, VerdictObserver};
 use crate::event::ServeEvent;
 use crate::router::ShardRouter;
-use crate::service::{FrappeService, PendingVerdict, ServeError, Verdict};
+use crate::service::{FrappeService, PendingVerdict, ServeError};
 
 /// A running serving deployment: one service, or K shard groups behind
 /// a router. Cloning clones the `Arc`.
@@ -55,14 +56,6 @@ impl Deployment {
         }
     }
 
-    /// Classifies one app, blocking until a scorer answers.
-    pub fn classify(&self, app: AppId) -> Result<Verdict, ServeError> {
-        match self {
-            Deployment::Service(s) => s.classify(app),
-            Deployment::Router(r) => r.classify(app),
-        }
-    }
-
     /// Submits a classification without waiting, threading an optional
     /// edge-minted trace through to the scorer's spans.
     pub fn classify_traced(
@@ -76,11 +69,20 @@ impl Deployment {
         }
     }
 
-    /// Current feature row for one app.
-    pub fn features(&self, app: AppId) -> Option<AppFeatures> {
+    /// Attaches `observer` to every scorer of the deployment — the one
+    /// service, or all K groups, which share one control plane — or
+    /// detaches it with `None`. Returns the previous occupant of the slot.
+    pub fn set_observer(
+        &self,
+        observer: Option<Arc<dyn VerdictObserver>>,
+    ) -> Option<Arc<dyn VerdictObserver>> {
+        self.control().set_observer(observer)
+    }
+
+    fn control(&self) -> &ControlPlane {
         match self {
-            Deployment::Service(s) => s.features(app),
-            Deployment::Router(r) => r.features(app),
+            Deployment::Service(s) => s.control(),
+            Deployment::Router(r) => r.control(),
         }
     }
 

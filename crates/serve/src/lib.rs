@@ -31,9 +31,21 @@
 //! verdict memo, [`metrics`] the observability layer (a thin view over a
 //! per-instance [`frappe_obs::Registry`], exportable as Prometheus
 //! text), [`service`] the façade, and [`bridge`] the adapter from
-//! synthetic scenarios. The service can also stream explained verdicts
-//! into an [`frappe_obs::AuditLog`]
-//! (see [`FrappeService::set_audit_log`]).
+//! synthetic scenarios.
+//!
+//! ## One observation point
+//!
+//! The scorer is the only place a verdict is produced, for a single
+//! service and for every shard group, so it is also the only place one
+//! is observed. A [`VerdictObserver`] attached to the deployment's
+//! control plane ([`Deployment::set_observer`]) sees **every answered
+//! query**, whichever transport asked: in-process `classify`, the socket
+//! edge, a router group. A fresh score hands over the exact row it just
+//! scored; a cache hit hands over the row re-read from the store, only
+//! while it still carries the stamps the hit matched. Observation
+//! finishes before the scorer replies. With nothing attached, the cost
+//! per query is one atomic load. The lifecycle layer (`frappe-lifecycle`)
+//! attaches its drift window, shadow tally and audit sink here.
 //!
 //! Each deployment owns one [`ControlPlane`] holding the
 //! [`frappe::SharedModel`] epoch-pointer it scores through;
@@ -73,7 +85,7 @@ pub mod store;
 
 pub use bridge::{serve_events, service_from_world};
 pub use cache::CacheLookup;
-pub use control::{ControlPlane, ControlStamp};
+pub use control::{ControlPlane, ControlStamp, VerdictObserver};
 pub use deployment::Deployment;
 pub use event::ServeEvent;
 pub use metrics::{LatencySnapshot, MetricsSnapshot};

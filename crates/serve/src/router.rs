@@ -205,6 +205,11 @@ impl ShardRouter {
         group_index(app, self.groups.len())
     }
 
+    /// The control plane every group scores through.
+    pub(crate) fn control(&self) -> &ControlPlane {
+        &self.control
+    }
+
     /// Current control version vector.
     pub fn control_stamp(&self) -> ControlStamp {
         self.control.stamp()

@@ -17,6 +17,10 @@
 //!   write lock and bumps the global known-generation, lazily
 //!   invalidating every cached verdict (a new name can flip any app's
 //!   collision bit).
+//! * **Observation** happens in the scorer, on the worker, before it
+//!   replies: every answered query — fresh score or cache hit — goes to
+//!   the control plane's [`VerdictObserver`] when one is attached (see
+//!   the crate docs). With none attached the scorer reads one flag.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -24,16 +28,14 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{Receiver, RecvTimeoutError};
 use frappe::features::aggregation::KnownMaliciousNames;
 use frappe::{AppFeatures, FrappeModel, SharedKnownNames, VersionedModel};
-use frappe_obs::{
-    AuditLog, AuditSource, Registry, Span, SpanId, TraceCollector, TraceFlag, TraceHandle,
-};
+use frappe_obs::{Registry, Span, SpanId, TraceCollector, TraceFlag, TraceHandle};
 use osn_types::ids::AppId;
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use url_services::shortener::Shortener;
 
 use crate::cache::{CacheLookup, VerdictCache};
-use crate::control::ControlPlane;
+use crate::control::{ControlPlane, VerdictObserver};
 use crate::event::ServeEvent;
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::pool::ScorerPool;
@@ -182,7 +184,6 @@ pub(crate) struct ScoreEngine {
     cache: VerdictCache,
     shortener: Shortener,
     metrics: Metrics,
-    audit: RwLock<Option<Arc<AuditLog>>>,
     trace: RwLock<Option<TraceCollector>>,
 }
 
@@ -217,6 +218,9 @@ impl ScoreEngine {
                 if let Some(ctx) = trace {
                     ctx.handle
                         .event("cache_hit", format!("gen={app_gen} epoch={model_epoch}"));
+                }
+                if let Some(observer) = self.control.observer() {
+                    self.observe_hit(&*observer, &hit, (app_gen, known_gen, model_epoch));
                 }
                 return Ok(hit);
             }
@@ -277,20 +281,32 @@ impl ScoreEngine {
             generation,
             model_version: vm.version(),
         };
-        // Fresh scores are auditable: linear models decompose into
-        // per-feature contributions (cache hits replay an already-audited
-        // score, so they do not re-emit).
-        if let Some(log) = self.audit.read().clone() {
-            if let Some(explanation) = vm.model().explain(&features) {
-                let mut record =
-                    explanation.into_audit_record(AuditSource::Online, Some(generation));
-                record.model_version = Some(vm.version());
-                log.record(record);
-            }
+        if let Some(observer) = self.control.observer() {
+            observer.observe(&features, &verdict, &vm, true);
         }
         self.cache
             .put(app, verdict.clone(), generation, known_gen, vm.epoch());
         Ok(verdict)
+    }
+
+    /// Hands a cache hit to the observer with the row it was scored on:
+    /// the row is re-read from the store and observed only while its app
+    /// generation, the known-names generation and the model epoch still
+    /// equal the `stamps` the hit matched. Otherwise the evidence moved
+    /// since the lookup; the next query re-scores the app and is observed
+    /// then.
+    fn observe_hit(&self, observer: &dyn VerdictObserver, hit: &Verdict, stamps: (u64, u64, u64)) {
+        let (app_gen, known_gen, model_epoch) = stamps;
+        let vm = self.control.model.current();
+        let (snapshot, known_now) = self
+            .control
+            .known
+            .with(|known, gen| (self.store.snapshot(hit.app, known), gen));
+        if let Some(snapshot) = snapshot {
+            if (snapshot.generation, known_now, vm.epoch()) == (app_gen, known_gen, model_epoch) {
+                observer.observe(&snapshot.features, hit, &vm, false);
+            }
+        }
     }
 
     pub(crate) fn metrics(&self) -> &Metrics {
@@ -477,7 +493,6 @@ impl FrappeService {
             cache: VerdictCache::new(config.shards),
             shortener,
             metrics: Metrics::default(),
-            audit: RwLock::new(None),
             trace: RwLock::new(None),
         });
         engine
@@ -668,20 +683,6 @@ impl FrappeService {
         self.engine.metrics.registry()
     }
 
-    /// Attach an audit sink: every *freshly scored* verdict (cache misses
-    /// only) emits a per-feature contribution record, provided the model
-    /// has a linear kernel. Non-linear models (the paper's RBF default)
-    /// emit nothing — their decision values have no exact per-feature
-    /// decomposition.
-    pub fn set_audit_log(&self, log: Arc<AuditLog>) {
-        *self.engine.audit.write() = Some(log);
-    }
-
-    /// Detach the audit sink, returning it if one was attached.
-    pub fn take_audit_log(&self) -> Option<Arc<AuditLog>> {
-        self.engine.audit.write().take()
-    }
-
     /// Attach a trace collector: every in-process
     /// [`classify`](Self::classify) call, and every
     /// [`classify_traced`](Self::classify_traced) call without an edge
@@ -695,6 +696,11 @@ impl FrappeService {
     /// The attached trace collector, if any (clones share state).
     pub fn trace_collector(&self) -> Option<TraceCollector> {
         self.engine.trace.read().clone()
+    }
+
+    /// The control plane this service scores through.
+    pub(crate) fn control(&self) -> &ControlPlane {
+        &self.engine.control
     }
 
     #[cfg(test)]
@@ -928,19 +934,50 @@ pub(crate) mod tests {
         assert_eq!(svc.metrics().cache_evictions, 3);
     }
 
+    /// Keeps everything the scorer hands over: (row, verdict, model
+    /// version, fresh).
+    #[derive(Default)]
+    struct Recorder(parking_lot::Mutex<Vec<(AppFeatures, Verdict, u64, bool)>>);
+
+    impl VerdictObserver for Recorder {
+        fn observe(
+            &self,
+            row: &AppFeatures,
+            verdict: &Verdict,
+            model: &VersionedModel,
+            fresh: bool,
+        ) {
+            self.0
+                .lock()
+                .push((*row, verdict.clone(), model.version(), fresh));
+        }
+    }
+
     #[test]
-    fn rbf_service_emits_no_audit_records() {
-        // tiny_model trains the paper-default RBF kernel, which has no
-        // per-feature decomposition — the sink must stay silent.
+    fn the_scorer_observes_every_answered_query_with_the_row_it_scored() {
         let svc = service();
-        let log = Arc::new(AuditLog::default());
-        svc.set_audit_log(Arc::clone(&log));
-        let app = AppId(21);
+        let recorder = Arc::new(Recorder::default());
+        assert!(svc.control().set_observer(Some(recorder.clone())).is_none());
+        let app = AppId(23);
         feed_malicious(&svc, app);
-        let _ = svc.classify(app).unwrap();
-        assert!(log.is_empty());
-        assert!(svc.take_audit_log().is_some());
-        assert!(svc.take_audit_log().is_none());
+        let fresh = svc.classify(app).unwrap();
+        let hit = svc.classify(app).unwrap();
+        assert!(svc.classify(AppId(404)).is_err(), "unanswered: unobserved");
+
+        let row = svc.features(app).unwrap();
+        assert_eq!(
+            fresh.decision_value,
+            svc.current_model().model().decision_value(&row)
+        );
+        assert_eq!(
+            *recorder.0.lock(),
+            vec![(row, fresh, 1, true), (row, hit, 1, false)],
+            "a fresh score, then a hit, both before the reply"
+        );
+
+        assert!(svc.control().set_observer(None).is_some());
+        svc.classify(app).unwrap();
+        assert_eq!(recorder.0.lock().len(), 2, "detached");
     }
 
     #[test]

@@ -6,6 +6,7 @@
 use frappe::features::aggregation::{extract_aggregation, KnownMaliciousNames};
 use frappe::features::on_demand::{extract_on_demand, OnDemandInput};
 use frappe::{AppFeatures, FeatureSet, FrappeModel};
+use frappe_lifecycle::{DriftConfig, DriftDetector, LifecycleManager, ModelSource, PromotionGate};
 use frappe_obs::{AuditLog, AuditRecord, AuditSource};
 use frappe_serve::{service_from_world, ServeConfig};
 use osn_types::AppId;
@@ -105,11 +106,24 @@ fn online_audit_records_reconstruct_every_fresh_verdict() {
     let world = run_scenario(&ScenarioConfig::small());
     let known = known_names(&world);
     let (model, _) = linear_model_on_world(&world, &known);
-    let service = service_from_world(&world, model, known, ServeConfig::default());
+    let service = Arc::new(service_from_world(
+        &world,
+        model,
+        known,
+        ServeConfig::default(),
+    ));
 
+    // The audit sink hangs off the lifecycle manager's observer, which
+    // sees every verdict the service answers.
+    let manager = LifecycleManager::new(
+        Arc::clone(&service),
+        ModelSource::default(),
+        PromotionGate::default(),
+        DriftDetector::new(DriftConfig::default()),
+    );
     let apps = service.tracked_apps();
     let log = Arc::new(AuditLog::new(apps.len()));
-    service.set_audit_log(Arc::clone(&log));
+    manager.set_audit_log(Arc::clone(&log));
 
     let mut verdicts = std::collections::BTreeMap::new();
     for &app in &apps {

@@ -16,7 +16,12 @@
 //! * dropping a server joins every connection thread, wherever each one
 //!   is blocked: on a stalled verdict, in a 429 read pause, or in `read`;
 //! * a drain does not wait for a request that is only half sent, and
-//!   that request is answered after the resume.
+//!   that request is answered after the resume;
+//! * socket traffic alone feeds a lifecycle manager's drift window,
+//!   shadow tally and audit log, behind a single service and behind a
+//!   4-group router — the manager observes the scoring site itself;
+//! * an over-long attacker-authored app name is refused with a `400`
+//!   naming its line, and nothing from that batch is applied.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -28,10 +33,11 @@ use frappe_lifecycle::{
     DriftConfig, DriftDetector, LifecycleManager, ModelSource, PromotionGate, PromotionOutcome,
 };
 use frappe_net::client::Client;
-use frappe_net::{NetConfig, Server};
-use frappe_obs::{TraceCollector, TraceConfig, TraceFlag};
-use frappe_serve::{FrappeService, ServeConfig, ServeEvent, ShardConfig, ShardRouter};
+use frappe_net::{NetConfig, Server, MAX_APP_NAME_BYTES};
+use frappe_obs::{AuditLog, TraceCollector, TraceConfig, TraceFlag};
+use frappe_serve::{Deployment, FrappeService, ServeConfig, ServeEvent, ShardConfig, ShardRouter};
 use osn_types::ids::AppId;
+use svm::{Kernel, SvmParams};
 use url_services::shortener::Shortener;
 
 // ---------------------------------------------------------------- fixtures
@@ -436,11 +442,13 @@ fn fenced_hot_swap_under_load_drops_and_stales_nothing() {
     manager.set_swap_fence(Arc::new(server.handle()));
 
     // shadow the candidate and let it earn its promotion on live queries
+    // (the manager observes every query the service answers)
     manager.begin_shadow(Arc::clone(&candidate), ModelSource::default());
+    for (i, &app) in apps.iter().enumerate() {
+        manager.record_label(app, i % 2 == 0); // feed_app's shady pattern
+    }
     for i in 0..120 {
-        let app = apps[i % apps.len()];
-        let label = i % 2 == 0; // matches feed_app's shady pattern
-        manager.classify_labelled(app, Some(label)).unwrap();
+        service.classify(apps[i % apps.len()]).unwrap();
     }
 
     // known-good response bodies for the incumbent (version 1)
@@ -608,4 +616,194 @@ fn drain_skips_a_half_sent_request_and_resume_answers_it() {
     assert_eq!(body, expected);
     let scrape = service.obs_registry().snapshot().to_prometheus_text();
     assert!(scrape.contains("net_drains 1\n"), "{scrape}");
+}
+
+#[test]
+fn over_long_registered_names_are_refused_and_nothing_lands() {
+    let service = Arc::new(service_with(ServeConfig::default()));
+    let server = Server::bind(Arc::clone(&service), "127.0.0.1:0", NetConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let ndjson = |name: String| {
+        let events = [
+            ServeEvent::Registered {
+                app: AppId(5),
+                name: "Profile Viewer".into(),
+            },
+            ServeEvent::Registered {
+                app: AppId(6),
+                name,
+            },
+        ];
+        events
+            .iter()
+            .map(|e| serde_json::to_string(e).unwrap() + "\n")
+            .collect::<String>()
+    };
+
+    let refused = client
+        .post("/v1/events", &ndjson("x".repeat(MAX_APP_NAME_BYTES + 1)))
+        .unwrap();
+    assert_eq!(refused.status, 400);
+    assert!(refused.body.contains("line 2"), "{}", refused.body);
+    assert_eq!(service.metrics().events_ingested, 0, "nothing applied");
+    assert_eq!(client.get("/v1/classify/6").unwrap().status, 404);
+    assert_eq!(client.get("/v1/classify/5").unwrap().status, 404);
+
+    // a name of exactly the limit is fine
+    let accepted = client
+        .post("/v1/events", &ndjson("x".repeat(MAX_APP_NAME_BYTES)))
+        .unwrap();
+    assert_eq!(accepted.status, 202, "{}", accepted.body);
+    assert_eq!(client.get("/v1/classify/6").unwrap().status, 200);
+}
+
+/// The prototypes under a linear kernel, whose verdicts decompose into
+/// per-feature audit records.
+fn linear_model() -> FrappeModel {
+    let (benign, malicious) = prototypes();
+    let samples: Vec<AppFeatures> = (0..4).flat_map(|_| [benign, malicious]).collect();
+    let labels: Vec<bool> = (0..4).flat_map(|_| [false, true]).collect();
+    let params = SvmParams::with_kernel(Kernel::linear());
+    FrappeModel::train(&samples, &labels, FeatureSet::Full, Some(params))
+}
+
+/// §7's adaptation: attacker apps whose summary fields are all filled in,
+/// everything else as shady as before. The drift baseline was a half
+/// benign, half malicious training population.
+fn summary_filling_events(app: AppId) -> Vec<ServeEvent> {
+    let mut features = prototypes().1.on_demand;
+    features.has_category = Some(true);
+    features.has_company = Some(true);
+    features.has_description = Some(true);
+    features.has_profile_posts = Some(true);
+    let scam = osn_types::url::Url::parse("http://scam.example/w").unwrap();
+    vec![
+        ServeEvent::Registered {
+            app,
+            name: format!("Profile Viewer {}", app.raw()),
+        },
+        ServeEvent::OnDemand { app, features },
+        ServeEvent::Post {
+            app,
+            link: Some(scam.clone()),
+        },
+        ServeEvent::Post {
+            app,
+            link: Some(scam),
+        },
+    ]
+}
+
+/// Drives `deployment` only through `/v1/events` and `/v1/classify`
+/// (`settle` is the router's ingest barrier) and checks what a lifecycle
+/// manager on it observed. `fresh_scores` reads the deployment's cache
+/// misses.
+fn socket_traffic_feeds_the_manager(
+    deployment: Deployment,
+    settle: &dyn Fn(),
+    fresh_scores: &dyn Fn() -> u64,
+) {
+    let shape = format!("{} group(s)", deployment.group_count());
+    let server = Server::bind(deployment.clone(), "127.0.0.1:0", NetConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let apps: Vec<AppId> = (101..=160).map(AppId).collect();
+    let manager = LifecycleManager::new(
+        deployment.clone(),
+        ModelSource::default(),
+        PromotionGate {
+            min_scored: apps.len() as u64,
+            ..PromotionGate::default()
+        },
+        DriftDetector::new(DriftConfig::default()),
+    );
+    let (benign, malicious) = prototypes();
+    let baseline: Vec<AppFeatures> = (0..50).flat_map(|_| [benign, malicious]).collect();
+    manager.refit_drift_baseline(&baseline);
+    let log = Arc::new(AuditLog::new(10_000));
+    manager.set_audit_log(Arc::clone(&log));
+
+    let ndjson: String = apps
+        .iter()
+        .flat_map(|&app| summary_filling_events(app))
+        .map(|e| serde_json::to_string(&e).unwrap() + "\n")
+        .collect();
+    let ingested = client.post("/v1/events", &ndjson).unwrap();
+    assert_eq!(ingested.status, 202, "{shape}: {}", ingested.body);
+    settle();
+    let mut sweep = || {
+        for &app in &apps {
+            let response = client.get(&format!("/v1/classify/{}", app.raw())).unwrap();
+            assert_eq!(response.status, 200, "{shape}: {}", response.body);
+        }
+    };
+
+    // Drift: one fresh sweep and one cache-hit sweep fill the window.
+    assert!(!manager.check_drift().is_drifted(), "{shape}: empty window");
+    sweep();
+    sweep();
+    let drift = manager.check_drift();
+    assert_eq!(drift.window_samples, 2 * apps.len() as u64, "{shape}");
+    assert!(drift.is_drifted(), "{shape}: max PSI {}", drift.max_psi());
+    for lane in ["category", "company", "description", "profile_posts"] {
+        assert!(
+            drift.drifted.contains(&lane),
+            "{shape}: {:?}",
+            drift.drifted
+        );
+    }
+
+    // Shadow: labels arrive, a candidate rides along, and socket queries
+    // alone earn its promotion.
+    for &app in &apps {
+        manager.record_label(app, true);
+    }
+    let version = manager.begin_shadow(Arc::new(linear_model()), ModelSource::default());
+    sweep();
+    let report = manager.shadow_report().expect("shadow riding");
+    assert_eq!(report.scored, apps.len() as u64, "{shape}");
+    assert_eq!(report.labelled_malicious, apps.len() as u64, "{shape}");
+    assert_eq!(report.disagreements, 0, "{shape}: identical weights");
+    assert_eq!(manager.try_promote(), PromotionOutcome::Promoted(version));
+
+    // Audit: the promotion forces one more fresh sweep, on the candidate.
+    sweep();
+    let records = log.snapshot();
+    assert_eq!(records.len() as u64, fresh_scores(), "{shape}");
+    assert_eq!(records.len(), 2 * apps.len(), "{shape}");
+    assert!(records.iter().all(|r| r.is_consistent(1e-9)), "{shape}");
+    let on_candidate = records
+        .iter()
+        .filter(|r| r.model_version == Some(version))
+        .count();
+    assert_eq!(on_candidate, apps.len(), "{shape}");
+}
+
+#[test]
+fn socket_traffic_alone_feeds_drift_shadow_and_audit() {
+    let known = || KnownMaliciousNames::from_names(["profile viewer"]);
+    let service = Arc::new(FrappeService::new(
+        linear_model(),
+        known(),
+        Shortener::bitly(),
+        ServeConfig::default(),
+    ));
+    let misses = Arc::clone(&service);
+    socket_traffic_feeds_the_manager(Deployment::from(service), &|| {}, &|| {
+        misses.metrics().cache_misses
+    });
+
+    let router = Arc::new(ShardRouter::new(
+        linear_model(),
+        known(),
+        Shortener::bitly(),
+        ShardConfig {
+            groups: 4,
+            ..ShardConfig::default()
+        },
+    ));
+    socket_traffic_feeds_the_manager(
+        Deployment::from(Arc::clone(&router)),
+        &|| router.flush(),
+        &|| router.metrics().cache_misses,
+    );
 }

@@ -6,7 +6,10 @@
 //! * the summary-filling scenario demonstrates the full loop: the
 //!   attacker escalates, drift fires, the defender retrains, the
 //!   shadow gate promotes the candidate, and the final-round error
-//!   rates come back within bounds.
+//!   rates come back within bounds;
+//! * every built-in report is pinned by a digest of its canonical JSON,
+//!   so a refactor of the serving or lifecycle stack that moves a
+//!   single verdict, drift reading or gate decision fails loudly.
 
 use frappe_gauntlet::{builtin_scenarios, run_spec_on, summary_filling, ScenarioReport};
 use frappe_jobs::JobPool;
@@ -36,6 +39,47 @@ fn reports_are_byte_identical_across_pool_sizes() {
             spec.name
         );
     }
+}
+
+/// FNV-1a-64 over the bytes of a canonical report.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &byte in bytes {
+        h ^= u64::from(byte);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// The canonical JSON of each built-in scenario, in `builtin_scenarios`
+/// order, digested. Reports are pool-size invariant, so these hold at
+/// any `FRAPPE_JOBS`; only a deliberate change to the world, the model
+/// or the lifecycle rules should re-pin them.
+const PINNED_REPORTS: [(&str, u64); 5] = [
+    ("summary_filling", 0xce2f_ae82_e74c_aaac),
+    ("name_mimicry", 0x8ca4_918a_8915_f3c7),
+    ("piggyback_ring", 0xb23f_d514_05f4_d07f),
+    ("fake_like_inflation", 0x5a59_9451_100d_440c),
+    ("install_churn", 0x3710_6613_8372_5e0d),
+];
+
+#[test]
+fn builtin_reports_are_pinned() {
+    let digests: Vec<(String, u64)> = builtin_scenarios()
+        .iter()
+        .map(|spec| {
+            let report = run_spec_on(&JobPool::with_threads(2), spec);
+            (
+                spec.name.clone(),
+                fnv1a(report.to_canonical_json().as_bytes()),
+            )
+        })
+        .collect();
+    let pinned: Vec<(String, u64)> = PINNED_REPORTS
+        .iter()
+        .map(|&(name, digest)| (name.to_string(), digest))
+        .collect();
+    assert_eq!(digests, pinned, "a built-in scenario report moved");
 }
 
 #[test]

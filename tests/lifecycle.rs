@@ -95,8 +95,6 @@ fn shadow_promote_and_rollback_serve_no_stale_verdicts() {
     let known = known_names(&world);
     let (samples, labels) = labelled_rows(&world, &known);
     let apps: Vec<AppId> = samples.iter().map(|s| s.app).collect();
-    let label_of: std::collections::HashMap<AppId, bool> =
-        apps.iter().copied().zip(labels.iter().copied()).collect();
 
     // Incumbent trained on a stale half of the batch (every other row —
     // tracked apps are ID-sorted, so a prefix would be single-class);
@@ -116,9 +114,10 @@ fn shadow_promote_and_rollback_serve_no_stale_verdicts() {
     );
     manager.refit_drift_baseline(&half_samples);
 
-    // Sweep 1: incumbent serves; no shadow yet.
+    // Sweep 1: incumbent serves; no shadow yet. The manager observes
+    // every query the service answers.
     for &app in &apps {
-        let verdict = manager.classify(app).expect("tracked app");
+        let verdict = service.classify(app).expect("tracked app");
         assert_eq!(verdict.model_version, 1);
     }
     assert!(manager.shadow_report().is_none());
@@ -139,11 +138,12 @@ fn shadow_promote_and_rollback_serve_no_stale_verdicts() {
     let candidate = manager.begin_shadow(Arc::new(outcome.model.clone()), outcome.source(Some(1)));
     assert_eq!(candidate, 2);
 
-    // Sweep 2: labels ride along; the shadow mirrors every query.
+    // Sweep 2: labels have arrived; the shadow mirrors every query.
+    for (&app, &label) in apps.iter().zip(&labels) {
+        manager.record_label(app, label);
+    }
     for &app in &apps {
-        manager
-            .classify_labelled(app, Some(label_of[&app]))
-            .expect("tracked app");
+        service.classify(app).expect("tracked app");
     }
     let report = manager.shadow_report().expect("shadow riding along");
     assert_eq!(report.scored, apps.len() as u64);
@@ -159,13 +159,13 @@ fn shadow_promote_and_rollback_serve_no_stale_verdicts() {
     let before = service.metrics();
     let (first, rest) = apps.split_at(apps.len() / 3);
     for &app in first {
-        assert_eq!(manager.classify(app).unwrap().model_version, 1);
+        assert_eq!(service.classify(app).unwrap().model_version, 1);
     }
     let promoted = manager.try_promote();
     assert_eq!(promoted, PromotionOutcome::Promoted(2));
     assert!(manager.shadow_report().is_none(), "slot cleared on promote");
     for &app in rest {
-        let verdict = manager.classify(app).expect("tracked app");
+        let verdict = service.classify(app).expect("tracked app");
         assert_eq!(verdict.model_version, 2, "stale verdict after swap");
         assert_eq!(
             verdict.decision_value,
@@ -177,7 +177,7 @@ fn shadow_promote_and_rollback_serve_no_stale_verdicts() {
     }
     for &app in first {
         assert_eq!(
-            manager.classify(app).unwrap().model_version,
+            service.classify(app).unwrap().model_version,
             2,
             "pre-swap cache entry served after the swap"
         );
@@ -199,7 +199,7 @@ fn shadow_promote_and_rollback_serve_no_stale_verdicts() {
     assert_eq!(manager.registry().active_version(), 1);
     let miss_floor = service.metrics().cache_misses;
     for &app in &apps {
-        assert_eq!(manager.classify(app).unwrap().model_version, 1);
+        assert_eq!(service.classify(app).unwrap().model_version, 1);
     }
     assert_eq!(
         service.metrics().cache_misses - miss_floor,
@@ -401,7 +401,7 @@ fn lifecycle_transitions_flag_in_flight_traces_and_drift_alarms_carry_exemplars(
     manager.refit_drift_baseline(&base_rows);
     manager.begin_shadow(Arc::new(incumbent), ModelSource::default());
     for &app in apps.iter().take(50) {
-        manager.classify(app).expect("tracked app");
+        service.classify(app).expect("tracked app");
     }
 
     // A query whose verdict is still unsettled when the promote lands is

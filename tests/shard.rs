@@ -170,9 +170,8 @@ fn fenced_promote_and_rollback_are_atomic_across_groups_under_load() {
             2
         );
         for (&app, &label) in apps.iter().zip(&labels) {
-            manager
-                .classify_labelled(app, Some(label))
-                .expect("tracked app");
+            manager.record_label(app, label);
+            router.classify(app).expect("tracked app");
         }
 
         // Hammer every group while the promotion lands. The zero-stale

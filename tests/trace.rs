@@ -279,11 +279,12 @@ fn requests_in_flight_across_a_fenced_promote_are_tail_sampled() {
             .into_iter()
             .find(|t| t.kind == "edge" && t.has_flag(TraceFlag::InFlightSwap))
     };
+    manager.record_label(apps[0], true);
     let mut found = None;
     for attempt in 0.. {
         assert!(attempt < 50, "no promote ever straddled a live request");
         let version = manager.begin_shadow(Arc::new(tiny_model()), ModelSource::default());
-        manager.classify_labelled(apps[0], Some(true)).unwrap();
+        service.classify(apps[0]).unwrap();
         assert_eq!(manager.try_promote(), PromotionOutcome::Promoted(version));
         if let Some(trace) = flagged_edge_trace(&collector) {
             found = Some(trace);
@@ -481,12 +482,13 @@ fn forwarded_requests_keep_the_edge_trace_across_a_multi_group_promote() {
             .into_iter()
             .find(|t| t.kind == "edge" && t.has_flag(TraceFlag::InFlightSwap))
     };
+    manager.record_label(apps[0], true);
     let mut found = None;
     let mut version = 0;
     for attempt in 0.. {
         assert!(attempt < 50, "no promote ever straddled a live request");
         version = manager.begin_shadow(Arc::new(tiny_model()), ModelSource::default());
-        manager.classify_labelled(apps[0], Some(true)).unwrap();
+        router.classify(apps[0]).unwrap();
         assert_eq!(manager.try_promote(), PromotionOutcome::Promoted(version));
         if let Some(trace) = flagged_edge_trace(&collector) {
             found = Some(trace);

@@ -49,8 +49,9 @@ echo "==> lifecycle suite, audit included (FRAPPE_JOBS=1 and FRAPPE_JOBS=8)"
 # verdict); the crate's unit tests include the
 # lineage hardening test
 # (registry::tests::truncated_or_bit_flipped_manifests_never_panic_or_reuse_a_version,
-# every truncation and single-bit flip of a saved lineage.json is refused
-# or loads a registry whose next register is a new version), with
+# every truncation and single-bit flip of a saved lineage.json, parsed in
+# memory by the step load_from_dir runs, is refused or loads a registry
+# whose next register is a new version), with
 # retraining at both pool extremes
 # (the suite's retraining_is_bit_identical_across_pool_sizes covers
 # 1-vs-8 explicitly; the env override makes the default-pool paths match
@@ -87,7 +88,9 @@ FRAPPE_JOBS=8 cargo test -q -p frappe-gauntlet --test gauntlet
 
 echo "==> network edge suite (thread per connection, HTTP routes, 429/503 shed, fenced hot swap, socket-only lifecycle observation)"
 # Real sockets on an ephemeral loopback port: byte-identical verdicts
-# vs in-process classify, the deterministic 429 + Retry-After contract,
+# vs in-process classify, the deterministic 429 + Retry-After contract
+# off the in-flight cap (stall via a parked observer: an in-process
+# classify held inside the scorer keeps the one slot taken),
 # the accept gate's canned 503 with its always-kept trace,
 # a read pause that holds while a router's shedding group is full,
 # a promote/rollback under concurrent socket load fenced by the
@@ -100,9 +103,12 @@ echo "==> network edge suite (thread per connection, HTTP routes, 429/503 shed, 
 cargo test -q -p frappe-net --test edge
 
 echo "==> end-to-end trace suite (socket accept to verdict, shed/swap tail sampling)"
-# A 429-shed request and a request in flight across a fenced promote are
-# ALWAYS tail-sampled, with causally ordered spans from socket accept to
-# response write; tracing on vs off leaves verdict bytes bit-identical.
+# A 429-shed request (the in-flight cap held by a parked observer) and a
+# request in flight across a fenced promote are ALWAYS tail-sampled, with
+# causally ordered spans from socket accept to response write, the
+# serve spans (admission as serve/queue, then serve/score) scored on the
+# connection's own thread; tracing on vs off leaves verdict bytes
+# bit-identical.
 cargo test -q -p frappe-net --test trace
 
 # The quick benches below must run and succeed, but their numbers are
@@ -130,6 +136,20 @@ echo "==> benchmark crate (its own workspace: build + harness tests)"
 # Arc<FrappeService> and an Arc<ShardRouter> to Server::bind.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test --release --offline --manifest-path benchmark/Cargo.toml --test harness
+
+echo "==> benchmark traced runs (every per-layer value is a number, no null)"
+# The traced summary line (the last line of a run) prints every per-layer
+# metric; a span family or counter the program stopped producing reads
+# NaN there, printed as null. Run each workload at its full length, as
+# the benchmark runs it, and fail on any null in that line.
+for workload in edge_read edge_ingest_swap router_ingest_swap catalog_refresh; do
+    summary=$(cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
+        run --workload "$workload" --traced | tail -n 1)
+    if [[ "$summary" == *null* ]]; then
+        echo "$workload: traced summary carries null: $summary"
+        exit 1
+    fi
+done
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

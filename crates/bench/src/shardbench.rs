@@ -161,8 +161,8 @@ pub fn run(quick: bool) -> ShardBenchReport {
         let ingest_wall_ms = t.elapsed().as_secs_f64() * 1e3;
 
         // Classify: hammer threads walk the tracked apps with coprime
-        // strides, so every group's scorer lane stays busy. One warm-up
-        // sweep first — the curve compares scorer lanes, not cold caches.
+        // strides, so every group stays busy. One warm-up sweep first —
+        // the curve compares groups, not cold caches.
         let apps = router.tracked_apps();
         for &app in &apps {
             router.classify(app).expect("tracked app");

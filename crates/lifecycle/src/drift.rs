@@ -24,7 +24,7 @@
 //! values look unusual.
 //!
 //! Bin counts are integer atomics, so [`DriftDetector::observe`] takes
-//! `&self` and any number of scorer threads feed one window at once.
+//! `&self` and any number of scoring threads feed one window at once.
 //! Integer addition is order-free: the window's counts, and so every
 //! PSI, are identical whatever the interleaving, the pool size or the
 //! number of shard groups.

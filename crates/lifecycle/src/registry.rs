@@ -372,19 +372,33 @@ impl ModelRegistry {
     /// inconsistent manifest is a [`LifecycleError::Manifest`] (see
     /// `Manifest::check`), so the next `register` is always a new version.
     pub fn load_from_dir(dir: &Path) -> Result<Self, LifecycleError> {
-        let manifest_text =
-            std::fs::read_to_string(dir.join("lineage.json")).map_err(CheckpointError::Io)?;
-        let manifest: Manifest = serde_json::from_str(&manifest_text)
-            .map_err(|e| LifecycleError::Manifest(e.to_string()))?;
+        let manifest = std::fs::read(dir.join("lineage.json")).map_err(CheckpointError::Io)?;
+        Self::from_manifest(&manifest, |version| {
+            Ok(Arc::new(checkpoint::load_model(
+                &dir.join(checkpoint_name(version)),
+            )?))
+        })
+    }
+
+    /// The parse step of [`Self::load_from_dir`]: checks and decodes the
+    /// `lineage.json` bytes, then assembles the registry from the model
+    /// `checkpoint` yields for each listed version.
+    fn from_manifest(
+        manifest: &[u8],
+        mut checkpoint: impl FnMut(u64) -> Result<Arc<FrappeModel>, CheckpointError>,
+    ) -> Result<Self, LifecycleError> {
+        let text = std::str::from_utf8(manifest)
+            .map_err(|e| LifecycleError::Manifest(format!("not UTF-8: {e}")))?;
+        let manifest: Manifest =
+            serde_json::from_str(text).map_err(|e| LifecycleError::Manifest(e.to_string()))?;
         manifest.check().map_err(LifecycleError::Manifest)?;
         let mut entries = BTreeMap::new();
         for row in manifest.entries {
             let version = row.lineage.version;
-            let model = Arc::new(checkpoint::load_model(&dir.join(checkpoint_name(version)))?);
             entries.insert(
                 version,
                 Entry {
-                    model,
+                    model: checkpoint(version)?,
                     lineage: row.lineage,
                     status: row.status,
                 },
@@ -599,9 +613,26 @@ mod tests {
 
     #[test]
     fn truncated_or_bit_flipped_manifests_never_panic_or_reuse_a_version() {
-        let (_, dir) = saved("mutated");
-        let path = dir.join("lineage.json");
-        let pristine = std::fs::read(&path).unwrap();
+        // The property is checked on bytes in memory: the manifest and
+        // its checkpoints are read from disk once, then every mutation
+        // goes through the same parse step `load_from_dir` runs.
+        let (reg, dir) = saved("mutated");
+        let pristine = std::fs::read(dir.join("lineage.json")).unwrap();
+        let checkpoints: BTreeMap<u64, Arc<FrappeModel>> = reg
+            .versions()
+            .into_iter()
+            .map(|v| {
+                let model = checkpoint::load_model(&dir.join(checkpoint_name(v))).unwrap();
+                (v, Arc::new(model))
+            })
+            .collect();
+        std::fs::remove_dir_all(&dir).unwrap();
+        let checkpoint = |version| {
+            checkpoints
+                .get(&version)
+                .cloned()
+                .ok_or_else(|| CheckpointError::Io(std::io::ErrorKind::NotFound.into()))
+        };
         let truncations = (0..pristine.len()).map(|n| pristine[..n].to_vec());
         let flips = (0..pristine.len() * 8).map(|bit| {
             let mut bytes = pristine.clone();
@@ -611,8 +642,7 @@ mod tests {
         let model = Arc::new(tiny_model(FeatureSet::Robust));
         let (mut loaded, mut refused) = (0, 0);
         for bytes in truncations.chain(flips) {
-            std::fs::write(&path, &bytes).unwrap();
-            let Ok(reg) = ModelRegistry::load_from_dir(&dir) else {
+            let Ok(reg) = ModelRegistry::from_manifest(&bytes, checkpoint) else {
                 refused += 1;
                 continue;
             };
@@ -622,7 +652,6 @@ mod tests {
             assert_eq!(reg.versions().len(), before.len() + 1);
             loaded += 1;
         }
-        std::fs::remove_dir_all(&dir).unwrap();
         assert!(
             loaded > 0 && refused > 0,
             "{loaded} loaded, {refused} refused"

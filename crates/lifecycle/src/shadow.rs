@@ -18,7 +18,7 @@
 //!   which is why the default FP margin is as tight as the FN margin.
 //!
 //! The tallies are integer atomics: [`ShadowState`] is the accumulator
-//! every scorer thread records into through `&self` (the
+//! every scoring thread records into through `&self` (the
 //! [`LifecycleManager`](crate::manager::LifecycleManager)'s observer
 //! does, on every answered query), and [`ShadowReport`] the frozen view
 //! the gate evaluates. Addition is order-free, so a report is the same

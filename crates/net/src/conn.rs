@@ -1,25 +1,20 @@
-//! One connection's thread: it reads into the parser, serves each
-//! complete request in order, and blocks on its own verdict.
+//! One connection's thread: it reads into the parser and serves each
+//! complete request in order, scoring its own classifies.
 //!
 //! ```text
-//!   read ──► parser ──► drain gate ──► route ──────────────► respond ──┐
-//!    ▲                                   │ classify              ▲     │
-//!    │                                   └─► wait on verdict ────┘     │
-//!    └──── next buffered request (after a 429: once the queues recover) ◄┘
+//!   read ──► parser ──► drain gate ──► route ──► respond ──┐
+//!    ▲                                (a classify is        │
+//!    │                                 scored right here)   │
+//!    └──── next buffered request (after a 429: once the     │
+//!          in-flight counts recover) ◄──────────────────────┘
 //! ```
-//!
-//! The scorer's reply wakes the thread directly. Its bounded wait only
-//! sets how soon a thread parked on a verdict notices shutdown.
 
 use std::io::{self, Read as _};
 use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::http::{HttpError, Limits, RequestParser, Response};
-use crate::server::{Edge, Routed};
-
-/// How long a thread waiting on a verdict goes between shutdown checks.
-const VERDICT_SHUTDOWN_CHECK: Duration = Duration::from_millis(50);
+use crate::server::Edge;
 
 /// Serves one accepted connection until the peer leaves, a response
 /// closes it, or the edge shuts down; then releases its registration.
@@ -62,20 +57,7 @@ fn serve_requests(edge: &Edge, stream: &mut TcpStream) {
         };
         let started = Instant::now();
         let trace = edge.begin_request_trace(&mut accepted_at, &request);
-        let (mut response, pause) = match edge.route(&request, trace.as_ref()) {
-            Routed::Done { response, pause } => (response, pause),
-            Routed::Score(mut pending) => {
-                let outcome = loop {
-                    if let Some(outcome) = pending.wait_timeout(VERDICT_SHUTDOWN_CHECK) {
-                        break outcome;
-                    }
-                    if edge.shutting_down() {
-                        return;
-                    }
-                };
-                (edge.verdict_response(outcome), None)
-            }
-        };
+        let (mut response, pause) = edge.route(&request, trace.as_ref());
         if pause.is_some() {
             // booked before the write, so a client holding the 429
             // already sees the stall in `/metrics`
@@ -89,7 +71,7 @@ fn serve_requests(edge: &Edge, stream: &mut TcpStream) {
         }
         drop(in_flight);
         // ring 2: this client just got a 429 — stop reading it until the
-        // queues recover
+        // in-flight counts recover
         if let Some(hint) = pause {
             if !edge.pause_reads(hint) {
                 return;

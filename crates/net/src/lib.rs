@@ -11,10 +11,10 @@
 //!   `Content-Length` bodies, keep-alive, pipelining) with hard byte
 //!   limits, plus the response writer.
 //! * [`server`] — an accept thread with a bounded-connection gate, and
-//!   one blocking thread per connection: it parses, routes, waits on its
-//!   own [`frappe_serve::PendingVerdict`] (the scorer's reply wakes it),
-//!   and writes the response. A 429 pauses that connection's reads until
-//!   the scorer queues recover, and a drain protocol whose
+//!   one blocking thread per connection: it parses, routes, classifies
+//!   on its own thread through the deployment, and writes the response.
+//!   A 429 pauses that connection's reads until the in-flight counts
+//!   recover, and a drain protocol whose
 //!   [`server::EdgeHandle`] implements [`frappe_lifecycle::SwapFence`]
 //!   lets model hot-swaps run with zero responses in flight. It serves a
 //!   [`frappe_serve::Deployment`]: one service or a shard-group router.
@@ -25,8 +25,8 @@
 //! error is the [`frappe_serve::ErrorEnvelope`], whose exact bytes are
 //! pinned by a `frappe-serve` unit test. `tests/edge.rs` (repo root)
 //! drives real sockets end to end: byte-identical verdicts against
-//! in-process classification, deterministic 429s off a saturated scorer
-//! queue, and a mid-load hot-swap with zero dropped or stale responses.
+//! in-process classification, deterministic 429s off a full in-flight
+//! cap, and a mid-load hot-swap with zero dropped or stale responses.
 //!
 //! ```no_run
 //! use std::sync::Arc;

@@ -26,12 +26,13 @@
 //!    [`ServeError::Overloaded`] got its `429` *and* stops being read:
 //!    its thread waits out the envelope's `retry_after_ms` hint, then
 //!    re-checks, so its buffered pipeline waits and TCP pushes back on
-//!    the client. Reads resume once every scorer queue has fallen to half
-//!    its capacity — on a router, each group's own queue (hysteresis, so
+//!    the client. Reads resume once every in-flight count has fallen to
+//!    half its cap — on a router, each group's own count (hysteresis, so
 //!    the edge does not flap).
 //!
 //! A connection's thread serves its pipelined requests one at a time, in
-//! order; the OS scheduler shares the machine between connections.
+//! order, and scores its own classifies; the OS scheduler shares the
+//! machine between connections.
 //!
 //! ## Drain protocol
 //!
@@ -62,7 +63,7 @@ use frappe_obs::{
     TraceFlag, TraceHandle, WallClock,
 };
 use frappe_serve::metrics::LATENCY_BOUNDS_MICROS;
-use frappe_serve::{Deployment, ErrorEnvelope, PendingVerdict, ServeError, ServeEvent, Verdict};
+use frappe_serve::{Deployment, ErrorEnvelope, ServeError, ServeEvent};
 use osn_types::ids::AppId;
 
 use crate::http::{Method, Request, Response};
@@ -199,25 +200,9 @@ impl Drop for InFlight<'_> {
     }
 }
 
-/// Where a routed request goes next.
-pub(crate) enum Routed {
-    /// Answer immediately; `pause` is the 429 backpressure signal — the
-    /// retry hint to wait out before reading the connection again.
-    Done {
-        response: Response,
-        pause: Option<Duration>,
-    },
-    /// A classify rode the scorer queue; wait on the handle.
-    Score(PendingVerdict),
-}
-
 impl Edge {
     fn lock(&self) -> MutexGuard<'_, EdgeState> {
         self.state.lock().expect("edge state lock")
-    }
-
-    pub(crate) fn shutting_down(&self) -> bool {
-        self.lock().command == Command::Shutdown
     }
 
     /// The drain gate: waits out a drain, then takes an in-flight slot.
@@ -236,8 +221,8 @@ impl Edge {
     }
 
     /// Ring 2: holds a shed connection's reads. Waits out the retry
-    /// `hint`, then re-checks the scorer queues, until every queue is at
-    /// most half full (`true`) or the edge shuts down (`false`).
+    /// `hint`, then re-checks the in-flight counts, until every count is
+    /// at most half its cap (`true`) or the edge shuts down (`false`).
     pub(crate) fn pause_reads(&self, hint: Duration) -> bool {
         loop {
             let state = self.lock();
@@ -350,11 +335,15 @@ impl Edge {
         Some((handle, root))
     }
 
-    pub(crate) fn route(&self, request: &Request, trace: Option<&(TraceHandle, Span)>) -> Routed {
-        let done = |response| Routed::Done {
-            response,
-            pause: None,
-        };
+    /// Answers one request on the calling connection thread. The
+    /// `Duration` is the 429 backpressure signal: the retry hint to wait
+    /// out before reading the connection again.
+    pub(crate) fn route(
+        &self,
+        request: &Request,
+        trace: Option<&(TraceHandle, Span)>,
+    ) -> (Response, Option<Duration>) {
+        let done = |response| (response, None);
         match (request.method, request.path.as_str()) {
             (Method::Get, "/healthz") => done(Response::json(200, &br#"{"status":"ok"}"#[..])),
             (Method::Get, "/metrics") => {
@@ -393,23 +382,25 @@ impl Edge {
                 };
                 let edge_trace = trace.map(|(handle, root)| (handle.clone(), root.id()));
                 match self.service.classify_traced(app, edge_trace) {
-                    Ok(pending) => Routed::Score(pending),
+                    Ok(verdict) => done(Response::json(
+                        200,
+                        serde_json::to_string(&verdict)
+                            .expect("verdicts serialize")
+                            .into_bytes(),
+                    )),
                     Err(err) => {
                         let pause = match err {
                             ServeError::Overloaded { retry_after_ms } => {
-                                // the submit site is the one place both the
-                                // app and the shed are known — attribute the
-                                // 429 to the group that owns the app
+                                // the classify site is the one place both
+                                // the app and the shed are known — attribute
+                                // the 429 to the group that owns the app
                                 self.metrics.shed(self.service.group_of(app));
                                 // a zero hint must not spin the re-check
                                 Some(Duration::from_millis(retry_after_ms.max(1)))
                             }
                             _ => None,
                         };
-                        Routed::Done {
-                            response: error_response(err),
-                            pause,
-                        }
+                        (error_response(err), pause)
                     }
                 }
             }
@@ -475,23 +466,6 @@ impl Edge {
             202,
             format!("{{\"ingested\":{}}}", events.len()).into_bytes(),
         )
-    }
-
-    pub(crate) fn verdict_response(&self, outcome: Result<Verdict, ServeError>) -> Response {
-        match outcome {
-            Ok(verdict) => Response::json(
-                200,
-                serde_json::to_string(&verdict)
-                    .expect("verdicts serialize")
-                    .into_bytes(),
-            ),
-            Err(err) => {
-                if matches!(err, ServeError::Overloaded { .. }) {
-                    self.metrics.responses_429.inc();
-                }
-                error_response(err)
-            }
-        }
     }
 
     /// Renders `response` and writes it to `stream`, booking latency

@@ -300,8 +300,8 @@ struct ActiveBody {
     truncated: bool,
 }
 
-/// A trace being recorded. Shared between the edge and pool workers via
-/// [`TraceHandle`] clones.
+/// A trace being recorded. Shared between the edge, the router and the
+/// serve layer via [`TraceHandle`] clones.
 pub struct ActiveTrace {
     id: u64,
     kind: &'static str,

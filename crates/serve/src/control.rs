@@ -47,9 +47,8 @@ use crate::service::Verdict;
 /// are produced: the scorer, for a single service and for every shard
 /// group alike.
 ///
-/// The scorer calls [`observe`](Self::observe) on the worker thread
-/// before it replies, so a blocking `classify` returns only after its
-/// query was observed. A fresh score hands over the exact row it just
+/// The scorer calls [`observe`](Self::observe) on the classify caller's
+/// thread, so `classify` returns only after its query was observed. A fresh score hands over the exact row it just
 /// scored; a cache hit hands over the row re-read from the store, and
 /// only when that row still carries the stamps the hit matched (so the
 /// row is the one the cached verdict was scored on).

@@ -6,8 +6,8 @@
 //! or a [`ShardRouter`] over K shard groups — so the handle is a closed
 //! enum, not a trait object. Every verb forwards to the shape's inherent
 //! method; where the shapes differ (fallible ingest, the merged
-//! exposition, the retry hint, the per-group queue check) the difference
-//! lives in that verb's match arms and nowhere else.
+//! exposition, the retry hint, the per-group in-flight check) the
+//! difference lives in that verb's match arms and nowhere else.
 
 use std::sync::Arc;
 
@@ -18,7 +18,7 @@ use osn_types::ids::AppId;
 use crate::control::{ControlPlane, VerdictObserver};
 use crate::event::ServeEvent;
 use crate::router::ShardRouter;
-use crate::service::{FrappeService, PendingVerdict, ServeError};
+use crate::service::{FrappeService, ServeError, Verdict};
 
 /// A running serving deployment: one service, or K shard groups behind
 /// a router. Cloning clones the `Arc`.
@@ -56,13 +56,13 @@ impl Deployment {
         }
     }
 
-    /// Submits a classification without waiting, threading an optional
+    /// Classifies on the calling thread, threading an optional
     /// edge-minted trace through to the scorer's spans.
     pub fn classify_traced(
         &self,
         app: AppId,
         edge_trace: Option<(TraceHandle, Option<SpanId>)>,
-    ) -> Result<PendingVerdict, ServeError> {
+    ) -> Result<Verdict, ServeError> {
         match self {
             Deployment::Service(s) => s.classify_traced(app, edge_trace),
             Deployment::Router(r) => r.classify_traced(app, edge_trace),
@@ -105,12 +105,12 @@ impl Deployment {
         }
     }
 
-    /// Whether every scoring queue is at most half full — the edge's
+    /// Whether every in-flight count is at most half its cap — the edge's
     /// read-resume test. On a router each group is checked against its
-    /// own capacity: a shed comes from one group's full queue, which a
-    /// sum over groups would hide.
+    /// own cap: a shed comes from one group's full count, which a sum
+    /// over groups would hide.
     pub fn queues_at_most_half_full(&self) -> bool {
-        let half = |s: &FrappeService| s.queue_depth() * 2 <= s.config().queue_capacity;
+        let half = |s: &FrappeService| s.queue_depth() * 2 <= s.config().max_in_flight;
         match self {
             Deployment::Service(s) => half(s),
             Deployment::Router(r) => r.group_services().all(|s| half(s)),
@@ -135,12 +135,12 @@ impl Deployment {
     }
 
     /// The deployment's full scrape: a service's registry (with its
-    /// queue-depth gauge refreshed), or a router's base registry plus
+    /// in-flight gauge refreshed), or a router's base registry plus
     /// every group's families merged in per-group lanes.
     pub fn exposition(&self) -> RegistrySnapshot {
         match self {
             Deployment::Service(s) => {
-                let _ = s.metrics(); // refresh the queue-depth gauge
+                let _ = s.metrics(); // refresh the in-flight gauge
                 s.obs_registry().snapshot()
             }
             Deployment::Router(r) => r.exposition(),

@@ -2,18 +2,19 @@
 //!
 //! A [`ShardGroup`] owns a complete, private serving stack for its slice
 //! of the app-id space — its own [`crate::store::FeatureStore`] shards,
-//! its own [`crate::cache::VerdictCache`], its own scorer lane, its own
-//! metrics registry. Nothing in a group is shared with any other group
-//! except the [`crate::control::ControlPlane`] handles (model pointer +
-//! known names), so a group never contends on another group's locks:
-//! shared-nothing by construction, "lock-free to itself" in the sense
-//! that the only writers behind its locks are its own threads.
+//! its own [`crate::cache::VerdictCache`], its own in-flight cap, its
+//! own metrics registry. Nothing in a group is shared with any other
+//! group except the [`crate::control::ControlPlane`] handles (model
+//! pointer + known names), so a group never contends on another group's
+//! locks: shared-nothing by construction. Classifies run on the
+//! router's callers' threads; the group's one thread is its ingest
+//! worker, the only writer of its store.
 //!
 //! **Ingest** goes through a bounded single-consumer mailbox: the router
 //! `try_send`s events, one dedicated worker thread drains them into the
 //! group's store. A full mailbox rejects with
 //! [`ServeError::Overloaded`] carrying the group's retry hint — the same
-//! reject-with-retry-after contract the scoring queue has, so
+//! reject-with-retry-after contract the in-flight cap has, so
 //! backpressure composes instead of stacking a second policy on top.
 //! Per-app event order is preserved end to end: an app has exactly one
 //! owner group, the mailbox is FIFO, and one consumer applies events in

@@ -12,11 +12,11 @@
 //!  platform tap ──► ServeEvent ──► FeatureStore (N shards, RwLock)
 //!  scenario replay ─┘                   │ snapshot
 //!                                       ▼
-//!  classify(app) ─► bounded queue ─► ScorerPool ─► VerdictCache
-//!                      │ full?            │            │ (generation-
-//!                      ▼                  ▼            │  stamped)
-//!                  Overloaded         Verdict ◄────────┘
-//!                  {retry_after}
+//!  classify(app) ─► in-flight cap ─► score ─────► VerdictCache
+//!                      │ full?     (caller's thread)  │ (generation-
+//!                      ▼                  │           │  stamped)
+//!                  Overloaded             ▼           │
+//!                  {retry_after}       Verdict ◄──────┘
 //! ```
 //!
 //! The load-bearing invariant is **batch parity**: after ingesting a
@@ -26,12 +26,12 @@
 //! (`tests/serve_parity.rs`). Incrementality buys speed, never drift.
 //!
 //! Module map: [`event`] is the input vocabulary, [`store`] the sharded
-//! incremental feature state, `pool` (private) the scorer workers with
-//! reject-with-retry-after backpressure, [`cache`] the generation-stamped
-//! verdict memo, [`metrics`] the observability layer (a thin view over a
+//! incremental feature state, [`cache`] the generation-stamped verdict
+//! memo, [`metrics`] the observability layer (a thin view over a
 //! per-instance [`frappe_obs::Registry`], exportable as Prometheus
-//! text), [`service`] the façade, and [`bridge`] the adapter from
-//! synthetic scenarios.
+//! text), [`service`] the façade (classify on the caller's thread behind
+//! an in-flight cap with reject-with-retry-after backpressure), and
+//! [`bridge`] the adapter from synthetic scenarios.
 //!
 //! ## One observation point
 //!
@@ -42,10 +42,11 @@
 //! query**, whichever transport asked: in-process `classify`, the socket
 //! edge, a router group. A fresh score hands over the exact row it just
 //! scored; a cache hit hands over the row re-read from the store, only
-//! while it still carries the stamps the hit matched. Observation
-//! finishes before the scorer replies. With nothing attached, the cost
-//! per query is one atomic load. The lifecycle layer (`frappe-lifecycle`)
-//! attaches its drift window, shadow tally and audit sink here.
+//! while it still carries the stamps the hit matched. Observation runs
+//! on the caller's thread and finishes before `classify` returns. With
+//! nothing attached, the cost per query is one atomic load. The
+//! lifecycle layer (`frappe-lifecycle`) attaches its drift window,
+//! shadow tally and audit sink here.
 //!
 //! Each deployment owns one [`ControlPlane`] holding the
 //! [`frappe::SharedModel`] epoch-pointer it scores through;
@@ -57,10 +58,10 @@
 //!
 //! ## Scale-out: shard groups
 //!
-//! One service saturates around its store locks and one scorer lane.
+//! One service saturates around its store locks and one in-flight cap.
 //! For scale-out, [`router::ShardRouter`] partitions the app-id space
 //! across K **shard groups** — each a complete private service (store,
-//! cache, scorer lane, registry) fed through a bounded per-group
+//! cache, in-flight cap, registry) fed through a bounded per-group
 //! mailbox — while [`control::ControlPlane`] keeps the mutable control
 //! state (model epoch pointer, known-names generation) shared by
 //! construction, so hot swaps stay globally atomic. The network edge and
@@ -78,7 +79,6 @@ pub mod deployment;
 pub mod event;
 pub(crate) mod group;
 pub mod metrics;
-pub(crate) mod pool;
 pub mod router;
 pub mod service;
 pub mod store;
@@ -90,5 +90,5 @@ pub use deployment::Deployment;
 pub use event::ServeEvent;
 pub use metrics::{LatencySnapshot, MetricsSnapshot};
 pub use router::{ShardConfig, ShardRouter};
-pub use service::{ErrorEnvelope, FrappeService, PendingVerdict, ServeConfig, ServeError, Verdict};
+pub use service::{ErrorEnvelope, FrappeService, ServeConfig, ServeError, Verdict};
 pub use store::{FeatureSnapshot, FeatureStore};

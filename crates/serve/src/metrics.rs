@@ -1,7 +1,7 @@
 //! Service observability, served from the shared [`frappe_obs`] registry.
 //!
 //! The instruments themselves live in [`frappe_obs`]: relaxed-atomic
-//! counters, a queue-depth gauge, and a fixed-bucket latency histogram —
+//! counters, an in-flight gauge, and a fixed-bucket latency histogram —
 //! metrics must never become the bottleneck they are supposed to
 //! diagnose. This module binds them under well-known `serve_*` names and
 //! keeps the original [`MetricsSnapshot`] export as a thin view, so
@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 
 /// Upper bounds (µs) of the latency buckets; one extra overflow bucket
 /// catches everything slower. Roughly logarithmic from 1µs to 10ms —
-/// in-process scoring lives at the low end, queueing shows up at the top.
+/// in-process scoring lives at the low end, contention shows up at the top.
 pub const LATENCY_BOUNDS_MICROS: [u64; 13] = [
     1, 2, 5, 10, 25, 50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000,
 ];
@@ -64,7 +64,6 @@ pub struct Metrics {
     cache_misses: Arc<Counter>,
     rejected: Arc<Counter>,
     stale_epoch_rescores: Arc<Counter>,
-    batches_scored: Arc<Counter>,
     model_swaps: Arc<Counter>,
     cache_evictions: Arc<Counter>,
     model_version: Arc<Gauge>,
@@ -88,7 +87,6 @@ impl Metrics {
             cache_misses: registry.counter("serve_cache_misses"),
             rejected: registry.counter("serve_rejected"),
             stale_epoch_rescores: registry.counter("serve_stale_epoch_rescores"),
-            batches_scored: registry.counter("serve_batches_scored"),
             model_swaps: registry.counter("serve_model_swaps"),
             cache_evictions: registry.counter("serve_cache_evictions"),
             model_version: registry.gauge("serve_model_version"),
@@ -148,11 +146,6 @@ impl Metrics {
         self.stale_epoch_rescores.inc();
     }
 
-    /// One worker batch drained (of any size ≥ 1).
-    pub fn batch_scored(&self) {
-        self.batches_scored.inc();
-    }
-
     /// Publishes the version of the model currently scoring (set at
     /// construction and on every swap).
     pub fn set_model_version(&self, version: u64) {
@@ -183,9 +176,9 @@ impl Metrics {
         }
     }
 
-    /// Exports current values. `queue_depth` is sampled by the caller
-    /// (the service knows its channel; the counters do not) and is also
-    /// published to the `serve_queue_depth` gauge.
+    /// Exports current values. `queue_depth` (classifies in flight) is
+    /// sampled by the caller (the service holds the count; the counters
+    /// do not) and is also published to the `serve_queue_depth` gauge.
     pub fn snapshot(&self, queue_depth: usize) -> MetricsSnapshot {
         self.queue_depth
             .set(queue_depth.min(i64::MAX as usize) as i64);
@@ -203,7 +196,7 @@ impl Metrics {
                 hits as f64 / looked_up as f64
             },
             rejected: self.rejected.get(),
-            batches_scored: self.batches_scored.get(),
+            batches_scored: looked_up,
             model_version: self.model_version.get().max(0) as u64,
             model_swaps: self.model_swaps.get(),
             cache_evictions: self.cache_evictions.get(),
@@ -236,7 +229,8 @@ pub struct MetricsSnapshot {
     pub cache_hit_ratio: f64,
     /// Queries rejected by backpressure.
     pub rejected: u64,
-    /// Worker batches drained.
+    /// Scoring passes: every classify that reached the cache scores one
+    /// request, so this is `cache_hits + cache_misses`.
     pub batches_scored: u64,
     /// Version of the model currently scoring.
     pub model_version: u64,
@@ -245,7 +239,7 @@ pub struct MetricsSnapshot {
     /// Verdicts eagerly evicted from the cache (lazy invalidation by
     /// generation stamp is not counted here — those die by overwrite).
     pub cache_evictions: u64,
-    /// Scoring-queue depth when the snapshot was taken.
+    /// Classifies in flight when the snapshot was taken.
     pub queue_depth: usize,
     /// Query-latency histogram.
     pub latency: LatencySnapshot,
@@ -265,7 +259,6 @@ mod tests {
         m.cache_miss();
         m.cache_miss();
         m.rejected();
-        m.batch_scored();
         m.query_served(Duration::from_micros(30));
         m.set_model_version(1);
         m.model_swapped(2);
@@ -277,7 +270,7 @@ mod tests {
         assert_eq!(s.cache_misses, 3);
         assert!((s.cache_hit_ratio - 0.25).abs() < 1e-12);
         assert_eq!(s.rejected, 1);
-        assert_eq!(s.batches_scored, 1);
+        assert_eq!(s.batches_scored, 4, "one pass per lookup");
         assert_eq!(s.model_version, 2, "swap republished the gauge");
         assert_eq!(s.model_swaps, 1);
         assert_eq!(s.cache_evictions, 4);
@@ -322,7 +315,7 @@ mod tests {
         let m = Metrics::default();
         m.event_ingested();
         m.query_served(Duration::from_micros(40));
-        let _ = m.snapshot(3); // publishes the queue-depth gauge
+        let _ = m.snapshot(3); // publishes the in-flight gauge
         let text = m.registry().snapshot().to_prometheus_text();
         assert!(text.contains("serve_events_ingested 1"));
         assert!(text.contains("serve_queries_served 1"));

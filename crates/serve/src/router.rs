@@ -3,16 +3,16 @@
 //! [`ShardRouter`] is the shared-nothing deployment of the serving
 //! stack: it partitions the app-id space across K `group` (shard-group)
 //! workers with a seeded hash, forwards ingest over each group's
-//! bounded mailbox, and forwards classify into each group's scorer
-//! lane — both with the same reject-with-retry-after contract a single
-//! [`FrappeService`] has. Control state (model pointer, known names)
-//! lives in one shared [`ControlPlane`], so swaps and name flags stay
-//! globally atomic across groups.
+//! bounded mailbox, and calls classify on the owner group's service on
+//! the caller's thread — both with the same reject-with-retry-after
+//! contract a single [`FrappeService`] has. Control state (model
+//! pointer, known names) lives in one shared [`ControlPlane`], so swaps
+//! and name flags stay globally atomic across groups.
 //!
 //! ```text
-//!              ┌► mailbox ─► group 0 (store+cache+pool, private)
+//!              ┌► mailbox ─► group 0 (store+cache+in-flight cap, private)
 //!  ingest ──hash                 ▲
-//!  classify ─hash─► submit ──────┘      … group K-1
+//!  classify ─hash─► call ────────┘      … group K-1
 //!              │
 //!              └── ControlPlane (model epoch ptr + known names), shared
 //! ```
@@ -60,7 +60,7 @@ use crate::event::ServeEvent;
 use crate::group::ShardGroup;
 use crate::metrics::{LatencySnapshot, MetricsSnapshot};
 use crate::service::{
-    join_or_mint, FrappeService, PendingVerdict, ServeConfig, ServeError, Verdict,
+    finish_minted, join_or_mint, FrappeService, ServeConfig, ServeError, Verdict,
 };
 
 /// Counter families that every group bumps once per *shared* control
@@ -94,8 +94,8 @@ pub struct ShardConfig {
     /// Bounded ingest-mailbox capacity per group; beyond it ingest is
     /// rejected with the group's retry hint.
     pub mailbox_capacity: usize,
-    /// Per-group serving configuration (inner shards, scorer workers,
-    /// queue capacity, …). Every group gets an identical copy.
+    /// Per-group serving configuration (inner shards, in-flight cap,
+    /// retry hint). Every group gets an identical copy.
     pub group: ServeConfig,
 }
 
@@ -146,7 +146,8 @@ impl RouterMetrics {
 /// (now fallible: mailboxes are bounded), `classify`,
 /// `classify_traced`, `flag_name`, `swap_model` — and routes each to
 /// the one group that owns the app. Dropping the router closes every
-/// mailbox, drains what was accepted, and joins all group workers.
+/// mailbox, drains what was accepted, and joins all group ingest
+/// workers.
 pub struct ShardRouter {
     control: Arc<ControlPlane>,
     groups: Vec<ShardGroup>,
@@ -160,8 +161,8 @@ impl ShardRouter {
     /// Builds a router around a freshly trained model at version 1.
     ///
     /// # Panics
-    /// Panics if `config` has zero groups, or a per-group config with
-    /// zero shards, queue capacity, batch size, or mailbox capacity.
+    /// Panics if `config` has zero groups, zero mailbox capacity, or a
+    /// per-group config with zero `max_in_flight`.
     pub fn new(
         model: FrappeModel,
         known: KnownMaliciousNames,
@@ -248,55 +249,45 @@ impl ShardRouter {
         }
     }
 
-    /// Classifies one app, blocking until its owner group answers.
+    /// Classifies one app on the calling thread, in its owner group.
     pub fn classify(&self, app: AppId) -> Result<Verdict, ServeError> {
-        self.classify_traced(app, None)?.wait()
+        self.classify_traced(app, None)
     }
 
-    /// Submits a classification to the owner group without waiting,
-    /// with explicit trace plumbing, mirroring
-    /// [`FrappeService::classify_traced`].
+    /// [`classify`](Self::classify) with explicit trace plumbing,
+    /// mirroring [`FrappeService::classify_traced`].
     ///
-    /// The forwarded request keeps its edge-minted trace across the
-    /// group boundary: the router records `route/forward` (the hand-off
-    /// into the group) and `route/group_score` (open until the group's
-    /// verdict settles), and the group's own `serve/queue` /
+    /// The request keeps its edge-minted trace across the group
+    /// boundary: the router records `route/forward` (the routing
+    /// decision) and `route/group_score` (the owner group's classify,
+    /// closed when it returns), and the group's own `serve/queue` /
     /// `serve/score` spans nest causally under `route/group_score` — one
-    /// trace tree from socket accept to verdict even though two thread
-    /// domains served it.
+    /// trace tree from socket accept to verdict.
     pub fn classify_traced(
         &self,
         app: AppId,
         edge_trace: Option<(TraceHandle, Option<SpanId>)>,
-    ) -> Result<PendingVerdict, ServeError> {
-        let g = self.group_of(app);
+    ) -> Result<Verdict, ServeError> {
         let (handle, parent, root) = join_or_mint(edge_trace, &self.trace, "route/classify");
+        let trace = handle.as_ref().map(|h| (h, parent));
+        let forward = frappe_obs::span_in("route/forward", trace);
+        let g = self.group_of(app);
         if let Some(h) = &handle {
             h.event("route", format!("group={g}"));
         }
-        let trace = handle.as_ref().map(|h| (h, parent));
-        let forward = frappe_obs::span_in("route/forward", trace);
+        drop(forward);
         let group_span = frappe_obs::span_in("route/group_score", trace);
-        let submitted = self.groups[g]
+        let outcome = self.groups[g]
             .service()
             .classify_traced(app, handle.clone().map(|h| (h, group_span.id())));
-        drop(forward);
-        match submitted {
-            Ok(mut pending) => {
-                self.metrics.classify_forwarded[g].inc();
-                pending.set_route_spans(root, group_span);
-                Ok(pending)
-            }
-            Err(err) => {
-                // The group already flagged Shed429 and recorded the shed
-                // event on the handle; the router finishes a trace it
-                // minted, and its guards close on return.
-                if let (Some(h), Some(_)) = (&handle, &root) {
-                    h.finish(err.outcome());
-                }
-                Err(err)
-            }
+        drop(group_span);
+        if !matches!(outcome, Err(ServeError::Overloaded { .. })) {
+            self.metrics.classify_forwarded[g].inc();
         }
+        // the group recorded its events on the handle; a trace the router
+        // minted is the router's to finish
+        finish_minted(handle.as_ref(), root, &outcome);
+        outcome
     }
 
     /// Current feature row for one app, read from its owner group.
@@ -338,7 +329,7 @@ impl ShardRouter {
             .sum()
     }
 
-    /// Scoring-queue depth summed across groups (mailboxes not
+    /// Classifies in flight, summed across groups (mailboxes not
     /// included; see [`mailbox_depth`](Self::mailbox_depth)).
     pub fn queue_depth(&self) -> usize {
         self.groups.iter().map(|g| g.service().queue_depth()).sum()

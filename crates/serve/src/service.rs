@@ -1,5 +1,5 @@
 //! The service façade: one struct that owns the store, the cache, the
-//! scorer pool, the known-malicious-names list, and the metrics, and
+//! known-malicious-names list, the in-flight count and the metrics, and
 //! exposes the two verbs that matter — `ingest(event)` and
 //! `classify(app)`.
 //!
@@ -8,24 +8,28 @@
 //! * **Ingest** is wait-free apart from one shard write lock; it never
 //!   touches the cache (invalidation is by generation stamp, see
 //!   [`crate::cache`]).
-//! * **Classify** goes through the bounded scoring queue. When the queue
-//!   is full the call is *rejected immediately* with
-//!   [`ServeError::Overloaded`] carrying a retry-after hint — the paper's
-//!   "FRAppE as a service" must degrade by shedding queries, not by
-//!   stalling the event stream.
+//! * **Classify** runs on the caller's thread: admit, score, settle.
+//!   Admission takes one slot of an atomic in-flight count capped at
+//!   [`ServeConfig::max_in_flight`]; past the cap the call is *rejected
+//!   immediately* with [`ServeError::Overloaded`] carrying a retry-after
+//!   hint — the paper's "FRAppE as a service" must degrade by shedding
+//!   queries, not by stalling the event stream. Scoring concurrency is
+//!   the number of callers (the network edge bounds it with its
+//!   connection cap).
 //! * **Known-name growth** ([`FrappeService::flag_name`]) takes the one
 //!   write lock and bumps the global known-generation, lazily
 //!   invalidating every cached verdict (a new name can flip any app's
 //!   collision bit).
-//! * **Observation** happens in the scorer, on the worker, before it
-//!   replies: every answered query — fresh score or cache hit — goes to
-//!   the control plane's [`VerdictObserver`] when one is attached (see
-//!   the crate docs). With none attached the scorer reads one flag.
+//! * **Observation** happens in the scorer, on the caller's thread,
+//!   before `classify` returns: every answered query — fresh score or
+//!   cache hit — goes to the control plane's [`VerdictObserver`] when one
+//!   is attached (see the crate docs). With none attached the scorer
+//!   reads one flag.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use crossbeam::channel::{Receiver, RecvTimeoutError};
 use frappe::features::aggregation::KnownMaliciousNames;
 use frappe::{AppFeatures, FrappeModel, SharedKnownNames, VersionedModel};
 use frappe_obs::{Registry, Span, SpanId, TraceCollector, TraceFlag, TraceHandle};
@@ -38,7 +42,6 @@ use crate::cache::{CacheLookup, VerdictCache};
 use crate::control::{ControlPlane, VerdictObserver};
 use crate::event::ServeEvent;
 use crate::metrics::{Metrics, MetricsSnapshot};
-use crate::pool::ScorerPool;
 use crate::store::{FeatureSnapshot, FeatureStore};
 
 /// Tuning knobs for one service instance.
@@ -46,12 +49,8 @@ use crate::store::{FeatureSnapshot, FeatureStore};
 pub struct ServeConfig {
     /// Feature-store and cache shards (lock granularity).
     pub shards: usize,
-    /// Scorer threads.
-    pub workers: usize,
-    /// Bounded scoring-queue capacity; beyond it queries are rejected.
-    pub queue_capacity: usize,
-    /// Max requests a worker drains per wake-up.
-    pub batch_size: usize,
+    /// Classifies scored at once; beyond it queries are rejected.
+    pub max_in_flight: usize,
     /// Retry hint handed to rejected callers (ms).
     pub retry_after_ms: u64,
 }
@@ -60,9 +59,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             shards: 4,
-            workers: 2,
-            queue_capacity: 256,
-            batch_size: 16,
+            max_in_flight: 256,
             retry_after_ms: 5,
         }
     }
@@ -95,7 +92,7 @@ pub struct Verdict {
 pub enum ServeError {
     /// No event has ever mentioned this app.
     UnknownApp(AppId),
-    /// The scoring queue is full; retry after the hinted delay.
+    /// Every in-flight slot is taken; retry after the hinted delay.
     Overloaded {
         /// Suggested client backoff in milliseconds.
         retry_after_ms: u64,
@@ -145,7 +142,10 @@ impl std::fmt::Display for ServeError {
         match self {
             ServeError::UnknownApp(app) => write!(f, "app {app:?} has never been observed"),
             ServeError::Overloaded { retry_after_ms } => {
-                write!(f, "scoring queue full; retry after {retry_after_ms}ms")
+                write!(
+                    f,
+                    "too many classifies in flight; retry after {retry_after_ms}ms"
+                )
             }
             ServeError::ShuttingDown => write!(f, "service is shutting down"),
         }
@@ -165,19 +165,7 @@ impl ServeError {
     }
 }
 
-/// Trace context that rides a queued request across the pool boundary.
-///
-/// `submitted_us` is stamped (on the collector clock) when the request
-/// enters the queue, so the worker can record the queue-wait as a
-/// retroactive span; `parent` is the span the serve-side spans hang off
-/// (the edge's request span, or the self-minted classify root).
-pub(crate) struct TraceCtx {
-    pub(crate) handle: TraceHandle,
-    pub(crate) parent: Option<SpanId>,
-    pub(crate) submitted_us: u64,
-}
-
-/// Everything a scorer worker needs, shared once behind an `Arc`.
+/// Everything a classify reads: the scoring state behind the façade.
 pub(crate) struct ScoreEngine {
     control: Arc<ControlPlane>,
     store: FeatureStore,
@@ -189,22 +177,14 @@ pub(crate) struct ScoreEngine {
 
 impl ScoreEngine {
     /// Cache-or-score one app, recording serve-side spans into the
-    /// request's trace when one rides along. Runs on a pool worker.
+    /// request's `(handle, parent)` trace when one rides along. Runs on
+    /// the caller's thread.
     pub(crate) fn score_traced(
         &self,
         app: AppId,
-        trace: Option<&TraceCtx>,
+        trace: Option<(&TraceHandle, Option<SpanId>)>,
     ) -> Result<Verdict, ServeError> {
-        if let Some(ctx) = trace {
-            // the time between submit and this wake-up is queue wait
-            ctx.handle.span_at(
-                "serve/queue",
-                ctx.parent,
-                ctx.submitted_us,
-                ctx.handle.now_micros(),
-            );
-        }
-        let score = frappe_obs::span_in("serve/score", trace.map(|ctx| (&ctx.handle, ctx.parent)));
+        let score = frappe_obs::span_in("serve/score", trace);
         // fast path: generation probe + cache lookup, no feature build
         let app_gen = self
             .store
@@ -215,9 +195,8 @@ impl ScoreEngine {
         match self.cache.lookup(app, app_gen, known_gen, model_epoch) {
             CacheLookup::Hit(hit) => {
                 self.metrics.cache_hit();
-                if let Some(ctx) = trace {
-                    ctx.handle
-                        .event("cache_hit", format!("gen={app_gen} epoch={model_epoch}"));
+                if let Some((handle, _)) = trace {
+                    handle.event("cache_hit", format!("gen={app_gen} epoch={model_epoch}"));
                 }
                 if let Some(observer) = self.control.observer() {
                     self.observe_hit(&*observer, &hit, (app_gen, known_gen, model_epoch));
@@ -226,8 +205,8 @@ impl ScoreEngine {
             }
             CacheLookup::MissCold => {
                 self.metrics.cache_miss();
-                if let Some(ctx) = trace {
-                    ctx.handle.event("cache_miss", "cold");
+                if let Some((handle, _)) = trace {
+                    handle.event("cache_miss", "cold");
                 }
             }
             CacheLookup::MissStale { epoch_stale } => {
@@ -235,13 +214,13 @@ impl ScoreEngine {
                 if epoch_stale {
                     self.metrics.stale_epoch_rescore();
                 }
-                if let Some(ctx) = trace {
+                if let Some((handle, _)) = trace {
                     // a stale-epoch re-score is tail-sampling-interesting:
                     // it is the request that pays for a hot swap
                     if epoch_stale {
-                        ctx.handle.flag(TraceFlag::StaleEpoch);
+                        handle.flag(TraceFlag::StaleEpoch);
                     }
-                    ctx.handle.event(
+                    handle.event(
                         "cache_miss",
                         if epoch_stale {
                             "stale_epoch"
@@ -257,10 +236,7 @@ impl ScoreEngine {
         // consistent even if a swap lands mid-score), then snapshot under
         // the known-names read lock so the generation we stamp matches
         // the set we actually consulted
-        let eval = frappe_obs::span_in(
-            "serve/model_eval",
-            trace.map(|ctx| (&ctx.handle, score.id())),
-        );
+        let eval = frappe_obs::span_in("serve/model_eval", trace.map(|(h, _)| (h, score.id())));
         let vm = self.control.model.current();
         let (snapshot, known_gen) = self
             .control
@@ -308,111 +284,6 @@ impl ScoreEngine {
             }
         }
     }
-
-    pub(crate) fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-}
-
-/// A classification submitted to the scorer pool but not yet answered.
-///
-/// The handle is how a caller that must stay responsive (a network
-/// edge's connection thread) rides the pool:
-/// [`wait_timeout`](Self::wait_timeout) parks until the worker's reply
-/// wakes it or the timeout lapses, [`wait`](Self::wait) parks until the
-/// verdict arrives. Either way the query-latency histogram is fed
-/// exactly once, measured from submission. Dropping the handle abandons
-/// the query (the worker's reply goes nowhere, which is fine).
-pub struct PendingVerdict {
-    reply: Receiver<Result<Verdict, ServeError>>,
-    engine: Arc<ScoreEngine>,
-    start: Instant,
-    /// The trace riding with this query, if any.
-    trace: Option<TraceHandle>,
-    /// Root guard of a trace this handle minted (`serve/classify`, or the
-    /// router's `route/classify`). `Some` means the trace is ours to
-    /// finish when the verdict settles; an edge-minted trace is finished
-    /// by the edge after the response is written.
-    root: Option<Span>,
-    /// The router's `route/group_score` guard when the query was
-    /// forwarded across a shard-group mailbox: it closes when the
-    /// verdict settles, so it measures the full forward-to-verdict
-    /// residence inside the group.
-    group_span: Option<Span>,
-}
-
-impl PendingVerdict {
-    fn settle(&mut self, outcome: &Result<Verdict, ServeError>) {
-        if outcome.is_ok() {
-            let exemplar = self.trace.as_ref().map_or(0, |h| h.id().as_u64());
-            self.engine
-                .metrics()
-                .query_served_traced(self.start.elapsed(), exemplar);
-        }
-        self.group_span = None;
-        if let Some(handle) = &self.trace {
-            match outcome {
-                Ok(v) => handle.event(
-                    "verdict",
-                    format!(
-                        "malicious={} model_version={}",
-                        v.malicious, v.model_version
-                    ),
-                ),
-                Err(e) => handle.event("serve_error", e.to_string()),
-            }
-            // `finish` closes the root at its own timestamp; the guard
-            // drops after it, recording only the profile row
-            if let Some(_root) = self.root.take() {
-                handle.finish(match outcome {
-                    Ok(_) => "ok",
-                    Err(e) => e.outcome(),
-                });
-            }
-        }
-    }
-
-    /// The verdict, waiting at most `timeout` for it: the scorer's reply
-    /// wakes the caller directly, and `None` means it is still in the
-    /// queue or being scored when the timeout lapses (`Duration::ZERO`
-    /// checks without blocking). A pool that shut down mid-flight
-    /// surfaces [`ServeError::ShuttingDown`].
-    pub fn wait_timeout(&mut self, timeout: Duration) -> Option<Result<Verdict, ServeError>> {
-        let outcome = match self.reply.recv_timeout(timeout) {
-            Ok(outcome) => outcome,
-            Err(RecvTimeoutError::Timeout) => return None,
-            Err(RecvTimeoutError::Disconnected) => Err(ServeError::ShuttingDown),
-        };
-        self.settle(&outcome);
-        Some(outcome)
-    }
-
-    /// Blocks until the verdict arrives.
-    pub fn wait(mut self) -> Result<Verdict, ServeError> {
-        let outcome = self.reply.recv().unwrap_or(Err(ServeError::ShuttingDown));
-        self.settle(&outcome);
-        outcome
-    }
-
-    /// Hands this query the forwarding [`crate::router::ShardRouter`]'s
-    /// guards: its `route/classify` root when it minted the trace (so it,
-    /// not the group, finishes it at settle) and its `route/group_score`.
-    pub(crate) fn set_route_spans(&mut self, root: Option<Span>, group_span: Span) {
-        self.root = root;
-        self.group_span = Some(group_span);
-    }
-}
-
-impl Drop for PendingVerdict {
-    /// An abandoned query (handle dropped before the verdict) still
-    /// closes its self-minted trace so the collector never accumulates
-    /// forever-open traces. Settling took the root, so a settled handle
-    /// finishes nothing here.
-    fn drop(&mut self) {
-        if let (Some(handle), Some(_)) = (&self.trace, &self.root) {
-            handle.finish("abandoned");
-        }
-    }
 }
 
 /// The trace a classify call rides: the edge's `(handle, parent)`, else
@@ -436,13 +307,40 @@ pub(crate) fn join_or_mint(
     }
 }
 
+/// Finishes a trace [`join_or_mint`] minted (`root` is its guard) with
+/// the classify's outcome; an edge's trace is the edge's to finish.
+pub(crate) fn finish_minted(
+    handle: Option<&TraceHandle>,
+    root: Option<Span>,
+    outcome: &Result<Verdict, ServeError>,
+) {
+    if let (Some(h), Some(_root)) = (handle, root) {
+        // `finish` closes the root at its own timestamp; the guard drops
+        // after it, recording only the profile row
+        h.finish(match outcome {
+            Ok(_) => "ok",
+            Err(e) => e.outcome(),
+        });
+    }
+}
+
+/// One admitted classify's slot in the in-flight count; dropping it
+/// gives the slot back.
+struct InFlight<'a>(&'a AtomicUsize);
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
 /// The online FRAppE classification service.
 ///
-/// Dropping the service shuts the scorer pool down (queue closed, workers
-/// joined); in-flight queries get [`ServeError::ShuttingDown`].
+/// Classifies run on their callers' threads; the service starts no
+/// threads of its own.
 pub struct FrappeService {
-    engine: Arc<ScoreEngine>,
-    pool: ScorerPool,
+    engine: ScoreEngine,
+    in_flight: AtomicUsize,
     config: ServeConfig,
 }
 
@@ -455,13 +353,8 @@ impl FrappeService {
     /// owns its [`ControlPlane`]; the model is installed (and packed for
     /// scoring) as version 1.
     ///
-    /// `workers == 0` is allowed as a deliberately *stalled* pool:
-    /// requests queue but are never drained, which is the deterministic
-    /// way to exercise the backpressure path (the edge integration test
-    /// saturates a one-slot queue this way).
-    ///
     /// # Panics
-    /// Panics if `config` has zero shards, queue capacity, or batch size.
+    /// Panics if `config` has zero `max_in_flight`.
     pub fn new(
         model: FrappeModel,
         known: KnownMaliciousNames,
@@ -485,29 +378,21 @@ impl FrappeService {
         shortener: Shortener,
         config: ServeConfig,
     ) -> Self {
-        assert!(config.queue_capacity > 0, "need a non-empty queue");
-        assert!(config.batch_size > 0, "batches hold at least one request");
-        let engine = Arc::new(ScoreEngine {
+        assert!(config.max_in_flight > 0, "admit at least one classify");
+        let engine = ScoreEngine {
             control: Arc::clone(control),
             store: FeatureStore::new(config.shards),
             cache: VerdictCache::new(config.shards),
             shortener,
             metrics: Metrics::default(),
             trace: RwLock::new(None),
-        });
+        };
         engine
             .metrics
             .set_model_version(engine.control.model.version());
-        let pool = ScorerPool::new(
-            config.workers,
-            config.queue_capacity,
-            config.batch_size,
-            config.retry_after_ms,
-            Arc::clone(&engine),
-        );
         FrappeService {
             engine,
-            pool,
+            in_flight: AtomicUsize::new(0),
             config,
         }
     }
@@ -524,31 +409,30 @@ impl FrappeService {
         self.engine.metrics.event_ingested();
     }
 
-    /// Classifies one app, blocking until a scorer answers.
+    /// Classifies one app on the calling thread.
     ///
-    /// Returns [`ServeError::Overloaded`] *without blocking* when the
-    /// scoring queue is full — the caller owns the retry policy.
+    /// Returns [`ServeError::Overloaded`] *without scoring* when every
+    /// in-flight slot is taken — the caller owns the retry policy.
     pub fn classify(&self, app: AppId) -> Result<Verdict, ServeError> {
-        self.classify_traced(app, None)?.wait()
+        self.classify_traced(app, None)
     }
 
-    /// Submits a classification without waiting for the answer.
+    /// [`classify`](Self::classify), with explicit trace plumbing.
     ///
-    /// This is the entry point for callers that bound their wait: the
-    /// network edge's connection threads submit through
-    /// [`Deployment::classify_traced`](crate::Deployment::classify_traced)
-    /// and wait on the returned [`PendingVerdict`] with a timeout.
-    /// Queue-full rejection is identical to [`classify`](Self::classify):
-    /// immediate [`ServeError::Overloaded`] with the retry hint, counted
-    /// in the rejected metric.
+    /// Three steps, all on the calling thread: **admit** (take an
+    /// in-flight slot, or shed with [`ServeError::Overloaded`] and the
+    /// retry hint, counted in the rejected metric), **score** (cache
+    /// lookup, and on a miss a fresh score; the observer runs here), and
+    /// **settle** (feed the latency histogram, record the verdict on the
+    /// trace, and finish a trace this call minted).
     ///
-    /// The edge passes its own `(handle, parent span)` so
-    /// serve-side spans (`serve/queue`, `serve/score`, `serve/model_eval`)
-    /// land causally under the edge's request span; with `None` and a
-    /// collector attached (see
+    /// The edge passes its own `(handle, parent span)` so serve-side
+    /// spans (`serve/queue` for admission, `serve/score`,
+    /// `serve/model_eval`) land causally under the edge's request span;
+    /// with `None` and a collector attached (see
     /// [`set_trace_collector`](Self::set_trace_collector)) the service
-    /// mints a `classify` trace of its own and finishes it when the
-    /// verdict settles.
+    /// mints a `classify` trace of its own and finishes it before
+    /// returning.
     ///
     /// A query shed with [`ServeError::Overloaded`] always flags the
     /// trace [`Shed429`](frappe_obs::TraceFlag::Shed429), so shed
@@ -558,49 +442,74 @@ impl FrappeService {
         &self,
         app: AppId,
         edge_trace: Option<(TraceHandle, Option<SpanId>)>,
-    ) -> Result<PendingVerdict, ServeError> {
+    ) -> Result<Verdict, ServeError> {
         let start = Instant::now();
-        let (trace, parent, root) = join_or_mint(edge_trace, &self.engine.trace, "serve/classify");
-        let ctx = trace.as_ref().map(|handle| TraceCtx {
-            handle: handle.clone(),
-            parent,
-            submitted_us: handle.now_micros(),
-        });
-        let reply = match self.pool.submit(app, ctx) {
-            Ok(reply) => reply,
-            Err(err) => {
-                let overloaded = matches!(err, ServeError::Overloaded { .. });
-                if overloaded {
-                    self.engine.metrics.rejected();
-                }
-                if let Some(handle) = &trace {
-                    if overloaded {
-                        handle.flag(TraceFlag::Shed429);
-                    }
-                    handle.event("shed", err.to_string());
-                    if root.is_some() {
-                        handle.finish(err.outcome());
-                    }
-                }
-                return Err(err);
+        let (handle, parent, root) = join_or_mint(edge_trace, &self.engine.trace, "serve/classify");
+        let trace = handle.as_ref().map(|h| (h, parent));
+        // the slot is held until the closure returns
+        let outcome = self.admit(trace).and_then(|_slot| {
+            let outcome = self.engine.score_traced(app, trace);
+            if outcome.is_ok() {
+                let exemplar = handle.as_ref().map_or(0, |h| h.id().as_u64());
+                self.engine
+                    .metrics
+                    .query_served_traced(start.elapsed(), exemplar);
             }
-        };
-        Ok(PendingVerdict {
-            reply,
-            engine: Arc::clone(&self.engine),
-            start,
-            trace,
-            root,
-            group_span: None,
-        })
+            if let Some(h) = &handle {
+                match &outcome {
+                    Ok(v) => h.event(
+                        "verdict",
+                        format!(
+                            "malicious={} model_version={}",
+                            v.malicious, v.model_version
+                        ),
+                    ),
+                    Err(e) => h.event("serve_error", e.to_string()),
+                }
+            }
+            outcome
+        });
+        finish_minted(handle.as_ref(), root, &outcome);
+        outcome
     }
 
-    /// Requests currently waiting in the scoring queue (not yet picked up
-    /// by a worker). The network edge reads this to decide when to pause
-    /// connection reads; unlike [`metrics`](Self::metrics) it samples one
-    /// channel length and builds nothing.
+    /// Takes an in-flight slot, recording the admission as the
+    /// `serve/queue` span; past [`ServeConfig::max_in_flight`] the query
+    /// is shed instead (counted, and its trace flagged `Shed429`).
+    fn admit(
+        &self,
+        trace: Option<(&TraceHandle, Option<SpanId>)>,
+    ) -> Result<InFlight<'_>, ServeError> {
+        let entered_us = trace.map(|(h, _)| h.now_micros());
+        let cap = self.config.max_in_flight;
+        let admitted = self
+            .in_flight
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
+                (n < cap).then_some(n + 1)
+            })
+            .is_ok();
+        if !admitted {
+            let err = ServeError::Overloaded {
+                retry_after_ms: self.config.retry_after_ms,
+            };
+            self.engine.metrics.rejected();
+            if let Some((h, _)) = trace {
+                h.flag(TraceFlag::Shed429);
+                h.event("shed", err.to_string());
+            }
+            return Err(err);
+        }
+        if let (Some((h, parent)), Some(entered_us)) = (trace, entered_us) {
+            h.span_at("serve/queue", parent, entered_us, h.now_micros());
+        }
+        Ok(InFlight(&self.in_flight))
+    }
+
+    /// Classifies in flight (admitted, not yet answered). The network
+    /// edge reads this to decide when to pause connection reads; unlike
+    /// [`metrics`](Self::metrics) it loads one atomic and builds nothing.
     pub fn queue_depth(&self) -> usize {
-        self.pool.queue_depth()
+        self.in_flight.load(Ordering::Acquire)
     }
 
     /// Adds an app name to the known-malicious collision list (§4.2.1's
@@ -657,7 +566,7 @@ impl FrappeService {
         self.engine.control.known_names()
     }
 
-    /// Current feature row for one app, bypassing the scorer pool.
+    /// Current feature row for one app, bypassing classification.
     /// This is the parity-test window into the incremental store.
     pub fn features(&self, app: AppId) -> Option<AppFeatures> {
         self.engine
@@ -672,13 +581,14 @@ impl FrappeService {
         self.engine.store.tracked_apps()
     }
 
-    /// Point-in-time metrics (samples the live queue depth).
+    /// Point-in-time metrics (samples the live in-flight count).
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.engine.metrics.snapshot(self.pool.queue_depth())
+        self.engine.metrics.snapshot(self.queue_depth())
     }
 
-    /// The instance's metric registry, for Prometheus-text export. Call [`Self::metrics`] first to refresh the queue-depth
-    /// gauge if you need it current.
+    /// The instance's metric registry, for Prometheus-text export. Call
+    /// [`Self::metrics`] first to refresh the in-flight gauge if you need
+    /// it current.
     pub fn obs_registry(&self) -> &Arc<Registry> {
         self.engine.metrics.registry()
     }
@@ -701,11 +611,6 @@ impl FrappeService {
     /// The control plane this service scores through.
     pub(crate) fn control(&self) -> &ControlPlane {
         &self.engine.control
-    }
-
-    #[cfg(test)]
-    pub(crate) fn engine_for_test(&self) -> Arc<ScoreEngine> {
-        Arc::clone(&self.engine)
     }
 }
 
@@ -775,26 +680,22 @@ pub(crate) mod tests {
             Shortener::bitly(),
             ServeConfig {
                 shards: 2,
-                workers: 2,
-                queue_capacity: 8,
-                batch_size: 4,
+                max_in_flight: 8,
                 retry_after_ms: 1,
             },
         )
     }
 
-    /// A zero-worker service whose one queue slot admits a query that
-    /// nothing ever drains; `app` is registered, so it is classifiable.
-    fn stalled_service(app: AppId) -> FrappeService {
+    /// A service admitting `max_in_flight` classifies at once, with a
+    /// 9 ms retry hint; `app` is registered, so it is classifiable.
+    fn capped_service(app: AppId, max_in_flight: usize) -> Arc<FrappeService> {
         let svc = FrappeService::new(
             tiny_model(),
             KnownMaliciousNames::default(),
             Shortener::bitly(),
             ServeConfig {
                 shards: 1,
-                workers: 0,
-                queue_capacity: 1,
-                batch_size: 1,
+                max_in_flight,
                 retry_after_ms: 9,
             },
         );
@@ -802,7 +703,47 @@ pub(crate) mod tests {
             app,
             name: "stuck".into(),
         });
-        svc
+        Arc::new(svc)
+    }
+
+    /// Records the thread every observation runs on, and parks the
+    /// observations `parks` selects until the sender [`Parker::new`]
+    /// returns is dropped: the way to hold a classify in flight.
+    struct Parker {
+        parks: Box<dyn Fn(AppId) -> bool + Send + Sync>,
+        gate: crossbeam::channel::Receiver<()>,
+        threads: parking_lot::Mutex<Vec<std::thread::ThreadId>>,
+    }
+
+    impl Parker {
+        fn new(
+            parks: impl Fn(AppId) -> bool + Send + Sync + 'static,
+        ) -> (Arc<Parker>, crossbeam::channel::Sender<()>) {
+            let (release, gate) = crossbeam::channel::bounded(0);
+            let parker = Parker {
+                parks: Box::new(parks),
+                gate,
+                threads: parking_lot::Mutex::default(),
+            };
+            (Arc::new(parker), release)
+        }
+    }
+
+    impl VerdictObserver for Parker {
+        fn observe(&self, _: &AppFeatures, verdict: &Verdict, _: &VersionedModel, _: bool) {
+            self.threads.lock().push(std::thread::current().id());
+            if (self.parks)(verdict.app) {
+                // returns once the release sender is dropped
+                let _ = self.gate.recv();
+            }
+        }
+    }
+
+    /// Polls until `ready` holds.
+    fn wait_until(ready: impl Fn() -> bool) {
+        while !ready() {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
     }
 
     fn feed_malicious(svc: &FrappeService, app: AppId) {
@@ -1028,36 +969,102 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn nonblocking_classify_polls_to_the_same_verdict() {
-        let svc = service();
-        let app = AppId(61);
-        feed_malicious(&svc, app);
-        let blocking = svc.classify(app).unwrap();
-        let mut pending = svc.classify_traced(app, None).unwrap();
-        let polled = pending
-            .wait_timeout(Duration::from_secs(30))
-            .expect("the worker's reply wakes the waiter")
-            .unwrap();
-        assert_eq!(polled, blocking, "cache answers both paths identically");
-        assert_eq!(svc.metrics().queries_served, 2, "both paths feed latency");
-    }
+    fn classify_scores_on_the_callers_thread() {
+        let caller = std::thread::current().id();
 
-    #[test]
-    fn zero_workers_is_a_stalled_pool() {
+        // a service: the observer runs on the thread that called classify
         let app = AppId(71);
-        let svc = stalled_service(app);
-        let mut first = svc.classify_traced(app, None).expect("one slot admits");
-        assert!(
-            first.wait_timeout(Duration::from_millis(20)).is_none(),
-            "nothing ever drains a 0-worker pool"
-        );
+        let svc = capped_service(app, 2);
+        let deployment = crate::Deployment::from(Arc::clone(&svc));
+        let (parker, release) = Parker::new(|_| true);
+        deployment.set_observer(Some(parker.clone()));
+        drop(release); // nothing parks yet
+        svc.classify(app).unwrap();
+        assert_eq!(*parker.threads.lock(), vec![caller], "scored on the caller");
+
+        // fill every in-flight slot with a parked classify
+        let (parker, release) = Parker::new(|_| true);
+        deployment.set_observer(Some(parker.clone()));
+        let holders: Vec<_> = (0..2)
+            .map(|_| {
+                let svc = Arc::clone(&svc);
+                std::thread::spawn(move || (svc.classify(app), std::thread::current().id()))
+            })
+            .collect();
+        wait_until(|| svc.queue_depth() == 2);
         assert_eq!(
-            svc.classify_traced(app, None).err(),
-            Some(ServeError::Overloaded { retry_after_ms: 9 }),
-            "the queue saturates deterministically"
+            svc.classify(app),
+            Err(ServeError::Overloaded { retry_after_ms: 9 }),
+            "the cap sheds with the configured hint"
         );
-        assert_eq!(svc.queue_depth(), 1);
         assert_eq!(svc.metrics().rejected, 1);
+        assert!(!deployment.queues_at_most_half_full());
+        drop(release);
+        for holder in holders {
+            let (outcome, holder_thread) = holder.join().unwrap();
+            outcome.expect("admitted before the cap filled");
+            assert!(parker.threads.lock().contains(&holder_thread));
+        }
+        assert!(deployment.queues_at_most_half_full(), "slots given back");
+        assert_eq!(svc.queue_depth(), 0);
+        svc.classify(app).expect("admitted again after release");
+
+        // a router group: the same, on the group that owns the app
+        let router = Arc::new(crate::ShardRouter::new(
+            tiny_model(),
+            KnownMaliciousNames::default(),
+            Shortener::bitly(),
+            crate::ShardConfig {
+                groups: 2,
+                mailbox_capacity: 8,
+                group: ServeConfig {
+                    shards: 1,
+                    max_in_flight: 1,
+                    retry_after_ms: 9,
+                },
+            },
+        ));
+        let (a, b) = (AppId(1), AppId(2));
+        let shedding = router.group_of(a);
+        assert_ne!(
+            shedding,
+            router.group_of(b),
+            "the fixture spans both groups"
+        );
+        for app in [a, b] {
+            router
+                .ingest(&ServeEvent::Registered {
+                    app,
+                    name: format!("app {}", app.raw()),
+                })
+                .unwrap();
+        }
+        router.flush();
+        let deployment = crate::Deployment::from(Arc::clone(&router));
+        let (parker, release) =
+            Parker::new(move |app| crate::router::group_index(app, 2) == shedding);
+        deployment.set_observer(Some(parker.clone()));
+        router.classify(b).unwrap();
+        assert_eq!(*parker.threads.lock(), vec![caller], "scored on the caller");
+
+        let holder = std::thread::spawn({
+            let router = Arc::clone(&router);
+            move || router.classify(a)
+        });
+        wait_until(|| router.queue_depth() == 1);
+        assert_eq!(
+            router.classify(a),
+            Err(ServeError::Overloaded { retry_after_ms: 9 })
+        );
+        assert!(!deployment.queues_at_most_half_full());
+        router.classify(b).expect("the other group still admits");
+        drop(release);
+        holder
+            .join()
+            .unwrap()
+            .expect("admitted before the cap filled");
+        assert!(deployment.queues_at_most_half_full());
+        router.classify(a).expect("admitted again after release");
     }
 
     #[test]
@@ -1123,9 +1130,15 @@ pub(crate) mod tests {
             ..TraceConfig::default()
         });
         let app = AppId(91);
-        let svc = stalled_service(app); // the second submit must shed
+        let svc = capped_service(app, 1); // the second classify must shed
         svc.set_trace_collector(tc.clone());
-        let first = svc.classify_traced(app, None).expect("one slot admits");
+        let (parker, release) = Parker::new(|_| true);
+        svc.control().set_observer(Some(parker));
+        let first = std::thread::spawn({
+            let svc = Arc::clone(&svc);
+            move || svc.classify(app)
+        });
+        wait_until(|| svc.queue_depth() == 1);
         assert_eq!(
             svc.classify_traced(app, None).err(),
             Some(ServeError::Overloaded { retry_after_ms: 9 })
@@ -1134,26 +1147,10 @@ pub(crate) mod tests {
         assert_eq!(kept.len(), 1, "only the shed query is kept");
         assert!(kept[0].has_flag(TraceFlag::Shed429));
         assert_eq!(kept[0].outcome, "overloaded");
-        drop(first); // abandoned and unflagged — sampling drops it
+        drop(release);
+        // answered and unflagged — sampling drops it
+        first.join().unwrap().expect("admitted before the shed");
         assert_eq!(tc.snapshot().len(), 1);
-    }
-
-    #[test]
-    fn a_reply_lost_to_shutdown_settles_its_trace() {
-        let keep_all = TraceConfig {
-            head_every: 1,
-            ..TraceConfig::default()
-        };
-        let tc = TraceCollector::with_clock(keep_all, Arc::new(frappe_obs::ManualClock::at(0)));
-        let app = AppId(97);
-        let svc = stalled_service(app); // the query is still queued at shutdown
-        svc.set_trace_collector(tc.clone());
-        let pending = svc.classify_traced(app, None).expect("one slot admits");
-        drop(svc);
-        assert_eq!(pending.wait(), Err(ServeError::ShuttingDown));
-        let kept = tc.snapshot();
-        assert_eq!((kept.len(), kept[0].outcome.as_str()), (1, "shutting_down"));
-        assert!(kept[0].events.iter().any(|e| e.name == "serve_error"));
     }
 
     #[test]

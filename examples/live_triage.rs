@@ -76,11 +76,7 @@ fn main() {
         model,
         known,
         world.shortener.clone(),
-        ServeConfig {
-            shards: 4,
-            workers: 2,
-            ..ServeConfig::default()
-        },
+        ServeConfig::default(),
     );
     let events = serve_events(&world);
     println!(

@@ -5,7 +5,7 @@
 //!   HTTP classifies read from;
 //! * verdicts served over the socket are **byte-identical** to
 //!   in-process [`FrappeService::classify`], under concurrent clients;
-//! * a saturated scorer pool yields a deterministic `429` with a
+//! * a full in-flight cap yields a deterministic `429` with a
 //!   `Retry-After` header and the pinned [`ErrorEnvelope`] body;
 //! * a full accept gate answers a canned `503` with a `Retry-After`
 //!   header and the same envelope, and always tail-keeps its trace;
@@ -14,7 +14,7 @@
 //!   every response body is one of the known-good per-version strings —
 //!   nothing stale, nothing garbled;
 //! * dropping a server joins every connection thread, wherever each one
-//!   is blocked: on a stalled verdict, in a 429 read pause, or in `read`;
+//!   is blocked: in a 429 read pause, or in `read`;
 //! * a drain does not wait for a request that is only half sent, and
 //!   that request is answered after the resume;
 //! * socket traffic alone feeds a lifecycle manager's drift window,
@@ -39,6 +39,10 @@ use frappe_serve::{Deployment, FrappeService, ServeConfig, ServeEvent, ShardConf
 use osn_types::ids::AppId;
 use svm::{Kernel, SvmParams};
 use url_services::shortener::Shortener;
+
+#[path = "support/hold.rs"]
+mod hold;
+use hold::Held;
 
 // ---------------------------------------------------------------- fixtures
 
@@ -267,25 +271,16 @@ fn concurrent_socket_verdicts_are_byte_identical_to_in_process() {
 
 #[test]
 fn saturated_scorer_pool_answers_429_with_retry_after() {
-    // workers = 0 is a deliberately stalled pool: the single queue slot
-    // fills on the first classify and never drains, so the second
-    // classify is rejected deterministically.
+    // One in-flight slot, held by a classify parked in the scorer, so
+    // the socket classify is rejected deterministically.
     let service = Arc::new(service_with(ServeConfig {
         shards: 1,
-        workers: 0,
-        queue_capacity: 1,
-        batch_size: 1,
+        max_in_flight: 1,
         retry_after_ms: 9,
     }));
     feed_app(&service, AppId(7), true, 2);
     let server = Server::bind(Arc::clone(&service), "127.0.0.1:0", NetConfig::default()).unwrap();
-
-    let mut stuck = Client::connect(server.local_addr()).unwrap();
-    stuck.send("GET", "/v1/classify/7", "").unwrap();
-    // wait until the first request owns the queue slot
-    while service.queue_depth() == 0 {
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    let held = Held::classify(Arc::clone(&service), AppId(7));
 
     let mut shed = Client::connect(server.local_addr()).unwrap();
     let response = shed.get("/v1/classify/7").unwrap();
@@ -307,6 +302,7 @@ fn saturated_scorer_pool_answers_429_with_retry_after() {
         "the shed connection is read-paused: {snapshot}"
     );
     assert_eq!(service.metrics().rejected, 1);
+    held.release().expect("the held classify is answered");
 }
 
 #[test]
@@ -362,10 +358,10 @@ fn full_accept_gate_answers_503_and_tail_keeps_the_shed() {
 
 #[test]
 fn router_read_pause_holds_while_the_shedding_group_is_full() {
-    // Two groups of stalled pools, one queue slot each. A 429 comes from
-    // one group's full queue; summed over groups that queue is only half
-    // full, yet the shed connection must stay paused until *its* group
-    // drains — which here is never.
+    // Two groups with one in-flight slot each. A 429 comes from one
+    // group's full count; summed over groups the slots are only half
+    // taken, yet the shed connection must stay paused until *its* group
+    // frees its slot — which here happens only after the checks.
     let router = Arc::new(ShardRouter::new(
         tiny_model(),
         KnownMaliciousNames::from_names(["profile viewer"]),
@@ -375,9 +371,7 @@ fn router_read_pause_holds_while_the_shedding_group_is_full() {
             mailbox_capacity: 64,
             group: ServeConfig {
                 shards: 1,
-                workers: 0,
-                queue_capacity: 1,
-                batch_size: 1,
+                max_in_flight: 1,
                 retry_after_ms: 9,
             },
         },
@@ -387,12 +381,8 @@ fn router_read_pause_holds_while_the_shedding_group_is_full() {
     }
     router.flush();
     let server = Server::bind(Arc::clone(&router), "127.0.0.1:0", NetConfig::default()).unwrap();
-
-    let mut stuck = Client::connect(server.local_addr()).unwrap();
-    stuck.send("GET", "/v1/classify/7", "").unwrap();
-    while router.queue_depth() == 0 {
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    // parks only classifies into app 7's group
+    let held = Held::classify(Arc::clone(&router), AppId(7));
 
     // Three pipelined classifies into the full group: the first is shed,
     // the other two must wait behind the read pause.
@@ -409,6 +399,7 @@ fn router_read_pause_holds_while_the_shedding_group_is_full() {
         scrape.contains("net_read_stalls 1\n"),
         "the shed connection stays read-paused: {scrape}"
     );
+    held.release().expect("the held classify is answered");
 }
 
 #[test]
@@ -537,38 +528,31 @@ fn within<T: Send + 'static>(secs: u64, what: &str, f: impl FnOnce() -> T + Send
 
 #[test]
 fn dropping_the_server_joins_every_connection_thread() {
-    // Stalled pool (as in the 429 test): the parked classify never gets
-    // a verdict, and the next one is shed.
+    // As in the 429 test: an in-process classify holds the only
+    // in-flight slot until after the drop, so the socket one is shed.
     let service = Arc::new(service_with(ServeConfig {
         shards: 1,
-        workers: 0,
-        queue_capacity: 1,
-        batch_size: 1,
+        max_in_flight: 1,
         retry_after_ms: 9,
     }));
     feed_app(&service, AppId(7), true, 2);
     let server = Server::bind(Arc::clone(&service), "127.0.0.1:0", NetConfig::default()).unwrap();
     let addr = server.local_addr();
+    let held = Held::classify(Arc::clone(&service), AppId(7));
 
-    // 1. parked on a verdict that never comes
-    let mut parked = Client::connect(addr).unwrap();
-    parked.send("GET", "/v1/classify/7", "").unwrap();
-    while service.queue_depth() == 0 {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    // 2. read-paused after its 429 (the queue never recovers)
+    // 1. read-paused after its 429 (the slot is not freed before the drop)
     let mut paused = Client::connect(addr).unwrap();
     assert_eq!(paused.get("/v1/classify/7").unwrap().status, 429);
-    // 3. idle keep-alive, blocked in `read`
+    // 2. idle keep-alive, blocked in `read`
     let mut idle = Client::connect(addr).unwrap();
     assert_eq!(idle.get("/healthz").unwrap().status, 200);
     let scrape = service.obs_registry().snapshot().to_prometheus_text();
-    assert!(scrape.contains("net_conns_active 3\n"), "{scrape}");
+    assert!(scrape.contains("net_conns_active 2\n"), "{scrape}");
 
     within(10, "dropping the server", move || drop(server));
 
     // every thread is gone: its connection is closed and deregistered
-    for (name, mut client) in [("parked", parked), ("paused", paused), ("idle", idle)] {
+    for (name, mut client) in [("paused", paused), ("idle", idle)] {
         assert!(
             client.read_response().is_err(),
             "the {name} connection was closed by the shutdown"
@@ -576,6 +560,7 @@ fn dropping_the_server_joins_every_connection_thread() {
     }
     let scrape = service.obs_registry().snapshot().to_prometheus_text();
     assert!(scrape.contains("net_conns_active 0\n"), "{scrape}");
+    held.release().expect("the held classify is answered");
 }
 
 #[test]

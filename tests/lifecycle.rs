@@ -404,16 +404,24 @@ fn lifecycle_transitions_flag_in_flight_traces_and_drift_alarms_carry_exemplars(
         service.classify(app).expect("tracked app");
     }
 
-    // A query whose verdict is still unsettled when the promote lands is
+    // A request whose trace is still open when the promote lands is
     // flagged (and therefore tail-sampled) even with head sampling off.
-    let in_flight = service.classify_traced(apps[0], None).expect("accepted");
+    // The trace stays open across the transition the way the edge's
+    // request trace does until its response is written.
+    let in_flight = collector.begin("classify");
+    service
+        .classify_traced(apps[0], Some((in_flight.clone(), None)))
+        .expect("tracked app");
     assert_eq!(manager.try_promote(), PromotionOutcome::Promoted(2));
-    in_flight.wait().expect("scored across the swap");
+    in_flight.finish("ok");
 
-    let in_flight = service.classify_traced(apps[1], None).expect("accepted");
+    let in_flight = collector.begin("classify");
+    service
+        .classify_traced(apps[1], Some((in_flight.clone(), None)))
+        .expect("tracked app");
     let rolled = manager.rollback().expect("history has v1");
     assert_eq!(rolled, 1);
-    in_flight.wait().expect("scored across the rollback");
+    in_flight.finish("ok");
 
     let kept = collector.snapshot();
     let swap = kept

@@ -92,16 +92,7 @@ fn online_verdicts_match_batch_predictions() {
     let world = run_scenario(&ScenarioConfig::small());
     let known = known_names(&world);
     let model = train_on_world(&world, &known);
-    let service = service_from_world(
-        &world,
-        model.clone(),
-        known.clone(),
-        ServeConfig {
-            shards: 4,
-            workers: 2,
-            ..ServeConfig::default()
-        },
-    );
+    let service = service_from_world(&world, model.clone(), known.clone(), ServeConfig::default());
 
     let mut malicious_seen = 0usize;
     for record in world.platform.apps() {

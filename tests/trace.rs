@@ -14,7 +14,7 @@
 //!   on (keep-everything sampling) and off — observation never perturbs
 //!   the result.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -29,6 +29,10 @@ use frappe_obs::{CompletedTrace, TraceCollector, TraceConfig, TraceFlag};
 use frappe_serve::{FrappeService, ServeConfig, ServeEvent, ShardConfig, ShardRouter};
 use osn_types::ids::AppId;
 use url_services::shortener::Shortener;
+
+#[path = "support/hold.rs"]
+mod hold;
+use hold::Held;
 
 // ---------------------------------------------------------------- fixtures
 
@@ -109,6 +113,16 @@ fn tail_only_collector() -> TraceCollector {
     })
 }
 
+/// Returns once the hammer threads answer one more request, so a
+/// promote lands among live traffic: the loop that promotes scores on
+/// its own thread and can otherwise outrun the hammers' connects.
+fn await_traffic(served: &AtomicUsize) {
+    let seen = served.load(Ordering::Relaxed);
+    while served.load(Ordering::Relaxed) == seen {
+        std::thread::yield_now();
+    }
+}
+
 /// `GET path` over `client`, as `(status, body)`.
 fn get(client: &mut Client, path: &str) -> (u16, String) {
     let response = client.get(path).expect("GET over the socket");
@@ -138,17 +152,15 @@ fn assert_accept_to_write(trace: &CompletedTrace) {
 
 #[test]
 fn shed_429_is_always_tail_sampled_from_accept_to_response_write() {
-    // Stalled pool: one queue slot, no workers — the second classify is
-    // deterministically shed with a 429.
+    // One in-flight slot, held by an in-process classify parked in the
+    // scorer — the socket classify is deterministically shed with a 429.
     let service = Arc::new(FrappeService::new(
         tiny_model(),
         KnownMaliciousNames::from_names(["profile viewer"]),
         Shortener::bitly(),
         ServeConfig {
             shards: 1,
-            workers: 0,
-            queue_capacity: 1,
-            batch_size: 1,
+            max_in_flight: 1,
             retry_after_ms: 9,
         },
     ));
@@ -156,12 +168,7 @@ fn shed_429_is_always_tail_sampled_from_accept_to_response_write() {
     let collector = tail_only_collector();
     service.set_trace_collector(collector.clone());
     let server = Server::bind(Arc::clone(&service), "127.0.0.1:0", NetConfig::default()).unwrap();
-
-    let mut stuck = Client::connect(server.local_addr()).unwrap();
-    stuck.send("GET", "/v1/classify/7", "").unwrap();
-    while service.queue_depth() == 0 {
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    let held = Held::classify(Arc::clone(&service), AppId(7));
 
     let mut shed = Client::connect(server.local_addr()).unwrap();
     let (status, _) = get(&mut shed, "/v1/classify/7");
@@ -215,6 +222,7 @@ fn shed_429_is_always_tail_sampled_from_accept_to_response_write() {
     assert_eq!(status, 200);
     assert!(chrome.trim_start().starts_with('['), "{chrome}");
     assert!(chrome.contains("edge/write"), "{chrome}");
+    held.release().expect("the held classify is answered");
 }
 
 #[test]
@@ -251,9 +259,10 @@ fn requests_in_flight_across_a_fenced_promote_are_tail_sampled() {
     // Hammer the edge from fresh connections (one request each, so every
     // trace carries its own accept span) while promotes land mid-flight.
     let stop = Arc::new(AtomicBool::new(false));
+    let served = Arc::new(AtomicUsize::new(0));
     let hammers: Vec<_> = (0..2)
         .map(|tid| {
-            let stop = Arc::clone(&stop);
+            let (stop, served) = (Arc::clone(&stop), Arc::clone(&served));
             let apps = apps.clone();
             std::thread::spawn(move || {
                 let mut i = tid;
@@ -262,6 +271,7 @@ fn requests_in_flight_across_a_fenced_promote_are_tail_sampled() {
                     let app = apps[i % apps.len()];
                     let (status, _) = get(&mut client, &format!("/v1/classify/{}", app.raw()));
                     assert!(status == 200 || status == 429, "got {status}");
+                    served.fetch_add(1, Ordering::Relaxed);
                     i += 1;
                 }
             })
@@ -283,6 +293,7 @@ fn requests_in_flight_across_a_fenced_promote_are_tail_sampled() {
     let mut found = None;
     for attempt in 0.. {
         assert!(attempt < 50, "no promote ever straddled a live request");
+        await_traffic(&served);
         let version = manager.begin_shadow(Arc::new(tiny_model()), ModelSource::default());
         service.classify(apps[0]).unwrap();
         assert_eq!(manager.try_promote(), PromotionOutcome::Promoted(version));
@@ -459,9 +470,10 @@ fn forwarded_requests_keep_the_edge_trace_across_a_multi_group_promote() {
     manager.set_swap_fence(Arc::new(server.handle()));
 
     let stop = Arc::new(AtomicBool::new(false));
+    let served = Arc::new(AtomicUsize::new(0));
     let hammers: Vec<_> = (0..2)
         .map(|tid| {
-            let stop = Arc::clone(&stop);
+            let (stop, served) = (Arc::clone(&stop), Arc::clone(&served));
             let apps = apps.clone();
             std::thread::spawn(move || {
                 let mut i = tid;
@@ -470,6 +482,7 @@ fn forwarded_requests_keep_the_edge_trace_across_a_multi_group_promote() {
                     let app = apps[i % apps.len()];
                     let (status, _) = get(&mut client, &format!("/v1/classify/{}", app.raw()));
                     assert!(status == 200 || status == 429, "got {status}");
+                    served.fetch_add(1, Ordering::Relaxed);
                     i += 1;
                 }
             })
@@ -487,6 +500,7 @@ fn forwarded_requests_keep_the_edge_trace_across_a_multi_group_promote() {
     let mut version = 0;
     for attempt in 0.. {
         assert!(attempt < 50, "no promote ever straddled a live request");
+        await_traffic(&served);
         version = manager.begin_shadow(Arc::new(tiny_model()), ModelSource::default());
         router.classify(apps[0]).unwrap();
         assert_eq!(manager.try_promote(), PromotionOutcome::Promoted(version));
@@ -524,7 +538,7 @@ fn forwarded_requests_keep_the_edge_trace_across_a_multi_group_promote() {
         "the routing decision is on the trace: {:?}",
         trace.events
     );
-    // …and the trace tree crosses the mailbox hop unbroken: the edge
+    // …and the trace tree crosses into the group unbroken: the edge
     // root parents the router's spans, which parent the group's spans.
     let root = trace.span("edge/request").unwrap().id;
     let forward = trace.span("route/forward").expect("forward span recorded");

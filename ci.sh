@@ -63,7 +63,8 @@ FRAPPE_JOBS=8 cargo test -q -p frappe-lifecycle --test lifecycle
 echo "==> shard-group suite (fenced multi-group swaps, shared known-names flips) at K=1/3/4, FRAPPE_JOBS=1 and FRAPPE_JOBS=8"
 # The shared-nothing deployment: a fenced promote/rollback must land on
 # every group atomically under load, and a mid-stream known-names flip
-# must reach every group exactly like a single service. Each test sweeps
+# must reach every group exactly like a single service, with every
+# routed ingest visible to the very next read (no flush). Each test sweeps
 # the degenerate single-group shape and two genuinely partitioned ones
 # (GROUP_COUNTS in tests/shard.rs); run it at both pool extremes too.
 cargo test -q -p frappe-lifecycle --test shard

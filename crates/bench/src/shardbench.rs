@@ -2,8 +2,8 @@
 //!
 //! This module produces one machine-readable [`ShardBenchReport`] that
 //! `repro --shard-bench-out` serializes to `BENCH_shard.json`: ingest
-//! throughput (events/s through the hashing router's mailboxes, flush
-//! barrier included) and classify throughput with p50/p99 latency, each
+//! throughput (events/s of one feeder thread applying through the hashing
+//! router) and classify throughput with p50/p99 latency, each
 //! measured at group counts {1, 2, 4, 8} over the same world, the same
 //! model, and the same per-group configuration — so the only variable is
 //! K. A final leg hammers classify across repeated hot swaps on the
@@ -12,7 +12,7 @@
 //! invariant is that the count is zero.
 //!
 //! Honesty note: the scaling curve is whatever *this machine* delivers —
-//! a box with fewer cores than `groups x workers` flattens early, which
+//! a box with fewer cores than the hammer threads flattens early, which
 //! is why `threads_available` and `parallel_mode` ride along in the
 //! report (same convention as the other BENCH files). It records no
 //! speedup between group counts: each timing is one unrepeated pass, and
@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 
 use frappe::{FeatureSet, FrappeModel};
 use frappe_jobs::JobPool;
-use frappe_serve::{serve_events, ServeConfig, ServeEvent, ShardConfig, ShardRouter};
+use frappe_serve::{serve_events, ShardConfig, ShardRouter};
 use osn_types::ids::AppId;
 use serde::{Deserialize, Serialize};
 
@@ -39,9 +39,9 @@ pub const GROUP_COUNTS: [usize; 4] = [1, 2, 4, 8];
 pub struct GroupRunBench {
     /// Shard groups (K).
     pub groups: usize,
-    /// Events forwarded through the router.
+    /// Events applied through the router.
     pub ingest_events: usize,
-    /// Wall-clock of the forward + flush barrier, milliseconds.
+    /// Wall-clock of applying the whole stream, milliseconds.
     pub ingest_wall_ms: f64,
     /// `ingest_events / ingest_wall`.
     pub ingest_events_per_s: f64,
@@ -93,19 +93,10 @@ pub struct ShardBenchReport {
     pub swap_under_load: SwapUnderLoadBench,
 }
 
-/// Forwards one event, spinning while its owner group's mailbox is full
-/// (benches measure throughput, not the retry policy).
-fn ingest_routed(router: &ShardRouter, event: &ServeEvent) {
-    while router.ingest(event).is_err() {
-        std::thread::yield_now();
-    }
-}
-
 fn shard_config(groups: usize) -> ShardConfig {
     ShardConfig {
         groups,
-        mailbox_capacity: 4096,
-        group: ServeConfig::default(),
+        ..ShardConfig::default()
     }
 }
 
@@ -150,14 +141,12 @@ pub fn run(quick: bool) -> ShardBenchReport {
             shard_config(groups),
         ));
 
-        // Ingest: one feeder forwards the whole stream, then the flush
-        // barrier waits for every group to drain — the wall covers both,
-        // so K groups applying in parallel is what the number measures.
+        // Ingest: one feeder applies the whole stream, each event in its
+        // owner group's store on the feeder's own thread.
         let t = Instant::now();
         for event in &events {
-            ingest_routed(&router, event);
+            router.ingest(event).unwrap();
         }
-        router.flush();
         let ingest_wall_ms = t.elapsed().as_secs_f64() * 1e3;
 
         // Classify: hammer threads walk the tracked apps with coprime

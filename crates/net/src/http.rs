@@ -433,7 +433,7 @@ mod tests {
     fn response_bytes_are_exactly_as_specified() {
         let mut r = Response::json(
             429,
-            br#"{"error":"ShuttingDown","retry_after_ms":null}"#.to_vec(),
+            br#"{"error":{"Overloaded":{"retry_after_ms":9}},"retry_after_ms":9}"#.to_vec(),
         );
         r.retry_after_secs = Some(1);
         r.close = true;
@@ -444,10 +444,10 @@ mod tests {
             text,
             "HTTP/1.1 429 Too Many Requests\r\n\
              content-type: application/json\r\n\
-             content-length: 46\r\n\
+             content-length: 64\r\n\
              retry-after: 1\r\n\
              connection: close\r\n\r\n\
-             {\"error\":\"ShuttingDown\",\"retry_after_ms\":null}"
+             {\"error\":{\"Overloaded\":{\"retry_after_ms\":9}},\"retry_after_ms\":9}"
         );
     }
 

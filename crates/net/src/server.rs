@@ -7,7 +7,7 @@
 //!
 //! | route | verb | body | answer |
 //! |---|---|---|---|
-//! | `/v1/events` | POST | NDJSON [`ServeEvent`] lines | `202 {"ingested":n}` (parse is all-or-nothing; a `Registered` name over [`MAX_APP_NAME_BYTES`] is a `400`) |
+//! | `/v1/events` | POST | NDJSON [`ServeEvent`] lines | `202 {"ingested":n}` once every event is applied, or a `400` that applies none (a malformed line, or a `Registered` name over [`MAX_APP_NAME_BYTES`]) |
 //! | `/v1/classify/{app_id}` | GET | — | `200` [`frappe_serve::Verdict`] JSON |
 //! | `/metrics` | GET | — | `200` Prometheus text |
 //! | `/healthz` | GET | — | `200 {"status":"ok"}` |
@@ -15,7 +15,7 @@
 //! Every error a classify can produce travels as the shared
 //! [`ErrorEnvelope`]: `UnknownApp → 404`, `Overloaded → 429` with a
 //! `Retry-After` header (whole seconds, rounded up from the envelope's
-//! exact millisecond hint), `ShuttingDown → 503`.
+//! exact millisecond hint).
 //!
 //! ## Backpressure, in two rings
 //!
@@ -418,13 +418,11 @@ impl Edge {
         }
     }
 
-    /// `POST /v1/events`: NDJSON. Parsing is all-or-nothing — every line
-    /// must parse, and every `Registered` name fit in
-    /// [`MAX_APP_NAME_BYTES`], before any event is forwarded, so a
-    /// *malformed* batch moves no feature. Forwarding can still shed on a router (a full
-    /// group mailbox answers 429 with `Retry-After`). Events before the
-    /// shed point stay applied, and the 429 envelope carries no count of
-    /// them: the client cannot tell from the answer which events landed.
+    /// `POST /v1/events`: NDJSON, all-or-nothing. Every line must parse,
+    /// and every `Registered` name fit in [`MAX_APP_NAME_BYTES`], before
+    /// any event is applied, so a `400` moves no feature. Then every event
+    /// is applied on this thread, so a `202` means all of them are
+    /// visible to the next classify.
     fn ingest_events(&self, body: &[u8]) -> Response {
         let Ok(text) = std::str::from_utf8(body) else {
             return Response::json(400, &br#"{"error":"body is not UTF-8"}"#[..]);
@@ -455,12 +453,7 @@ impl Edge {
             }
         }
         for event in &events {
-            if let Err(err) = self.service.ingest(event) {
-                if matches!(err, ServeError::Overloaded { .. }) {
-                    self.metrics.shed(self.service.group_of(event.app()));
-                }
-                return error_response(err);
-            }
+            self.service.ingest(event);
         }
         Response::json(
             202,
@@ -675,6 +668,11 @@ impl Server {
 }
 
 impl Drop for Server {
+    /// Shuts every connection down and joins the accept thread, which
+    /// joins every connection thread. A connection thread runs its
+    /// ingest and its classify inline, observer included, so a
+    /// [`frappe_serve::VerdictObserver`] stalled in `observe` holds this
+    /// drop until it returns: observers must return promptly.
     fn drop(&mut self) {
         let edge = &self.handle.edge;
         {
@@ -736,21 +734,14 @@ fn retry_secs(retry_after_ms: u64) -> u64 {
 
 /// Maps a [`ServeError`] onto its status + envelope body. The 429
 /// carries both the exact millisecond hint (envelope) and the
-/// rounded-up `Retry-After` header; 503 closes the connection.
+/// rounded-up `Retry-After` header.
 fn error_response(err: ServeError) -> Response {
-    let status = match &err {
-        ServeError::UnknownApp(_) => 404,
-        ServeError::Overloaded { .. } => 429,
-        ServeError::ShuttingDown => 503,
+    let (status, retry_after_secs) = match &err {
+        ServeError::UnknownApp(_) => (404, None),
+        ServeError::Overloaded { retry_after_ms } => (429, Some(retry_secs(*retry_after_ms))),
     };
-    let retry_after_secs = match &err {
-        ServeError::Overloaded { retry_after_ms } => Some(retry_secs(*retry_after_ms)),
-        _ => None,
-    };
-    let close = matches!(err, ServeError::ShuttingDown);
     let mut response = Response::json(status, envelope_json(&ErrorEnvelope::new(err)));
     response.retry_after_secs = retry_after_secs;
-    response.close = close;
     response
 }
 
@@ -780,9 +771,5 @@ mod tests {
         let r = error_response(ServeError::UnknownApp(AppId(404)));
         assert_eq!(r.status, 404);
         assert_eq!(r.retry_after_secs, None);
-
-        let r = error_response(ServeError::ShuttingDown);
-        assert_eq!(r.status, 503);
-        assert!(r.close, "no point keeping a connection to a dying service");
     }
 }

@@ -48,10 +48,16 @@ use crate::service::Verdict;
 /// group alike.
 ///
 /// The scorer calls [`observe`](Self::observe) on the classify caller's
-/// thread, so `classify` returns only after its query was observed. A fresh score hands over the exact row it just
-/// scored; a cache hit hands over the row re-read from the store, and
-/// only when that row still carries the stamps the hit matched (so the
-/// row is the one the cached verdict was scored on).
+/// thread, so `classify` returns only after its query was observed. A
+/// fresh score hands over the exact row it just scored; a cache hit
+/// hands over the row re-read from the store, and only when that row
+/// still carries the stamps the hit matched (so the row is the one the
+/// cached verdict was scored on).
+///
+/// An observer must return promptly. It runs inside every `classify`,
+/// so a stalled `observe` stalls its caller — and when that caller is a
+/// network edge's connection thread, it also holds up dropping the
+/// edge's `Server`, which joins every connection thread.
 pub trait VerdictObserver: Send + Sync {
     /// One answered query: the feature row behind `verdict`, the model
     /// installed when it was answered, and whether the verdict was

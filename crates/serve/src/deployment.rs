@@ -5,9 +5,9 @@
 //! There are exactly two deployment shapes — a single [`FrappeService`]
 //! or a [`ShardRouter`] over K shard groups — so the handle is a closed
 //! enum, not a trait object. Every verb forwards to the shape's inherent
-//! method; where the shapes differ (fallible ingest, the merged
-//! exposition, the retry hint, the per-group in-flight check) the
-//! difference lives in that verb's match arms and nowhere else.
+//! method; where the shapes differ (the merged exposition, the retry
+//! hint, the per-group in-flight check) the difference lives in that
+//! verb's match arms and nowhere else.
 
 use std::sync::Arc;
 
@@ -43,16 +43,12 @@ impl From<Arc<ShardRouter>> for Deployment {
 }
 
 impl Deployment {
-    /// Applies one event. A service applies it synchronously and never
-    /// fails; a router forwards it into the owner group's bounded mailbox
-    /// and sheds with [`ServeError::Overloaded`] when that mailbox is full.
-    pub fn ingest(&self, event: &ServeEvent) -> Result<(), ServeError> {
+    /// Applies one event on the calling thread, in the service that owns
+    /// the app; when it returns, the next read sees the event.
+    pub fn ingest(&self, event: &ServeEvent) {
         match self {
-            Deployment::Service(s) => {
-                s.ingest(event);
-                Ok(())
-            }
-            Deployment::Router(r) => r.ingest(event),
+            Deployment::Service(s) => s.ingest(event),
+            Deployment::Router(r) => r.group_service(event.app()).ingest(event),
         }
     }
 
@@ -113,7 +109,7 @@ impl Deployment {
         let half = |s: &FrappeService| s.queue_depth() * 2 <= s.config().max_in_flight;
         match self {
             Deployment::Service(s) => half(s),
-            Deployment::Router(r) => r.group_services().all(|s| half(s)),
+            Deployment::Router(r) => r.group_services().all(half),
         }
     }
 

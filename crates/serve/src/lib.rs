@@ -29,9 +29,12 @@
 //! incremental feature state, [`cache`] the generation-stamped verdict
 //! memo, [`metrics`] the observability layer (a thin view over a
 //! per-instance [`frappe_obs::Registry`], exportable as Prometheus
-//! text), [`service`] the façade (classify on the caller's thread behind
-//! an in-flight cap with reject-with-retry-after backpressure), and
-//! [`bridge`] the adapter from synthetic scenarios.
+//! text), [`service`] the façade (ingest and classify on the caller's
+//! thread, classify behind an in-flight cap with reject-with-retry-after
+//! backpressure), [`bridge`] the adapter from synthetic scenarios,
+//! [`control`] the state a deployment shares (model pointer, known
+//! names, observer), [`router`] the K-group deployment, and
+//! [`deployment`] the one handle over both shapes.
 //!
 //! ## One observation point
 //!
@@ -61,10 +64,12 @@
 //! One service saturates around its store locks and one in-flight cap.
 //! For scale-out, [`router::ShardRouter`] partitions the app-id space
 //! across K **shard groups** — each a complete private service (store,
-//! cache, in-flight cap, registry) fed through a bounded per-group
-//! mailbox — while [`control::ControlPlane`] keeps the mutable control
-//! state (model epoch pointer, known-names generation) shared by
-//! construction, so hot swaps stay globally atomic. The network edge and
+//! cache, in-flight cap, registry) — while [`control::ControlPlane`]
+//! keeps the mutable control state (model epoch pointer, known-names
+//! generation) shared by construction, so hot swaps stay globally
+//! atomic. A router is K services that share one control plane: ingest
+//! and classify both run on the caller's thread in the owner group, and
+//! the router owns no threads. The network edge and
 //! the lifecycle layer hold either shape through one closed handle,
 //! [`Deployment`], whose match arms are the only place the two shapes
 //! differ.
@@ -77,7 +82,6 @@ pub mod cache;
 pub mod control;
 pub mod deployment;
 pub mod event;
-pub(crate) mod group;
 pub mod metrics;
 pub mod router;
 pub mod service;

@@ -1,20 +1,19 @@
 //! The hashing router in front of K shard groups.
 //!
 //! [`ShardRouter`] is the shared-nothing deployment of the serving
-//! stack: it partitions the app-id space across K `group` (shard-group)
-//! workers with a seeded hash, forwards ingest over each group's
-//! bounded mailbox, and calls classify on the owner group's service on
-//! the caller's thread — both with the same reject-with-retry-after
-//! contract a single [`FrappeService`] has. Control state (model
-//! pointer, known names) lives in one shared [`ControlPlane`], so swaps
-//! and name flags stay globally atomic across groups.
+//! stack: it partitions the app-id space across K shard groups with a
+//! seeded hash, each group a complete private [`FrappeService`] (store,
+//! cache, in-flight cap, registry). Ingest and classify both run on the
+//! caller's thread, in the owner group's service, exactly as they do on
+//! a single [`FrappeService`]; the router owns no threads. Control state
+//! (model pointer, known names) lives in one shared [`ControlPlane`], so
+//! swaps and name flags stay globally atomic across groups.
 //!
 //! ```text
-//!              ┌► mailbox ─► group 0 (store+cache+in-flight cap, private)
-//!  ingest ──hash                 ▲
-//!  classify ─hash─► call ────────┘      … group K-1
-//!              │
-//!              └── ControlPlane (model epoch ptr + known names), shared
+//!  ingest(event) ──hash──┐
+//!  classify(app) ──hash──┴─► owner group's service, on the caller's thread
+//!                             group 0 … group K-1 (store+cache+in-flight cap, private)
+//!                             └── ControlPlane (model epoch ptr + known names), shared
 //! ```
 //!
 //! ## Why the router hash is *not* the store hash
@@ -57,7 +56,6 @@ use url_services::shortener::Shortener;
 
 use crate::control::{ControlPlane, ControlStamp};
 use crate::event::ServeEvent;
-use crate::group::ShardGroup;
 use crate::metrics::{LatencySnapshot, MetricsSnapshot};
 use crate::service::{
     finish_minted, join_or_mint, FrappeService, ServeConfig, ServeError, Verdict,
@@ -91,8 +89,9 @@ pub(crate) fn group_index(app: AppId, groups: usize) -> usize {
 pub struct ShardConfig {
     /// Partition-owning shard groups (K).
     pub groups: usize,
-    /// Bounded ingest-mailbox capacity per group; beyond it ingest is
-    /// rejected with the group's retry hint.
+    /// Read by nothing: ingest applies on the caller's thread, so there
+    /// is no mailbox to size. Kept only because the benchmark sets it;
+    /// ROADMAP item 3 (the benchmark revision) deletes it.
     pub mailbox_capacity: usize,
     /// Per-group serving configuration (inner shards, in-flight cap,
     /// retry hint). Every group gets an identical copy.
@@ -111,10 +110,7 @@ impl Default for ShardConfig {
 
 /// Router-level instruments, registered in the router's base registry.
 struct RouterMetrics {
-    ingest_forwarded: Vec<Arc<Counter>>,
-    ingest_rejected: Arc<Counter>,
     classify_forwarded: Vec<Arc<Counter>>,
-    mailbox_depth: Vec<Arc<Gauge>>,
     queue_depth: Arc<Gauge>,
 }
 
@@ -123,17 +119,11 @@ impl RouterMetrics {
         registry
             .gauge("route_groups")
             .set(groups.min(i64::MAX as usize) as i64);
-        let per_group = |name: &str| -> Vec<Arc<Counter>> {
-            (0..groups)
-                .map(|g| registry.counter_with(name, &[("group", &g.to_string())]))
-                .collect()
-        };
         RouterMetrics {
-            ingest_forwarded: per_group("route_ingest_forwarded"),
-            ingest_rejected: registry.counter("route_ingest_rejected"),
-            classify_forwarded: per_group("route_classify_forwarded"),
-            mailbox_depth: (0..groups)
-                .map(|g| registry.gauge_with("route_mailbox_depth", &[("group", &g.to_string())]))
+            classify_forwarded: (0..groups)
+                .map(|g| {
+                    registry.counter_with("route_classify_forwarded", &[("group", &g.to_string())])
+                })
                 .collect(),
             queue_depth: registry.gauge("route_queue_depth"),
         }
@@ -142,15 +132,13 @@ impl RouterMetrics {
 
 /// K shard groups behind one hashing front door.
 ///
-/// The router exposes the same verbs as [`FrappeService`] — `ingest`
-/// (now fallible: mailboxes are bounded), `classify`,
-/// `classify_traced`, `flag_name`, `swap_model` — and routes each to
-/// the one group that owns the app. Dropping the router closes every
-/// mailbox, drains what was accepted, and joins all group ingest
-/// workers.
+/// The router exposes the same verbs as [`FrappeService`] — `ingest`,
+/// `classify`, `classify_traced`, `flag_name`, `swap_model` — and runs
+/// each on the calling thread in the one group that owns the app. It
+/// starts no threads, so dropping it joins nothing.
 pub struct ShardRouter {
     control: Arc<ControlPlane>,
-    groups: Vec<ShardGroup>,
+    groups: Vec<FrappeService>,
     config: ShardConfig,
     registry: Arc<Registry>,
     metrics: RouterMetrics,
@@ -161,8 +149,8 @@ impl ShardRouter {
     /// Builds a router around a freshly trained model at version 1.
     ///
     /// # Panics
-    /// Panics if `config` has zero groups, zero mailbox capacity, or a
-    /// per-group config with zero `max_in_flight`.
+    /// Panics if `config` has zero groups or a per-group config with
+    /// zero `max_in_flight`.
     pub fn new(
         model: FrappeModel,
         known: KnownMaliciousNames,
@@ -172,11 +160,7 @@ impl ShardRouter {
         assert!(config.groups > 0, "a router needs at least one group");
         let control = Arc::new(ControlPlane::new(model, known));
         let groups = (0..config.groups)
-            .map(|index| {
-                let service =
-                    FrappeService::with_control_plane(&control, shortener.clone(), config.group);
-                ShardGroup::new(index, service, config.mailbox_capacity)
-            })
+            .map(|_| FrappeService::with_control_plane(&control, shortener.clone(), config.group))
             .collect();
         let registry = Arc::new(Registry::new());
         let metrics = RouterMetrics::new(&registry, config.groups);
@@ -206,6 +190,11 @@ impl ShardRouter {
         group_index(app, self.groups.len())
     }
 
+    /// The service of the group that owns `app`.
+    pub(crate) fn group_service(&self, app: AppId) -> &FrappeService {
+        &self.groups[self.group_of(app)]
+    }
+
     /// The control plane every group scores through.
     pub(crate) fn control(&self) -> &ControlPlane {
         &self.control
@@ -216,38 +205,21 @@ impl ShardRouter {
         self.control.stamp()
     }
 
-    /// Forwards one event into its owner group's bounded mailbox.
+    /// Applies one event on the calling thread, in its owner group's
+    /// store, exactly as [`FrappeService::ingest`] does: when it returns,
+    /// the next read sees the event.
     ///
-    /// Unlike [`FrappeService::ingest`] this is fallible: a full mailbox
-    /// rejects immediately with [`ServeError::Overloaded`] and the
-    /// group's retry hint — the caller owns the retry policy, exactly as
-    /// for classify backpressure.
+    /// Always `Ok`. The `Result` is kept only because the benchmark
+    /// matches on it; ROADMAP item 3 (the benchmark revision) drops it.
     pub fn ingest(&self, event: &ServeEvent) -> Result<(), ServeError> {
-        let _span = frappe_obs::span("route/ingest");
-        let g = self.group_of(event.app());
-        match self.groups[g].ingest(event) {
-            Ok(()) => {
-                self.metrics.ingest_forwarded[g].inc();
-                Ok(())
-            }
-            Err(err) => {
-                if matches!(err, ServeError::Overloaded { .. }) {
-                    self.metrics.ingest_rejected.inc();
-                }
-                Err(err)
-            }
-        }
+        self.group_service(event.app()).ingest(event);
+        Ok(())
     }
 
-    /// Quiesce barrier: blocks until every event accepted by every
-    /// group's mailbox before this call has been applied to its store.
-    /// Parity-sensitive readers (tests, benches) call this between
-    /// ingest and classify.
-    pub fn flush(&self) {
-        for group in &self.groups {
-            group.flush();
-        }
-    }
+    /// Returns at once: every accepted event is already applied. Kept
+    /// only because the benchmark calls it; ROADMAP item 3 (the benchmark
+    /// revision) deletes it.
+    pub fn flush(&self) {}
 
     /// Classifies one app on the calling thread, in its owner group.
     pub fn classify(&self, app: AppId) -> Result<Verdict, ServeError> {
@@ -277,9 +249,8 @@ impl ShardRouter {
         }
         drop(forward);
         let group_span = frappe_obs::span_in("route/group_score", trace);
-        let outcome = self.groups[g]
-            .service()
-            .classify_traced(app, handle.clone().map(|h| (h, group_span.id())));
+        let outcome =
+            self.groups[g].classify_traced(app, handle.clone().map(|h| (h, group_span.id())));
         drop(group_span);
         if !matches!(outcome, Err(ServeError::Overloaded { .. })) {
             self.metrics.classify_forwarded[g].inc();
@@ -292,7 +263,7 @@ impl ShardRouter {
 
     /// Current feature row for one app, read from its owner group.
     pub fn features(&self, app: AppId) -> Option<AppFeatures> {
-        self.groups[self.group_of(app)].service().features(app)
+        self.group_service(app).features(app)
     }
 
     /// Adds a name to the shared known-malicious list (observed by every
@@ -309,7 +280,7 @@ impl ShardRouter {
     pub fn swap_model(&self, model: Arc<FrappeModel>, version: u64) -> Arc<VersionedModel> {
         let old = self.control.swap_model(model, version);
         for group in &self.groups {
-            group.service().record_external_swap(version);
+            group.record_external_swap(version);
         }
         old
     }
@@ -323,37 +294,31 @@ impl ShardRouter {
     /// Eagerly drops every cached verdict in every group, returning the
     /// total eviction count.
     pub fn clear_verdict_cache(&self) -> usize {
-        self.groups
-            .iter()
-            .map(|g| g.service().clear_verdict_cache())
-            .sum()
+        self.groups.iter().map(|g| g.clear_verdict_cache()).sum()
     }
 
-    /// Classifies in flight, summed across groups (mailboxes not
-    /// included; see [`mailbox_depth`](Self::mailbox_depth)).
+    /// Classifies in flight, summed across groups.
     pub fn queue_depth(&self) -> usize {
-        self.groups.iter().map(|g| g.service().queue_depth()).sum()
+        self.groups.iter().map(|g| g.queue_depth()).sum()
     }
 
-    /// Events waiting in group mailboxes, summed.
+    /// Always 0: no event waits between `ingest` and its store. Kept
+    /// only because the benchmark samples it; ROADMAP item 3 (the
+    /// benchmark revision) deletes it.
     pub fn mailbox_depth(&self) -> usize {
-        self.groups.iter().map(ShardGroup::mailbox_depth).sum()
+        0
     }
 
     /// Apps tracked by any group, sorted (each app has one owner, so
     /// this is a disjoint union).
     pub fn tracked_apps(&self) -> Vec<AppId> {
-        let mut apps: Vec<AppId> = self
-            .groups
-            .iter()
-            .flat_map(|g| g.service().tracked_apps())
-            .collect();
+        let mut apps: Vec<AppId> = self.groups.iter().flat_map(|g| g.tracked_apps()).collect();
         apps.sort_unstable();
         apps
     }
 
     /// Point-in-time metrics summed across groups (and refreshing the
-    /// router's depth gauges). Counters and the latency histogram add;
+    /// router's in-flight gauge). Counters and the latency histogram add;
     /// `model_version` comes from the control plane and `model_swaps`
     /// is the per-group maximum — every group books each shared swap
     /// once, so the sum would count one swap K times.
@@ -378,8 +343,8 @@ impl ShardRouter {
                 count: 0,
             },
         };
-        for (g, group) in self.groups.iter().enumerate() {
-            let s = group.service().metrics();
+        for group in &self.groups {
+            let s = group.metrics();
             merged.events_ingested += s.events_ingested;
             merged.queries_served += s.queries_served;
             merged.cache_hits += s.cache_hits;
@@ -404,7 +369,6 @@ impl ShardRouter {
                 merged.latency.total_micros += s.latency.total_micros;
                 merged.latency.count += s.latency.count;
             }
-            self.metrics.mailbox_depth[g].set(group.mailbox_depth().min(i64::MAX as usize) as i64);
         }
         let looked_up = merged.cache_hits + merged.cache_misses;
         if looked_up > 0 {
@@ -428,12 +392,12 @@ impl ShardRouter {
     /// `group="<idx>"`, plus an unlabelled sum per additive family (see
     /// the module docs for the no-double-count rule).
     pub fn exposition(&self) -> RegistrySnapshot {
-        let _ = self.metrics(); // refresh depth gauges everywhere
+        let _ = self.metrics(); // refresh in-flight gauges everywhere
         self.control.publish(&self.registry);
         let group_snaps: Vec<RegistrySnapshot> = self
             .groups
             .iter()
-            .map(|g| g.service().obs_registry().snapshot())
+            .map(|g| g.obs_registry().snapshot())
             .collect();
         merge_expositions(self.registry.snapshot(), &group_snaps, SHARED_FAMILIES)
     }
@@ -453,8 +417,8 @@ impl ShardRouter {
     }
 
     /// Every group's service, in group order.
-    pub(crate) fn group_services(&self) -> impl Iterator<Item = &Arc<FrappeService>> {
-        self.groups.iter().map(ShardGroup::service)
+    pub(crate) fn group_services(&self) -> impl Iterator<Item = &FrappeService> {
+        self.groups.iter()
     }
 }
 
@@ -623,7 +587,7 @@ mod tests {
     #[test]
     fn merged_exposition_bytes_are_pinned() {
         let base = Registry::new();
-        base.counter("route_ingest_rejected").add(2);
+        base.counter("route_classify_forwarded").add(2);
         base.gauge("control_model_version").set(3);
 
         let g0 = Registry::new();
@@ -650,8 +614,8 @@ mod tests {
             merged.to_prometheus_text(),
             "# TYPE control_model_version gauge\n\
              control_model_version 3\n\
-             # TYPE route_ingest_rejected counter\n\
-             route_ingest_rejected 2\n\
+             # TYPE route_classify_forwarded counter\n\
+             route_classify_forwarded 2\n\
              # TYPE serve_model_swaps counter\n\
              serve_model_swaps{group=\"0\"} 1\n\
              serve_model_swaps{group=\"1\"} 1\n\

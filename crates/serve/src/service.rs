@@ -85,9 +85,9 @@ pub struct Verdict {
 /// Why a classify call did not produce a verdict.
 ///
 /// Serializes externally tagged — `{"UnknownApp": 404}`,
-/// `{"Overloaded": {"retry_after_ms": 5}}`, `"ShuttingDown"` — which is
-/// the wire format the network edge's [`ErrorEnvelope`] carries; the
-/// envelope test pins it.
+/// `{"Overloaded": {"retry_after_ms": 5}}` — which is the wire format
+/// the network edge's [`ErrorEnvelope`] carries; the envelope test pins
+/// it.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ServeError {
     /// No event has ever mentioned this app.
@@ -97,8 +97,6 @@ pub enum ServeError {
         /// Suggested client backoff in milliseconds.
         retry_after_ms: u64,
     },
-    /// The service is shutting down.
-    ShuttingDown,
 }
 
 /// The stable JSON error body every transport shares: the HTTP edge
@@ -122,7 +120,7 @@ impl ErrorEnvelope {
     pub fn new(error: ServeError) -> Self {
         let retry_after_ms = match &error {
             ServeError::Overloaded { retry_after_ms } => Some(*retry_after_ms),
-            _ => None,
+            ServeError::UnknownApp(_) => None,
         };
         ErrorEnvelope {
             error,
@@ -147,7 +145,6 @@ impl std::fmt::Display for ServeError {
                     "too many classifies in flight; retry after {retry_after_ms}ms"
                 )
             }
-            ServeError::ShuttingDown => write!(f, "service is shutting down"),
         }
     }
 }
@@ -160,7 +157,6 @@ impl ServeError {
         match self {
             ServeError::UnknownApp(_) => "unknown_app",
             ServeError::Overloaded { .. } => "overloaded",
-            ServeError::ShuttingDown => "shutting_down",
         }
     }
 }
@@ -961,11 +957,6 @@ pub(crate) mod tests {
             serde_json::from_str::<ErrorEnvelope>(&json).unwrap(),
             unknown
         );
-
-        let down = ErrorEnvelope::new(ServeError::ShuttingDown);
-        let json = serde_json::to_string(&down).unwrap();
-        assert_eq!(json, r#"{"error":"ShuttingDown","retry_after_ms":null}"#);
-        assert_eq!(serde_json::from_str::<ErrorEnvelope>(&json).unwrap(), down);
     }
 
     #[test]
@@ -1016,12 +1007,12 @@ pub(crate) mod tests {
             Shortener::bitly(),
             crate::ShardConfig {
                 groups: 2,
-                mailbox_capacity: 8,
                 group: ServeConfig {
                     shards: 1,
                     max_in_flight: 1,
                     retry_after_ms: 9,
                 },
+                ..crate::ShardConfig::default()
             },
         ));
         let (a, b) = (AppId(1), AppId(2));
@@ -1039,7 +1030,6 @@ pub(crate) mod tests {
                 })
                 .unwrap();
         }
-        router.flush();
         let deployment = crate::Deployment::from(Arc::clone(&router));
         let (parker, release) =
             Parker::new(move |app| crate::router::group_index(app, 2) == shedding);

@@ -308,10 +308,9 @@ fn random_streams_are_parity_exact_for_every_set_and_shard_count() {
     }
 }
 
-/// Ingests every script through a router's bounded mailboxes, apps
-/// round-robin across threads (per-app order preserved: one thread per
-/// app, one owner group, FIFO mailbox, one consumer), then flushes all
-/// groups so classify observes everything.
+/// Ingests every script through a router, apps round-robin across
+/// threads (per-app order preserved: one thread per app, and each
+/// ingest applies on its caller's thread before it returns).
 fn ingest_routed_concurrently(world: &RandomWorld, router: &frappe_serve::ShardRouter) {
     std::thread::scope(|scope| {
         for t in 0..INGEST_THREADS {
@@ -320,29 +319,23 @@ fn ingest_routed_concurrently(world: &RandomWorld, router: &frappe_serve::ShardR
             scope.spawn(move || {
                 for script in world.scripts.iter().skip(t).step_by(INGEST_THREADS) {
                     for event in &script.events {
-                        // The mailboxes are sized to hold the whole
-                        // stream; spin on the (unexpected) reject so a
-                        // shed can never masquerade as a parity bug.
-                        while router.ingest(event).is_err() {
-                            std::thread::yield_now();
-                        }
+                        router.ingest(event).unwrap();
                     }
                 }
             });
         }
     });
-    router.flush();
 }
 
 /// The tentpole invariant: partitioning the serving stack into K
-/// thread-isolated shard groups is *pure topology* — for every group
+/// private shard groups is *pure topology* — for every group
 /// count, every app's verdict is bit-for-bit what the single-group
 /// deployment produces (decision value compared as raw f64 bits), and a
 /// hot swap + rollback through the shared control plane leaves every
 /// group on the same epoch with no stale verdict surviving anywhere.
 #[test]
 fn verdicts_are_bit_identical_for_every_group_count() {
-    use frappe_serve::{ServeConfig, ShardConfig, ShardRouter};
+    use frappe_serve::{ShardConfig, ShardRouter};
 
     // A second deterministic model for the swap leg: trained on rows
     // from an unrelated seeded world with a narrower feature set, so v2
@@ -365,8 +358,7 @@ fn verdicts_are_bit_identical_for_every_group_count() {
                 world.shortener.clone(),
                 ShardConfig {
                     groups,
-                    mailbox_capacity: 4096,
-                    group: ServeConfig::default(),
+                    ..ShardConfig::default()
                 },
             );
             ingest_routed_concurrently(&world, &router);

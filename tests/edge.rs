@@ -368,18 +368,17 @@ fn router_read_pause_holds_while_the_shedding_group_is_full() {
         Shortener::bitly(),
         ShardConfig {
             groups: 2,
-            mailbox_capacity: 64,
             group: ServeConfig {
                 shards: 1,
                 max_in_flight: 1,
                 retry_after_ms: 9,
             },
+            ..ShardConfig::default()
         },
     ));
     for event in app_events(AppId(7), true, 2) {
         router.ingest(&event).unwrap();
     }
-    router.flush();
     let server = Server::bind(Arc::clone(&router), "127.0.0.1:0", NetConfig::default()).unwrap();
     // parks only classifies into app 7's group
     let held = Held::classify(Arc::clone(&router), AppId(7));
@@ -679,15 +678,10 @@ fn summary_filling_events(app: AppId) -> Vec<ServeEvent> {
     ]
 }
 
-/// Drives `deployment` only through `/v1/events` and `/v1/classify`
-/// (`settle` is the router's ingest barrier) and checks what a lifecycle
-/// manager on it observed. `fresh_scores` reads the deployment's cache
-/// misses.
-fn socket_traffic_feeds_the_manager(
-    deployment: Deployment,
-    settle: &dyn Fn(),
-    fresh_scores: &dyn Fn() -> u64,
-) {
+/// Drives `deployment` only through `/v1/events` and `/v1/classify` and
+/// checks what a lifecycle manager on it observed. `fresh_scores` reads
+/// the deployment's cache misses.
+fn socket_traffic_feeds_the_manager(deployment: Deployment, fresh_scores: &dyn Fn() -> u64) {
     let shape = format!("{} group(s)", deployment.group_count());
     let server = Server::bind(deployment.clone(), "127.0.0.1:0", NetConfig::default()).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
@@ -714,7 +708,6 @@ fn socket_traffic_feeds_the_manager(
         .collect();
     let ingested = client.post("/v1/events", &ndjson).unwrap();
     assert_eq!(ingested.status, 202, "{shape}: {}", ingested.body);
-    settle();
     let mut sweep = || {
         for &app in &apps {
             let response = client.get(&format!("/v1/classify/{}", app.raw())).unwrap();
@@ -773,9 +766,7 @@ fn socket_traffic_alone_feeds_drift_shadow_and_audit() {
         ServeConfig::default(),
     ));
     let misses = Arc::clone(&service);
-    socket_traffic_feeds_the_manager(Deployment::from(service), &|| {}, &|| {
-        misses.metrics().cache_misses
-    });
+    socket_traffic_feeds_the_manager(Deployment::from(service), &|| misses.metrics().cache_misses);
 
     let router = Arc::new(ShardRouter::new(
         linear_model(),
@@ -786,9 +777,7 @@ fn socket_traffic_alone_feeds_drift_shadow_and_audit() {
             ..ShardConfig::default()
         },
     ));
-    socket_traffic_feeds_the_manager(
-        Deployment::from(Arc::clone(&router)),
-        &|| router.flush(),
-        &|| router.metrics().cache_misses,
-    );
+    socket_traffic_feeds_the_manager(Deployment::from(Arc::clone(&router)), &|| {
+        router.metrics().cache_misses
+    });
 }

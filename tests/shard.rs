@@ -13,7 +13,8 @@
 //!   it reaches a single service: verdicts stay bit-identical between a
 //!   one-service deployment and a K-group router before the flip, right
 //!   after it (warm caches invalidated everywhere), and over the rest of
-//!   the stream.
+//!   the stream; and every event a router ingests is visible to the very
+//!   next read, as on the single service.
 //!
 //! A third pins the one install path for a service and for routers: the
 //! registry's v1 *is* the served model, and every install is packed.
@@ -46,8 +47,7 @@ const GROUP_COUNTS: [usize; 3] = [1, 3, 4];
 fn shard_config(groups: usize) -> ShardConfig {
     ShardConfig {
         groups,
-        mailbox_capacity: 4096,
-        group: ServeConfig::default(),
+        ..ShardConfig::default()
     }
 }
 
@@ -81,15 +81,6 @@ fn labelled_rows(
         labels.push(world.truth.malicious.contains(&app));
     }
     (samples, labels)
-}
-
-/// Forwards one event into the router, retrying while its owner group's
-/// mailbox is full (the reject-with-retry-after contract; tests spin
-/// rather than sleep the hint).
-fn ingest_routed(router: &ShardRouter, event: &ServeEvent) {
-    while router.ingest(event).is_err() {
-        std::thread::yield_now();
-    }
 }
 
 /// A [`SwapFence`] that drains every group's scoring queue before
@@ -136,9 +127,8 @@ fn fenced_promote_and_rollback_are_atomic_across_groups_under_load() {
             shard_config(groups),
         ));
         for event in serve_events(&world) {
-            ingest_routed(&router, &event);
+            router.ingest(&event).unwrap();
         }
-        router.flush();
         let groups_hit: std::collections::BTreeSet<usize> =
             apps.iter().map(|&a| router.group_of(a)).collect();
         assert_eq!(
@@ -284,11 +274,21 @@ fn a_mid_stream_name_flip_reaches_every_group_exactly_like_a_single_service() {
             shard_config(groups),
         );
 
-        for event in first {
+        // Read-your-writes: a router applies each event before `ingest`
+        // returns, exactly like a single service.
+        let ingest_both = |event: &ServeEvent, phase: &str| {
             single.ingest(event);
-            ingest_routed(&router, event);
+            router.ingest(event).unwrap();
+            let app = event.app();
+            assert_eq!(
+                router.features(app),
+                single.features(app),
+                "{phase}: app {app:?} read back stale right after its ingest"
+            );
+        };
+        for event in first {
+            ingest_both(event, "first half");
         }
-        router.flush();
 
         let parity = |phase: &str| {
             let tracked = router.tracked_apps();
@@ -340,10 +340,8 @@ fn a_mid_stream_name_flip_reaches_every_group_exactly_like_a_single_service() {
         // The rest of the stream lands on post-flip state; parity must hold
         // through it.
         for event in second {
-            single.ingest(event);
-            ingest_routed(&router, event);
+            ingest_both(event, "second half");
         }
-        router.flush();
         parity("post-flip, stream complete");
     }
 }

@@ -26,7 +26,7 @@ use frappe_lifecycle::{
 use frappe_net::client::Client;
 use frappe_net::{NetConfig, Server};
 use frappe_obs::{CompletedTrace, TraceCollector, TraceConfig, TraceFlag};
-use frappe_serve::{FrappeService, ServeConfig, ServeEvent, ShardConfig, ShardRouter};
+use frappe_serve::{Deployment, FrappeService, ServeConfig, ServeEvent, ShardConfig, ShardRouter};
 use osn_types::ids::AppId;
 use url_services::shortener::Shortener;
 
@@ -79,27 +79,28 @@ fn tiny_model() -> FrappeModel {
     FrappeModel::train(&samples, &labels, FeatureSet::Full, None)
 }
 
-fn feed_app(service: &FrappeService, app: AppId, shady: bool, posts: usize) {
+fn feed_app(deployment: impl Into<Deployment>, app: AppId, shady: bool, posts: usize) {
+    let deployment = deployment.into();
     let name = if shady {
         "Profile Viewer".to_string()
     } else {
         format!("wholesome game {}", app.raw())
     };
-    service.ingest(&ServeEvent::Registered { app, name });
+    deployment.ingest(&ServeEvent::Registered { app, name });
     let (benign, malicious) = prototypes();
     let features = if shady {
         malicious.on_demand
     } else {
         benign.on_demand
     };
-    service.ingest(&ServeEvent::OnDemand { app, features });
+    deployment.ingest(&ServeEvent::OnDemand { app, features });
     for _ in 0..posts {
         let link = if shady {
             Some(osn_types::url::Url::parse("http://scam.example/x").unwrap())
         } else {
             Some(osn_types::url::Url::parse("http://fine.example/y").unwrap())
         };
-        service.ingest(&ServeEvent::Post { app, link });
+        deployment.ingest(&ServeEvent::Post { app, link });
     }
 }
 
@@ -164,7 +165,7 @@ fn shed_429_is_always_tail_sampled_from_accept_to_response_write() {
             retry_after_ms: 9,
         },
     ));
-    feed_app(&service, AppId(7), true, 2);
+    feed_app(Arc::clone(&service), AppId(7), true, 2);
     let collector = tail_only_collector();
     service.set_trace_collector(collector.clone());
     let server = Server::bind(Arc::clone(&service), "127.0.0.1:0", NetConfig::default()).unwrap();
@@ -235,7 +236,7 @@ fn requests_in_flight_across_a_fenced_promote_are_tail_sampled() {
     ));
     let apps: Vec<AppId> = (1..=4).map(AppId).collect();
     for (i, &app) in apps.iter().enumerate() {
-        feed_app(&service, app, i % 2 == 0, 1 + i % 3);
+        feed_app(Arc::clone(&service), app, i % 2 == 0, 1 + i % 3);
     }
     let collector = tail_only_collector();
     service.set_trace_collector(collector.clone());
@@ -336,7 +337,7 @@ fn tracing_on_and_off_serve_bit_identical_verdict_bytes() {
         ));
         let apps: Vec<AppId> = (1..=6).map(AppId).collect();
         for (i, &app) in apps.iter().enumerate() {
-            feed_app(&service, app, i % 2 == 0, 1 + i % 4);
+            feed_app(Arc::clone(&service), app, i % 2 == 0, 1 + i % 4);
         }
         if traced {
             // Keep-everything sampling: every request pays the maximum
@@ -388,40 +389,8 @@ fn tracing_on_and_off_serve_bit_identical_verdict_bytes() {
     assert_eq!(body, r#"{"error":"tracing disabled"}"#);
 }
 
-/// Feeds the same fixture traffic through a router's mailboxes (the
-/// sharded analogue of [`feed_app`]), then flushes so classify sees it.
-fn feed_app_routed(router: &ShardRouter, app: AppId, shady: bool, posts: usize) {
-    let name = if shady {
-        "Profile Viewer".to_string()
-    } else {
-        format!("wholesome game {}", app.raw())
-    };
-    router
-        .ingest(&ServeEvent::Registered { app, name })
-        .expect("mailbox has room");
-    let (benign, malicious) = prototypes();
-    let features = if shady {
-        malicious.on_demand
-    } else {
-        benign.on_demand
-    };
-    router
-        .ingest(&ServeEvent::OnDemand { app, features })
-        .expect("mailbox has room");
-    for _ in 0..posts {
-        let link = if shady {
-            Some(osn_types::url::Url::parse("http://scam.example/x").unwrap())
-        } else {
-            Some(osn_types::url::Url::parse("http://fine.example/y").unwrap())
-        };
-        router
-            .ingest(&ServeEvent::Post { app, link })
-            .expect("mailbox has room");
-    }
-}
-
 /// The shard-group continuity story, end to end over real sockets: a
-/// request forwarded across a group mailbox keeps its edge-minted trace
+/// request forwarded to its owner group keeps its edge-minted trace
 /// (route spans parent the owning group's serve spans in one tree), and
 /// a fenced promote over K groups still tail-samples whatever straddled
 /// it — with every group already serving the new model version by the
@@ -434,15 +403,13 @@ fn forwarded_requests_keep_the_edge_trace_across_a_multi_group_promote() {
         Shortener::bitly(),
         ShardConfig {
             groups: 3,
-            mailbox_capacity: 64,
-            group: ServeConfig::default(),
+            ..ShardConfig::default()
         },
     ));
     let apps: Vec<AppId> = (1..=6).map(AppId).collect();
     for (i, &app) in apps.iter().enumerate() {
-        feed_app_routed(&router, app, i % 2 == 0, 1 + i % 3);
+        feed_app(Arc::clone(&router), app, i % 2 == 0, 1 + i % 3);
     }
-    router.flush();
     assert!(
         apps.iter()
             .map(|&a| router.group_of(a))
